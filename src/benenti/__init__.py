@@ -29,6 +29,7 @@ from .operators import (
     commutator_decompose,
     commutator_residual,
     geodesic_drift,
+    geodesic_drifts,
     integral_value,
     killing_operator,
     laplace_apply,
@@ -91,6 +92,7 @@ __all__ = [
     "dump_pair",
     "equivalent_entries",
     "geodesic_drift",
+    "geodesic_drifts",
     "get_entry",
     "integral_value",
     "killing_operator",

@@ -13,7 +13,10 @@ literal during parsing), which keeps fractional powers like ``x^(1/3)``
 well-defined in jet arithmetic.
 
 Parsed expressions are immutable trees; evaluation works over either plain
-floats or jets and is pure.
+floats or jets and is pure.  Either kind may come as a batch: coordinates
+assigned 1-d float arrays, or batched jets, evaluate the expression at every
+point of the batch at once, with for each point the floating-point
+operations of the single-point evaluation.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jets
 from .errors import (
@@ -214,10 +219,17 @@ def variables(e: Expression) -> set[str]:
     return set()
 
 
+def _real_log(value: float) -> float:
+    if value <= 0:
+        raise ValueError(f"ln of non-positive value {value}")
+    return math.log(value)
+
+
 _REAL_FUNCS = {
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
+    "ln": _real_log,
     "sqrt": math.sqrt,
     "abs": abs,
 }
@@ -237,17 +249,20 @@ _DOMAIN_ERRORS = (SingularInputError, ValueError, ZeroDivisionError, OverflowErr
 def evaluate(e: Expression, assignment: Mapping[str, object]):
     """Evaluate over floats or jets, depending on the assigned values.
 
-    All assigned jets must share nvars and order.  Domain failures (division
-    by zero, ``ln`` or ``sqrt`` off-domain, overflow) are raised as
+    All assigned jets must share nvars, order and batch; assigned float
+    arrays must share their length.  Domain failures (division by zero,
+    ``ln`` or ``sqrt`` off-domain, overflow) are raised as
     :class:`EvaluationDomainError` carrying the character offset of the AST
-    node at which evaluation failed.
+    node at which evaluation failed; in a batch, a failure at any point
+    fails the whole evaluation.
     """
     sample = next((v for v in assignment.values() if isinstance(v, jets.Jet)), None)
+    batch = None if sample is None else sample.batch
 
     def const(value):
         if sample is None:
             return value
-        return jets.Jet.constant(value, sample.nvars, sample.order)
+        return jets.Jet.constant(value, sample.nvars, sample.order, batch)
 
     def rec(node):
         if isinstance(node, Const):
@@ -268,7 +283,7 @@ def evaluate(e: Expression, assignment: Mapping[str, object]):
                 try:
                     if isinstance(left, jets.Jet):
                         return jets.power(left, exponent)
-                    return _real_power(left, exponent)
+                    return _pointwise(lambda b: _real_power(b, exponent), left)
                 except _DOMAIN_ERRORS as err:
                     raise EvaluationDomainError(str(err), node.pos) from err
             right = rec(node.right)
@@ -279,7 +294,7 @@ def evaluate(e: Expression, assignment: Mapping[str, object]):
                     return left - right
                 if node.op == "*":
                     return left * right
-                return left / right
+                return _divide(left, right)
             except _DOMAIN_ERRORS as err:
                 raise EvaluationDomainError(str(err), node.pos) from err
         if isinstance(node, Call):
@@ -287,16 +302,29 @@ def evaluate(e: Expression, assignment: Mapping[str, object]):
             try:
                 if isinstance(arg, jets.Jet):
                     return _JET_FUNCS[node.func](arg)
-                if node.func == "ln":
-                    if arg <= 0:
-                        raise ValueError(f"ln of non-positive value {arg}")
-                    return math.log(arg)
-                return _REAL_FUNCS[node.func](arg)
+                return _pointwise(_REAL_FUNCS[node.func], arg)
             except _DOMAIN_ERRORS as err:
                 raise EvaluationDomainError(str(err), node.pos) from err
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(e)
+
+
+def _pointwise(fn, value):
+    """``fn`` of a float, or of each float of an array by the same scalar
+    code (array ``exp`` or ``**`` can round differently from ``math``)."""
+    if isinstance(value, np.ndarray):
+        return np.array([fn(float(v)) for v in value])
+    return fn(value)
+
+
+def _divide(left, right):
+    """``left / right``; a zero divisor raises for arrays as for floats."""
+    if (isinstance(left, np.ndarray) or isinstance(right, np.ndarray)) and np.any(
+        np.equal(right, 0.0)
+    ):
+        raise ZeroDivisionError("float division by zero")
+    return left / right
 
 
 def _real_power(base: float, exponent: float):

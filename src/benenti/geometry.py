@@ -61,11 +61,11 @@ class JetTensor:
         return self.comps.flat[0].order
 
     def value(self) -> np.ndarray:
-        """Point values of all components as a float array."""
-        out = np.empty(self.comps.shape)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = self.comps[idx].value
-        return out
+        """Point values of all components as a float array; batched jets
+        give a leading batch axis."""
+        batch = self.comps.flat[0].coeffs.shape[:-1]
+        consts = np.array([c.coeffs.T[0] for c in self.comps.flat])
+        return consts.T.reshape(batch + self.comps.shape)
 
     def __getitem__(self, idx):
         return self.comps[idx]
@@ -110,7 +110,9 @@ class MetricField:
     The component matrix is symmetrized on evaluation (entries are averaged
     with their transposes), and every evaluation checks that the metric is
     comfortably nondegenerate at the point: |det g| must exceed
-    ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.
+    ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.  ``evaluate`` and ``values``
+    also take a ``(B, dim)`` batch of points and then fail if the metric is
+    degenerate at any of them.
     """
 
     def __init__(
@@ -155,20 +157,33 @@ class MetricField:
         self._check_nondegenerate(g.value(), point)
         return g
 
-    def values(self, point: Sequence[float]) -> np.ndarray:
+    def values(self, point) -> np.ndarray:
         """Plain float components at the point (symmetrized, checked)."""
-        assignment = dict(zip(self.coordinates, map(float, point)))
-        raw = np.empty((self.dim, self.dim))
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim == 1:
+            assignment = dict(zip(self.coordinates, map(float, pts)))
+        else:
+            assignment = dict(zip(self.coordinates, pts.T))
+        raw = np.empty(pts.shape[:-1] + (self.dim, self.dim))
         for i in range(self.dim):
             for j in range(self.dim):
-                raw[i, j] = expr.evaluate(self.components[i][j], assignment)
-        sym = 0.5 * (raw + raw.T)
-        self._check_nondegenerate(sym, point)
+                raw[..., i, j] = expr.evaluate(self.components[i][j], assignment)
+        sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        self._check_nondegenerate(sym, pts)
         return sym
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
-        scale = np.max(np.abs(values))
-        det = float(np.linalg.det(values))
+        """Raise unless the metric is nondegenerate at the point, or at
+        every point of a batch."""
+        if values.ndim == 2:
+            self._require(float(np.linalg.det(values)), np.max(np.abs(values)), point)
+            return
+        dets = np.linalg.det(values)
+        scales = np.abs(values).max(axis=(1, 2))
+        for det, scale, pt in zip(dets, scales, point):
+            self._require(float(det), scale, pt)
+
+    def _require(self, det: float, scale, point) -> None:
         if abs(det) <= DEGENERACY_FACTOR * scale**self.dim:
             raise DegenerateMetricError(
                 f"metric{' ' + self.name if self.name else ''} is degenerate "
@@ -413,17 +428,20 @@ def christoffel_values(metric: MetricField, point) -> np.ndarray:
 
     Evaluates the metric at order 1 only and finishes with real linear
     algebra, which is much cheaper than the full jet pipeline.  Used by the
-    geodesic integrator where Christoffel values are needed per stage.
+    geodesic integrator where Christoffel values are needed per stage.  A
+    ``(B, dim)`` batch of points gives a ``(B, dim, dim, dim)`` array whose
+    rows equal the single-point results bit for bit.
     """
     g = metric.evaluate(point, order=1)
     d = metric.dim
     gv = g.value()
-    dg = np.empty((d, d, d))  # dg[s, j, k] = d_s g_jk
+    dg = np.empty(gv.shape[:-2] + (d, d, d))  # dg[..., s, j, k] = d_s g_jk
     for j in range(d):
         for k in range(j, d):
             # order-1 jet coefficients 1..d are exactly the partials
-            dg[:, j, k] = dg[:, k, j] = g.comps[j, k].coeffs[1 : 1 + d]
+            dg[..., j, k] = dg[..., k, j] = g.comps[j, k].coeffs[..., 1 : 1 + d]
     ginv = np.linalg.inv(gv)
     # braces[s, j, k] = d_j g_sk + d_k g_sj - d_s g_jk
-    braces = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("is,sjk->ijk", ginv, braces)
+    dg_jsk = dg.swapaxes(-3, -2)
+    braces = dg_jsk + dg_jsk.swapaxes(-2, -1) - dg
+    return 0.5 * np.einsum("...is,...sjk->...ijk", ginv, braces)

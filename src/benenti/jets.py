@@ -15,6 +15,14 @@ differentiation maps) is precomputed once per ``(nvars, order)`` and cached;
 the intended regime is ``nvars <= 4`` and ``order <= 6`` where the dense
 tables stay tiny.
 
+A jet may carry a leading batch axis: ``coeffs`` of shape ``(B, ncoeffs)``
+holds B jets of the same space, one per row, at B base points.  Every
+operation acts row by row and performs, for each row, exactly the
+floating-point operations it performs on an unbatched jet, so a batched
+result equals the stacked unbatched results bit for bit.  The Taylor series
+of the analytic functions are therefore computed per row by the same scalar
+expressions (array ``exp`` or ``**`` can round differently).
+
 Jets are immutable values and all operations are pure.
 """
 
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,7 +65,7 @@ class _Space:
 
     __slots__ = (
         "nvars", "order", "indices", "position", "ncoeffs",
-        "_mul", "_diff", "factorials",
+        "_mul", "_diff", "_bins", "factorials",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -79,6 +87,7 @@ class _Space:
                 kk.append(self.position[s])
         self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
         self._diff = None
+        self._bins = {}
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in a) for a in self.indices]
         )
@@ -100,6 +109,35 @@ class _Space:
             self._diff = tabs
         return self._diff
 
+    def batch_bins(self, rows: int) -> np.ndarray:
+        """Output slots of the convolution table for ``rows`` stacked jets,
+        row after row, so one ``bincount`` multiplies every row at once."""
+        bins = self._bins.get(rows)
+        if bins is None:
+            kk = self._mul[2]
+            bins = (kk + self.ncoeffs * np.arange(rows)[:, None]).ravel()
+            self._bins[rows] = bins
+        return bins
+
+
+def _batch_product(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two batches of coefficient rows.
+
+    Each output coefficient of each row sums its products in the order of
+    the convolution table, starting from zero, as the unbatched kernel
+    ``np.bincount(kk, a[ii] * b[jj])`` does.
+    """
+    ii, jj, _ = sp._mul
+    if a.shape != b.shape:
+        raise ValueError(
+            f"jets must share the batch: {a.shape[:-1]} vs {b.shape[:-1]}"
+        )
+    rows = a.shape[0]
+    return np.bincount(
+        sp.batch_bins(rows), (a[:, ii] * b[:, jj]).ravel(),
+        minlength=rows * sp.ncoeffs,
+    ).reshape(rows, sp.ncoeffs)
+
 
 @functools.lru_cache(maxsize=None)
 def _space(nvars: int, order: int) -> _Space:
@@ -107,11 +145,12 @@ def _space(nvars: int, order: int) -> _Space:
 
 
 class Jet:
-    """A truncated Taylor expansion at a base point.
+    """A truncated Taylor expansion at a base point, or a batch of them.
 
     The public constructor accepts coefficients either as a mapping from
     multi-index tuples to floats (missing entries are zero) or as a dense
-    sequence in graded-lex order.
+    array in graded-lex order, of shape ``(ncoeffs,)`` or, for a batch of B
+    jets, ``(B, ncoeffs)``.
     """
 
     __slots__ = ("space", "coeffs")
@@ -128,7 +167,7 @@ class Jet:
                     vec[sp.position[alpha]] = c
             else:
                 arr = np.asarray(coeffs, dtype=float)
-                if arr.shape != (sp.ncoeffs,):
+                if arr.ndim not in (1, 2) or arr.shape[-1] != sp.ncoeffs:
                     raise ValueError(
                         f"expected {sp.ncoeffs} coefficients, got {arr.shape}"
                     )
@@ -144,10 +183,12 @@ class Jet:
         return j
 
     @classmethod
-    def constant(cls, value: float, nvars: int, order: int) -> "Jet":
+    def constant(cls, value: float, nvars: int, order: int,
+                 batch: int | None = None) -> "Jet":
+        """The constant ``value``; ``batch`` rows of it when given."""
         sp = _space(nvars, order)
-        vec = np.zeros(sp.ncoeffs)
-        vec[0] = value
+        vec = np.zeros(sp.ncoeffs if batch is None else (batch, sp.ncoeffs))
+        vec[..., 0] = value
         return cls._new(sp, vec)
 
     @property
@@ -159,14 +200,25 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        """The constant term, i.e. the function value at the base point."""
-        return float(self.coeffs[0])
+    def batch(self) -> int | None:
+        """Number of rows of a batched jet, None for a single jet."""
+        return None if self.coeffs.ndim == 1 else self.coeffs.shape[0]
+
+    @property
+    def value(self):
+        """The constant term, i.e. the function value at the base point
+        (a float, or one value per row of a batch)."""
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[0])
+        return self.coeffs[:, 0].copy()
 
     def coefficient(self, alpha: Iterable[int]) -> float:
         return float(self.coeffs[self.space.position[tuple(alpha)]])
 
     def __repr__(self):
+        if self.coeffs.ndim == 2:
+            return (f"Jet(nvars={self.nvars}, order={self.order}, "
+                    f"batch={self.batch})")
         terms = ", ".join(
             f"{a}: {c:.6g}"
             for a, c in zip(self.space.indices, self.coeffs)
@@ -185,8 +237,8 @@ class Jet:
                 )
             return other
         if isinstance(other, (int, float, np.floating, np.integer)):
-            vec = np.zeros(self.space.ncoeffs)
-            vec[0] = other
+            vec = np.zeros(self.coeffs.shape)
+            vec[..., 0] = other
             return Jet._new(self.space, vec)
         return None
 
@@ -220,12 +272,14 @@ class Jet:
                     "jets must share nvars and order: "
                     f"({self.nvars},{self.order}) vs ({other.nvars},{other.order})"
                 )
-            ii, jj, kk = self.space._mul
-            return Jet._new(
-                self.space,
-                np.bincount(kk, self.coeffs[ii] * other.coeffs[jj],
-                            minlength=self.space.ncoeffs),
-            )
+            a, b = self.coeffs, other.coeffs
+            if a.ndim == b.ndim == 1:
+                ii, jj, kk = self.space._mul
+                return Jet._new(
+                    self.space,
+                    np.bincount(kk, a[ii] * b[jj], minlength=self.space.ncoeffs),
+                )
+            return Jet._new(self.space, _batch_product(self.space, a, b))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Jet._new(self.space, self.coeffs * float(other))
         return NotImplemented
@@ -249,27 +303,29 @@ class Jet:
         return power(self, exponent)
 
 
-def seed_coordinates(point: Sequence[float], order: int) -> list[Jet]:
+def seed_coordinates(point, order: int) -> list[Jet]:
     """Coordinate jets at ``point``: constant term ``point[i]``, unit linear
-    term in slot ``i``.  Everything else is built from these by arithmetic."""
+    term in slot ``i``.  Everything else is built from these by arithmetic.
+
+    ``point`` is one point of shape ``(n,)`` or a batch of shape ``(B, n)``;
+    a batch gives batched jets with one row per point.
+    """
     pt = np.asarray(point, dtype=float)
-    if pt.ndim != 1 or pt.size < 1:
-        raise ValueError("point must be a non-empty 1-d sequence")
+    if pt.ndim not in (1, 2) or pt.size < 1:
+        raise ValueError("point must be a non-empty 1-d sequence or a 2-d batch")
     if not np.all(np.isfinite(pt)):
         raise ValueError(f"non-finite coordinate in point {point}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    nvars = pt.size
+    nvars = pt.shape[-1]
     sp = _space(nvars, order)
-    out = []
-    for i in range(nvars):
-        vec = np.zeros(sp.ncoeffs)
-        vec[0] = pt[i]
-        if order >= 1:
-            e_i = tuple(1 if v == i else 0 for v in range(nvars))
-            vec[sp.position[e_i]] = 1.0
-        out.append(Jet._new(sp, vec))
-    return out
+    vecs = np.zeros((nvars,) + pt.shape[:-1] + (sp.ncoeffs,))
+    vecs.T[0] = pt  # coefficient 0 of every jet, batch rows included
+    if order >= 1:
+        # graded-lex order puts the unit multi-index e_i at position 1 + i
+        for i in range(nvars):
+            vecs[i].T[1 + i] = 1.0
+    return [Jet._new(sp, vec) for vec in vecs]
 
 
 def truncate(f: Jet, order: int) -> Jet:
@@ -280,7 +336,7 @@ def truncate(f: Jet, order: int) -> Jet:
     if order > f.order or order < 0:
         raise ValueError(f"cannot truncate order-{f.order} jet to order {order}")
     sp = _space(f.nvars, order)
-    return Jet._new(sp, f.coeffs[: sp.ncoeffs].copy())
+    return Jet._new(sp, f.coeffs[..., : sp.ncoeffs].copy())
 
 
 def partial(f: Jet, alpha: Iterable[int]) -> float:
@@ -304,7 +360,8 @@ def differentiate(f: Jet, i: int) -> Jet:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
     src, fac = f.space.diff_tables()[i]
     lower = _space(f.nvars, f.order - 1)
-    return Jet._new(lower, f.coeffs[src] * fac)
+    coeffs = f.coeffs[src] if f.coeffs.ndim == 1 else f.coeffs[:, src]
+    return Jet._new(lower, coeffs * fac)
 
 
 def gradient(f: Jet) -> list[Jet]:
@@ -315,12 +372,20 @@ def gradient(f: Jet) -> list[Jet]:
 
 
 def _compose(f: Jet, series: np.ndarray) -> Jet:
-    """Evaluate ``sum_k series[k] * (f - f.value)^k`` by Horner."""
+    """Evaluate ``sum_k series[..., k] * (f - f.value)^k`` by Horner."""
     sp = f.space
     w = f.coeffs.copy()
+    acc = np.zeros(w.shape)
+    if w.ndim == 2:
+        # the same recurrence on every row; series.T runs over k
+        w[:, 0] = 0.0
+        acc[:, 0] = series[:, -1]
+        for a in series.T[-2::-1]:
+            acc = _batch_product(sp, acc, w)
+            acc[:, 0] += a
+        return Jet._new(sp, acc)
     w[0] = 0.0
     ii, jj, kk = sp._mul
-    acc = np.zeros(sp.ncoeffs)
     acc[0] = series[-1]
     for a in series[-2::-1]:
         acc = np.bincount(kk, acc[ii] * w[jj], minlength=sp.ncoeffs)
@@ -328,48 +393,73 @@ def _compose(f: Jet, series: np.ndarray) -> Jet:
     return Jet._new(sp, acc)
 
 
+def _constant_terms(f: Jet) -> list[float]:
+    """The constant term of each row (one entry for a single jet)."""
+    return [float(c) for c in f.coeffs[..., :1].ravel()]
+
+
+def _series(f: Jet, outer) -> np.ndarray:
+    """Taylor coefficients of an outer function about each row's constant
+    term: ``outer(c0)`` per row, stacked for a batch."""
+    if f.coeffs.ndim == 1:
+        return outer(float(f.coeffs[0]))
+    return np.array([outer(c0) for c0 in _constant_terms(f)])
+
+
 def reciprocal(f: Jet) -> Jet:
-    c0 = f.value
-    if c0 == 0.0:
-        raise SingularInputError("div", "division by a jet with zero constant term")
     k = np.arange(f.order + 1)
-    series = (-1.0) ** k / c0 ** (k + 1)
-    return _compose(f, series)
+
+    def outer(c0):
+        if c0 == 0.0:
+            raise SingularInputError(
+                "div", "division by a jet with zero constant term"
+            )
+        return (-1.0) ** k / c0 ** (k + 1)
+
+    return _compose(f, _series(f, outer))
 
 
 def exp(f: Jet) -> Jet:
-    e0 = math.exp(f.value)
-    series = np.array([e0 / math.factorial(k) for k in range(f.order + 1)])
-    return _compose(f, series)
+    def outer(c0):
+        e0 = math.exp(c0)
+        return np.array([e0 / math.factorial(k) for k in range(f.order + 1)])
+
+    return _compose(f, _series(f, outer))
 
 
 def log(f: Jet) -> Jet:
-    c0 = f.value
-    if c0 <= 0.0:
-        raise SingularInputError("ln", f"log of non-positive constant term {c0}")
-    series = np.empty(f.order + 1)
-    series[0] = math.log(c0)
-    for k in range(1, f.order + 1):
-        series[k] = (-1.0) ** (k - 1) / (k * c0**k)
-    return _compose(f, series)
+    def outer(c0):
+        if c0 <= 0.0:
+            raise SingularInputError(
+                "ln", f"log of non-positive constant term {c0}"
+            )
+        series = np.empty(f.order + 1)
+        series[0] = math.log(c0)
+        for k in range(1, f.order + 1):
+            series[k] = (-1.0) ** (k - 1) / (k * c0**k)
+        return series
+
+    return _compose(f, _series(f, outer))
 
 
 def sin(f: Jet) -> Jet:
-    c0 = f.value
-    series = np.array(
-        [math.sin(c0 + k * math.pi / 2) / math.factorial(k)
-         for k in range(f.order + 1)]
-    )
-    return _compose(f, series)
+    def outer(c0):
+        return np.array(
+            [math.sin(c0 + k * math.pi / 2) / math.factorial(k)
+             for k in range(f.order + 1)]
+        )
+
+    return _compose(f, _series(f, outer))
 
 
 def cos(f: Jet) -> Jet:
-    c0 = f.value
-    series = np.array(
-        [math.cos(c0 + k * math.pi / 2) / math.factorial(k)
-         for k in range(f.order + 1)]
-    )
-    return _compose(f, series)
+    def outer(c0):
+        return np.array(
+            [math.cos(c0 + k * math.pi / 2) / math.factorial(k)
+             for k in range(f.order + 1)]
+        )
+
+    return _compose(f, _series(f, outer))
 
 
 def power(f: Jet, exponent: float) -> Jet:
@@ -383,72 +473,49 @@ def power(f: Jet, exponent: float) -> Jet:
     if isinstance(exponent, Jet):
         raise SingularInputError("pow", "exponent must be a real constant")
     e = float(exponent)
-    if e.is_integer():
+    if e.is_integer() and e >= 0:
         n = int(e)
-        if n >= 0:
-            result = Jet.constant(1.0, f.nvars, f.order)
-            base = f
-            while n:
-                if n & 1:
-                    result = result * base
-                n >>= 1
-                if n:
-                    base = base * base
-            return result
-        if f.value == 0.0:
+        result = Jet.constant(1.0, f.nvars, f.order, f.batch)
+        base = f
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def outer(c0):
+        if e.is_integer() and c0 == 0.0:
             raise SingularInputError(
                 "pow", "negative power of a jet with zero constant term"
             )
-    elif f.value <= 0.0:
-        raise SingularInputError(
-            "pow",
-            f"fractional power of non-positive constant term {f.value}",
-        )
-    c0 = f.value
-    series = np.empty(f.order + 1)
-    coeff = 1.0
-    for k in range(f.order + 1):
-        series[k] = coeff * c0 ** (e - k)
-        coeff *= (e - k) / (k + 1)
-    return _compose(f, series)
+        if not e.is_integer() and c0 <= 0.0:
+            raise SingularInputError(
+                "pow", f"fractional power of non-positive constant term {c0}"
+            )
+        series = np.empty(f.order + 1)
+        coeff = 1.0
+        for k in range(f.order + 1):
+            series[k] = coeff * c0 ** (e - k)
+            coeff *= (e - k) / (k + 1)
+        return series
+
+    return _compose(f, _series(f, outer))
 
 
 def sqrt(f: Jet) -> Jet:
-    if f.value <= 0.0:
-        raise SingularInputError(
-            "sqrt", f"sqrt of non-positive constant term {f.value}"
-        )
+    for c0 in _constant_terms(f):
+        if c0 <= 0.0:
+            raise SingularInputError(
+                "sqrt", f"sqrt of non-positive constant term {c0}"
+            )
     return power(f, 0.5)
 
 
 def absolute(f: Jet) -> Jet:
     """``|f|`` for a jet bounded away from zero: ``sign(c0) * f``."""
-    c0 = f.value
-    if c0 == 0.0:
+    c0 = f.coeffs[..., :1]
+    if np.any(c0 == 0.0):
         raise SingularInputError("abs", "abs of a jet with zero constant term")
-    return f if c0 > 0.0 else -f
-
-
-_ELEMENTARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "pow": power,
-    "sqrt": sqrt,
-    "abs": absolute,
-    "exp": exp,
-    "ln": log,
-    "sin": sin,
-    "cos": cos,
-}
-
-
-def elementary(tag: str, *operands):
-    """Dispatch an elementary operation by tag (see ``_ELEMENTARY`` keys)."""
-    try:
-        op = _ELEMENTARY[tag]
-    except KeyError:
-        raise ValueError(f"unknown elementary operation {tag!r}") from None
-    return op(*operands)
+    return Jet._new(f.space, np.where(c0 > 0.0, f.coeffs, -f.coeffs))

@@ -11,6 +11,13 @@ The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
 brackets (x-derivatives from jets, p-derivatives analytic) and a fixed-step
 Runge-Kutta geodesic integrator measuring how well I_t is conserved.
+
+The integrator advances a batch of trajectories together: every stage
+evaluates the Christoffel symbols, and every step the conserved form, at
+all points of the batch in one call.  A form is therefore a callable from
+a ``(B, n)`` array of chart points to their ``(B, n, n)`` (0,2) component
+matrices.  Each trajectory's result is bit-identical to integrating it
+alone.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import expr, jets
-from .errors import OrderExhaustedError
+from .errors import BenentiError, OrderExhaustedError
 from .geometry import JetTensor, MetricField, christoffel_values
 from .projective import PointFrame, ProjectivePair, _matmul
 
@@ -335,28 +342,40 @@ class PhaseSpacePoint:
 
 
 def _structure_values(pair: ProjectivePair, x):
-    """g, and the t-coefficients of S(t), as plain float matrices at x."""
+    """g, and the t-coefficients of S(t), as plain float matrices at x.
+
+    ``x`` is one point or a ``(B, n)`` batch; a batch gives matrices with a
+    leading batch axis, equal row by row to the single-point ones.
+    """
     gv = pair.g.values(x)
     gbarv = pair.gbar.values(x)
     d = pair.dim
-    ratio = abs(np.linalg.det(gbarv) / np.linalg.det(gv)) ** (1.0 / (d + 1))
+    quotient = np.linalg.det(gbarv) / np.linalg.det(gv)
+    # numpy-scalar powers, one per point: an array power can round otherwise
+    ratio = np.reshape(
+        [abs(q) ** (1.0 / (d + 1)) for q in np.reshape(quotient, -1)],
+        np.shape(quotient) + (1, 1),
+    )
     L = ratio * np.linalg.solve(gbarv, gv)
     S = [None] * d
     M = np.eye(d)
     S[d - 1] = M
     for k in range(1, d):
         LM = L @ M
-        M = LM - (np.trace(LM) / k) * np.eye(d)
+        trace = np.trace(LM, axis1=-2, axis2=-1)[..., None, None]
+        M = LM - (trace / k) * np.eye(d)
         S[d - 1 - k] = M
     return gv, S
 
 
-def _S_at(S, t: float) -> np.ndarray:
-    St = np.zeros_like(S[0])
-    power = 1.0
+def _S_at(S, t) -> np.ndarray:
+    """S(t) = sum_l t^l S_l; ``t`` may hold one value per batch row."""
+    t = np.asarray(t, dtype=float)
+    St = 0.0
+    power = np.ones_like(t)
     for Sl in S:
-        St = St + power * Sl
-        power *= t
+        St = St + power[..., None, None] * Sl
+        power = power * t
     return St
 
 
@@ -484,6 +503,10 @@ class DriftResult:
     steps: int
 
 
+# Failures of a stage that mean the trajectory left the metric's good region.
+_STAGE_ERRORS = (BenentiError, np.linalg.LinAlgError)
+
+
 def geodesic_drift(pair: ProjectivePair, t: float, phi0: PhaseSpacePoint,
                    horizon: float, step: float) -> DriftResult:
     """Max relative drift of I_t along the g-geodesic through phi0.
@@ -492,59 +515,121 @@ def geodesic_drift(pair: ProjectivePair, t: float, phi0: PhaseSpacePoint,
     error O(step^4)) and tracks |I_t - I_t(0)| / max(1, |I_t(0)|).
     Integration stops at the domain boundary; the result records the exit.
     """
+    return geodesic_drifts(pair, [t], [phi0], horizon, step)[0]
 
-    def form(x):
-        gv, S = _structure_values(pair, x)
-        return gv @ _S_at(S, t)  # K^(t)_ab, to contract with velocities
 
-    return geodesic_form_drift(pair, form, phi0, horizon, step)
+def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],
+                    phi0s: Sequence[PhaseSpacePoint], horizon: float,
+                    step: float) -> list[DriftResult]:
+    """geodesic_drift of I_{ts[b]} from phi0s[b], for every b at once.
+
+    The trajectories are integrated together, one batched RK4; each result
+    equals that of its own geodesic_drift call bit for bit.
+    """
+    if len(ts) != len(phi0s):
+        raise ValueError(f"{len(ts)} values of t for {len(phi0s)} trajectories")
+    ts = np.asarray(ts, dtype=float)
+
+    def form(x, rows):
+        # one row: the unbatched kernels, faster, same bits
+        gv, S = _structure_values(pair, x[0] if len(x) == 1 else x)
+        return gv @ _S_at(S, ts[rows])  # K^(t)_ab, to contract with velocities
+
+    return _integrate(pair, form, phi0s, horizon, step)
 
 
 def geodesic_form_drift(pair: ProjectivePair, form, phi0: PhaseSpacePoint,
                         horizon: float, step: float) -> DriftResult:
     """Drift of an arbitrary quadratic form K_ab(x) v^a v^b along geodesics.
 
-    ``form`` maps a chart point to the (0,2) component matrix.  This is the
-    engine behind geodesic_drift; non-conserved forms make a positive
-    control for the convergence harness.
+    ``form`` maps a ``(B, n)`` batch of chart points to their (0,2)
+    component matrices, shape ``(B, n, n)``; an ``(n, n)`` matrix stands
+    for the same form at every point.  The trajectory is integrated by the
+    engine behind geodesic_drift as a batch of one.  Non-conserved forms
+    make a positive control for the convergence harness.
+    """
+    return _integrate(pair, lambda x, rows: form(x), [phi0], horizon, step)[0]
+
+
+def _integrate(pair: ProjectivePair, form, phi0s, horizon: float,
+               step: float) -> list[DriftResult]:
+    """Fixed-step RK4 over a batch of trajectories, one row each.
+
+    Every row takes the same steps and keeps its own drift.  A row leaves
+    the batch when a step takes it out of the domain, or when a stage
+    raises at it: a step whose stages raise is re-run row by row, as
+    batches of one, to find the rows that fail.  ``form(x, rows)`` gives the
+    (0,2) forms at the points ``x`` of the rows still integrated, ``rows``
+    being their indices in ``phi0s``.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    x = np.asarray(phi0.x, dtype=float)
-    g0 = pair.g.values(x)
-    v = np.linalg.solve(g0, np.asarray(phi0.p, dtype=float))
+    if not phi0s:
+        return []
+    d = pair.dim
+    x = np.array([phi.x for phi in phi0s], dtype=float)
+    p = np.array([phi.p for phi in phi0s], dtype=float)
+    v = np.linalg.solve(pair.g.values(x), p[..., None])[..., 0]
 
     def acceleration(y):
-        gamma = christoffel_values(pair.g, y[:pair.dim])
-        vel = y[pair.dim:]
-        acc = -np.einsum("ijk,j,k->i", gamma, vel, vel)
-        return np.concatenate([vel, acc])
+        if len(y) == 1:  # one row: the unbatched kernels, faster, same bits
+            gamma = christoffel_values(pair.g, y[0, :d])[None]
+        else:
+            gamma = christoffel_values(pair.g, y[:, :d])
+        vel = y[:, d:]
+        acc = -np.einsum("bijk,bj,bk->bi", gamma, vel, vel)
+        return np.concatenate([vel, acc], axis=1)
 
-    def invariant(y):
-        return float(y[pair.dim:] @ form(y[:pair.dim]) @ y[pair.dim:])
+    def rk4_step(y, h):
+        k1 = acceleration(y)
+        k2 = acceleration(y + 0.5 * h * k1)
+        k3 = acceleration(y + 0.5 * h * k2)
+        k4 = acceleration(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    y = np.concatenate([x, v])
-    i0 = invariant(y)
-    denom = max(1.0, abs(i0))
-    drift = 0.0
+    def invariants(y, rows):
+        forms = form(y[:, :d], rows)
+        if np.ndim(forms) == 2:  # one matrix: the same form at every point
+            forms = [forms] * len(rows)
+        # row by row: a batched contraction can round differently
+        return [float(vel @ f @ vel) for vel, f in zip(y[:, d:], forms)]
+
+    y = np.concatenate([x, v], axis=1)
+    rows = np.arange(len(phi0s))
+    i0 = invariants(y, rows)
+    denom = [max(1.0, abs(i)) for i in i0]
+    drift = [0.0] * len(phi0s)
+    results = [None] * len(phi0s)
     steps = int(np.ceil(horizon / step))
     tau = 0.0
     for n in range(steps):
+        if not len(rows):
+            break
         h = min(step, horizon - tau)
+        live = np.ones(len(rows), dtype=bool)
         try:
-            k1 = acceleration(y)
-            k2 = acceleration(y + 0.5 * h * k1)
-            k3 = acceleration(y + 0.5 * h * k2)
-            k4 = acceleration(y + h * k3)
-            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        except Exception:
-            # a stage left the metric's good region; treat as a domain exit
-            return DriftResult(drift, True, tau, n)
-        if not pair.contains(y_next[:pair.dim]):
-            return DriftResult(drift, True, tau, n)
+            y_next = rk4_step(y, h)
+        except _STAGE_ERRORS:
+            y_next = np.empty_like(y)
+            for r in range(len(rows)):
+                try:
+                    y_next[r] = rk4_step(y[r : r + 1], h)[0]
+                except _STAGE_ERRORS:
+                    live[r] = False
+        for r, row in enumerate(rows):
+            # a failed stage or a step out of the domain is a domain exit
+            if not (live[r] and pair.contains(y_next[r, :d])):
+                live[r] = False
+                results[row] = DriftResult(drift[row], True, tau, n)
         y = y_next
+        if not live.all():
+            y, rows = y[live], rows[live]
         tau += h
-        drift = max(drift, abs(invariant(y) - i0) / denom)
-    return DriftResult(drift, False, None, steps)
+        if len(rows):
+            for row, value in zip(rows, invariants(y, rows)):
+                drift[row] = max(drift[row], abs(value - i0[row]) / denom[row])
+    for row in rows:
+        results[row] = DriftResult(drift[row], False, None, steps)
+    return results

@@ -338,19 +338,20 @@ def _decompose_record(pair, point, cfg: VerifyConfig):
 
 
 def _drift_records(pair, points, velocities, cfg: VerifyConfig):
-    records = []
     n = min(cfg.drift_trajectories, len(points))
+    ts, starts = [], []
     for x0, v in zip(points[:n], velocities[:n]):
-        grid = _grid_at(pair, x0, cfg)
-        t = grid[0]
+        ts.append(_grid_at(pair, x0, cfg)[0])
         p0 = tuple(pair.g.values(x0) @ np.asarray(v, dtype=float))
-        phi0 = ops.PhaseSpacePoint(x0, p0)
-        result = ops.geodesic_drift(
-            pair, t, phi0, cfg.drift_horizon, cfg.drift_step
-        )
+        starts.append(ops.PhaseSpacePoint(x0, p0))
+    results = ops.geodesic_drifts(
+        pair, ts, starts, cfg.drift_horizon, cfg.drift_step
+    )
+    records = []
+    for t, phi0, result in zip(ts, starts, results):
         params = [
             ("exited", bool(result.exited)),
-            ("momentum", [float(c) for c in p0]),
+            ("momentum", [float(c) for c in phi0.p]),
             ("steps", int(result.steps)),
             ("t", float(t)),
         ]
@@ -359,7 +360,7 @@ def _drift_records(pair, points, velocities, cfg: VerifyConfig):
         records.append(
             CheckRecord(
                 check="drift",
-                point=tuple(float(c) for c in x0),
+                point=phi0.x,
                 residual=float(result.max_drift),
                 threshold=cfg.threshold("drift"),
                 params=tuple(params),

@@ -241,15 +241,6 @@ def test_mismatched_spaces_rejected():
         a * x2
 
 
-def test_elementary_dispatch():
-    (x,) = seed_coordinates([2.0], order=2)
-    assert jets.elementary("mul", x, x).value == 4.0
-    assert jets.elementary("neg", x).value == -2.0
-    assert jets.elementary("ln", x).value == pytest.approx(math.log(2.0))
-    with pytest.raises(ValueError):
-        jets.elementary("tan", x)
-
-
 # -- chain rule against central finite differences ---------------------------
 
 _UNARY = {
