@@ -2,7 +2,8 @@
 
 Exit codes for ``verify``: 0 when every check passes, 1 when any check
 fails, 2 when the input cannot be loaded (unknown catalog name, or a
-pair file rejected with a line/column diagnostic).
+pair file rejected with a line/column diagnostic), the options are invalid
+or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def _build_config(args) -> VerifyConfig:
         points=args.points,
         order=args.order,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if args.tol is not None:
         kwargs["tol"] = args.tol
@@ -84,8 +84,12 @@ def cmd_verify(args) -> int:
 
     text = "---\n".join(doc.render() for doc in documents)
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.report}: {err}", file=sys.stderr)
+            return 2
         for doc in documents:
             verdict = "pass" if doc.passed else "fail"
             print(
@@ -179,6 +183,16 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _check_list(text: str):
     names = [part.strip() for part in text.split(",") if part.strip()]
     unknown = [n for n in names if n not in CHECK_IDS]
@@ -221,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", default=None, metavar="PATH",
         help="write the YAML report here instead of stdout",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.set_defaults(func=cmd_verify)
 
     p_list = sub.add_parser("list", help="list built-in catalog entries")
@@ -232,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_desc.add_argument("pair", help="catalog name or file path")
     p_desc.add_argument("--samples", type=int, default=3, help="points to inspect")
-    p_desc.add_argument("--seed", type=int, default=42, help="sampling seed")
+    p_desc.add_argument("--seed", type=_seed, default=42, help="sampling seed")
     p_desc.set_defaults(func=cmd_describe)
 
     return parser

@@ -195,10 +195,6 @@ class MetricField:
         return f"MetricField({label} dim={self.dim}, coords={self.coordinates})"
 
 
-def evaluate_metric(metric: MetricField, point, order: int) -> JetTensor:
-    return metric.evaluate(point, order)
-
-
 def _parity(perm) -> int:
     sign = 1
     for i in range(len(perm)):

@@ -133,11 +133,6 @@ class ProjectivePair:
             for c, v in zip(self.coordinates, point)
         )
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_frames"] = OrderedDict()  # jets are cheap to rebuild
-        return state
-
     def __repr__(self):
         label = f"{self.name!r}, " if self.name else ""
         return f"ProjectivePair({label}dim={self.dim})"
@@ -357,16 +352,6 @@ class PointFrame:
 
     def L_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.L.value())
-
-
-def build_L(pair: ProjectivePair, point, order: int) -> JetTensor:
-    """The (1,1) structure tensor of the pair at a point, as jets."""
-    return pair.frame(point, order).L
-
-
-def benenti_data(pair: ProjectivePair, point, order: int) -> BenentiData:
-    """L, lam, phi and the t-polynomial coefficients of S and K at a point."""
-    return pair.frame(point, order).benenti
 
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)

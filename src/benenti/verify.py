@@ -17,13 +17,13 @@ Each check produces one record per sampled point (per trajectory for
 drift) carrying the worst residual seen there and the parameters that
 produced it.  Reports are deterministic functions of the configuration:
 identical seeds give byte-identical documents apart from the timing
-block, and parallel runs reproduce the serial residuals exactly.
+block.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -43,7 +43,7 @@ from .projective import (
     t_grid,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CHECK_IDS = (
     "basic",
@@ -98,7 +98,6 @@ class VerifyConfig:
     tol: Optional[float] = None
     t_grid: Optional[tuple] = None
     checks: tuple = CHECK_IDS
-    jobs: int = 1
     drift_step: float = 1e-3
     drift_horizon: float = 1.0
     drift_trajectories: int = 3
@@ -108,8 +107,13 @@ class VerifyConfig:
             raise ValueError(f"points must be positive, got {self.points}")
         if self.order < 3:
             raise ValueError(f"order must be >= 3, got {self.order}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.t_grid is not None:
+            if not self.t_grid:
+                raise ValueError("t_grid must not be empty")
+            if not all(math.isfinite(t) for t in self.t_grid):
+                raise ValueError(f"t_grid must be finite, got {list(self.t_grid)}")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise ValueError(
@@ -169,12 +173,13 @@ class VerificationReport:
         return sum(not r.passed for r in self.records)
 
     def max_residuals(self) -> dict:
-        out: dict = {}
-        for r in self.records:
-            cur = out.get(r.check)
-            if cur is None or r.residual > cur:
-                out[r.check] = r.residual
-        return {k: out[k] for k in CHECK_IDS if k in out}
+        """Worst residual per check, by the rule of ``_worst``."""
+        out = {}
+        for check in CHECK_IDS:
+            residuals = [r.residual for r in self.records if r.check == check]
+            if residuals:
+                out[check] = max(residuals, key=_rank)
+        return out
 
     def to_mapping(self) -> dict:
         cfg = self.config
@@ -196,7 +201,6 @@ class VerificationReport:
                 if cfg.t_grid is None
                 else [float(t) for t in cfg.t_grid],
                 "checks": list(cfg.checks),
-                "jobs": cfg.jobs,
                 "drift": {
                     "step": cfg.drift_step,
                     "horizon": cfg.drift_horizon,
@@ -254,8 +258,36 @@ def _unordered_pairs(values: Sequence[float]):
             yield t, s
 
 
-def _pointwise_residual(pair, check, point, cfg: VerifyConfig):
-    """(residual, params) of one frame-based check at one point."""
+def _rank(residual):
+    """Sort key of a residual: a NaN ranks above every number."""
+    return (math.isnan(residual), residual)
+
+
+def _worst(candidates):
+    """The (residual, params) candidate with the largest residual.
+
+    The first of equal maxima wins, and a NaN residual counts as the worst,
+    so a check that produces one fails instead of being skipped.
+    """
+    return max(candidates, key=lambda c: _rank(c[0]))
+
+
+def _commutator_candidates(pair, point, grid):
+    for f in function_suite(pair.coordinates):
+        B = ops.killing_commutator_grid(pair, f, point)
+        for t, s in _unordered_pairs(grid):
+            value, scale = ops.commutator_from_grid(B, t, s)
+            params = (
+                ("function", f),
+                ("s", float(s)),
+                ("scale", float(scale)),
+                ("t", float(t)),
+            )
+            yield abs(value) / scale, params
+
+
+def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
+    """(residual, params) of one check other than drift at one point."""
     if check == "basic":
         return check_projective_equivalence(pair, point, cfg.order), ()
     if check == "connection":
@@ -264,80 +296,48 @@ def _pointwise_residual(pair, check, point, cfg: VerifyConfig):
         return check_phi_identity(pair, point, cfg.order), ()
     if check == "ricci-comm":
         return check_ricci_commutation(pair, point, cfg.order), ()
+    grid = _grid_at(pair, point, cfg)
+    if check == "decompose":
+        t, s = grid[0], grid[-1]
+        dec = ops.commutator_decompose(
+            ops.killing_operator(pair, t), ops.killing_operator(pair, s), point
+        )
+        params = (
+            ("cubic_residual", float(dec.cubic_residual)),
+            ("q_norm", float(dec.q_norm)),
+            ("s", float(s)),
+            ("t", float(t)),
+            ("v_norm", float(dec.v_norm)),
+        )
+        return max(dec.q_norm, dec.v_norm), params
     if check == "killing":
-        worst, worst_t = -1.0, None
-        for t in _grid_at(pair, point, cfg):
-            r = check_killing_tensor(pair, t, point, cfg.order)
-            if r > worst:
-                worst, worst_t = r, t
-        return worst, (("t", float(worst_t)),)
+        return _worst(
+            (check_killing_tensor(pair, t, point, cfg.order), (("t", float(t)),))
+            for t in grid
+        )
     if check == "carter":
-        worst, worst_t = -1.0, None
-        for t in _grid_at(pair, point, cfg):
-            r = check_carter_condition(pair, t, point, max(cfg.order, 3))
-            if r > worst:
-                worst, worst_t = r, t
-        return worst, (("t", float(worst_t)),)
-    raise ValueError(f"not a pointwise check: {check}")
-
-
-def _commutator_record(pair, point, cfg: VerifyConfig):
-    grid = _grid_at(pair, point, cfg)
-    worst = (-1.0, ())
-    for f in function_suite(pair.coordinates):
-        B = ops.killing_commutator_grid(pair, f, point)
-        for t, s in _unordered_pairs(grid):
-            value, scale = ops.commutator_from_grid(B, t, s)
-            r = abs(value) / scale
-            if r > worst[0]:
-                worst = (
-                    r,
-                    (
-                        ("function", f),
-                        ("s", float(s)),
-                        ("scale", float(scale)),
-                        ("t", float(t)),
-                    ),
-                )
-    return worst
-
-
-def _poisson_record(pair, point, momentum, cfg: VerifyConfig):
-    grid = _grid_at(pair, point, cfg)
-    phi = ops.PhaseSpacePoint(point, tuple(momentum))
-    worst = (-1.0, ())
-    for t, s in _unordered_pairs(grid):
-        r = ops.poisson_residual(pair, t, s, phi)
-        if r > worst[0]:
-            worst = (
-                r,
-                (
-                    ("momentum", [float(m) for m in momentum]),
-                    ("s", float(s)),
-                    ("t", float(t)),
-                ),
+        order = max(cfg.order, 3)
+        return _worst(
+            (check_carter_condition(pair, t, point, order), (("t", float(t)),))
+            for t in grid
+        )
+    if check == "poisson":
+        phi = ops.PhaseSpacePoint(point, tuple(momentum))
+        m = [float(c) for c in momentum]
+        return _worst(
+            (
+                ops.poisson_residual(pair, t, s, phi),
+                (("momentum", m), ("s", float(s)), ("t", float(t))),
             )
-    return worst
-
-
-def _decompose_record(pair, point, cfg: VerifyConfig):
-    grid = _grid_at(pair, point, cfg)
-    t, s = grid[0], grid[-1]
-    dec = ops.commutator_decompose(
-        ops.killing_operator(pair, t), ops.killing_operator(pair, s), point
-    )
-    residual = max(dec.q_norm, dec.v_norm)
-    params = (
-        ("cubic_residual", float(dec.cubic_residual)),
-        ("q_norm", float(dec.q_norm)),
-        ("s", float(s)),
-        ("t", float(t)),
-        ("v_norm", float(dec.v_norm)),
-    )
-    return residual, params
+            for t, s in _unordered_pairs(grid)
+        )
+    if check == "commutator":
+        return _worst(_commutator_candidates(pair, point, grid))
+    raise ValueError(f"unknown check: {check}")
 
 
 def _drift_records(pair, points, velocities, cfg: VerifyConfig):
+    """(start point, residual, params) of each drift trajectory."""
     n = min(cfg.drift_trajectories, len(points))
     ts, starts = [], []
     for x0, v in zip(points[:n], velocities[:n]):
@@ -347,7 +347,7 @@ def _drift_records(pair, points, velocities, cfg: VerifyConfig):
     results = ops.geodesic_drifts(
         pair, ts, starts, cfg.drift_horizon, cfg.drift_step
     )
-    records = []
+    outcomes = []
     for t, phi0, result in zip(ts, starts, results):
         params = [
             ("exited", bool(result.exited)),
@@ -357,46 +357,8 @@ def _drift_records(pair, points, velocities, cfg: VerifyConfig):
         ]
         if result.exit_time is not None:
             params.insert(1, ("exit_time", float(result.exit_time)))
-        records.append(
-            CheckRecord(
-                check="drift",
-                point=phi0.x,
-                residual=float(result.max_drift),
-                threshold=cfg.threshold("drift"),
-                params=tuple(params),
-            )
-        )
-    return records
-
-
-def _run_check_chunk(pair, check, points, momenta, velocities, cfg):
-    """Worker body: records for one check over a chunk of points."""
-    if check == "drift":
-        return _drift_records(pair, points, velocities, cfg)
-    records = []
-    for i, point in enumerate(points):
-        if check == "commutator":
-            residual, params = _commutator_record(pair, point, cfg)
-        elif check == "poisson":
-            residual, params = _poisson_record(pair, point, momenta[i], cfg)
-        elif check == "decompose":
-            residual, params = _decompose_record(pair, point, cfg)
-        else:
-            residual, params = _pointwise_residual(pair, check, point, cfg)
-        records.append(
-            CheckRecord(
-                check=check,
-                point=tuple(float(c) for c in point),
-                residual=float(residual),
-                threshold=cfg.threshold(check),
-                params=params,
-            )
-        )
-    return records
-
-
-def _chunk(seq, size):
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
+        outcomes.append((phi0.x, result.max_drift, tuple(params)))
+    return outcomes
 
 
 def verify_pair(
@@ -425,31 +387,25 @@ def verify_pair(
         -0.7, 0.7, size=(cfg.points, pair.dim)
     )
 
-    tasks = []
+    records = []
     for check in cfg.checks:
         if check == "drift":
-            tasks.append((check, points, momenta, velocities))
-            continue
-        size = max(1, -(-len(points) // cfg.jobs))
-        point_chunks = _chunk(points, size)
-        momentum_chunks = _chunk(momenta, size)
-        for pts, moms in zip(point_chunks, momentum_chunks):
-            tasks.append((check, pts, moms, velocities))
-
-    if cfg.jobs == 1:
-        chunk_results = [
-            _run_check_chunk(pair, check, pts, moms, vels, cfg)
-            for check, pts, moms, vels in tasks
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [
-                pool.submit(_run_check_chunk, pair, check, pts, moms, vels, cfg)
-                for check, pts, moms, vels in tasks
+            outcomes = _drift_records(pair, points, velocities, cfg)
+        else:
+            outcomes = [
+                (point, *_record_at(pair, check, point, momentum, cfg))
+                for point, momentum in zip(points, momenta)
             ]
-            chunk_results = [f.result() for f in futures]
-
-    records = [rec for chunk in chunk_results for rec in chunk]
+        for point, residual, params in outcomes:
+            records.append(
+                CheckRecord(
+                    check=check,
+                    point=tuple(float(c) for c in point),
+                    residual=float(residual),
+                    threshold=cfg.threshold(check),
+                    params=params,
+                )
+            )
     return VerificationReport(
         pair_name=pair.name or "unnamed",
         source=source,

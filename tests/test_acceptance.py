@@ -29,7 +29,7 @@ import pytest
 from benenti import catalog, expr, jets, operators as ops
 from benenti.cli import main as cli_main
 from benenti.errors import PairFileError
-from benenti.geometry import JetTensor, MetricField, christoffel, evaluate_metric, _adjugate
+from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
 from benenti.pairfile import parse_pair
 from benenti.projective import (
     adjugate_family,
@@ -118,7 +118,7 @@ def test_criterion_2_killing_equation():
     control_best = math.inf
     for _ in range(10):
         point = tuple(rng.uniform(-2.0, 2.0, 2))
-        gamma = christoffel(evaluate_metric(flat, point, 2))
+        gamma = christoffel(flat.evaluate(point, 2))
         x, _y = jets.seed_coordinates(point, 2)
         zero = 0.0 * x
         K = JetTensor(np.array([[x, zero], [zero, zero]], dtype=object), 0, 2)

@@ -130,13 +130,19 @@ class TestVerifyCommand:
         second = capsys.readouterr().out
         assert strip_timing(first) == strip_timing(second)
 
-    def test_jobs_flag_matches_serial(self, capsys):
-        main(["verify", "dini", *QUICK, "--jobs", "2"])
-        parallel = capsys.readouterr().out
-        main(["verify", "dini", *QUICK, "--jobs", "1"])
-        serial = capsys.readouterr().out
-        assert strip_timing(re.sub(r"jobs: \d", "jobs: n", parallel)) == \
-            strip_timing(re.sub(r"jobs: \d", "jobs: n", serial))
+    def test_jobs_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "dini", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "dir" / "out.yaml"
+        rc = main(["verify", "dini", *QUICK, "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err
 
     def test_t_grid_flag(self, capsys):
         rc = main(["verify", "dini", "--points", "2", "--checks", "killing",
@@ -157,6 +163,18 @@ class TestVerifyCommand:
         rc = main(["verify", "dini", "--points", "0", "--checks", "basic"])
         assert rc == 2
         assert "points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--checks", "killing", "--t-grid", ""], "t_grid"),
+        (["--checks", "poisson,commutator", "--t-grid", ""], "t_grid"),
+        (["--checks", "killing", "--t-grid", "0,1e400"], "t_grid"),
+        (["--checks", "basic", "--seed", "-1"], "seed"),
+    ])
+    def test_invalid_config_exits_two(self, flags, word, capsys):
+        rc = main(["verify", "dini", "--points", "2", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and word in err
 
 
 class TestOtherCommands:
@@ -189,6 +207,12 @@ class TestOtherCommands:
         rc = main(["describe", "zorp"])
         assert rc == 2
         assert "unknown catalog entry" in capsys.readouterr().err
+
+    def test_describe_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["describe", "dini", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_describe_file_path(self, tmp_path, capsys):
         path = tmp_path / "flat.yaml"

@@ -13,7 +13,6 @@ from benenti.geometry import (
     contract,
     covariant_derivative,
     determinant,
-    evaluate_metric,
     gradient_tensor,
     inverse_metric,
     lower_index,

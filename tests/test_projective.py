@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +8,6 @@ from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
 from benenti.projective import (
     ProjectivePair,
     adjugate_family,
-    benenti_data,
-    build_L,
     check_carter_condition,
     check_connection_difference,
     check_killing,
@@ -42,40 +39,42 @@ class TestStructureTensor:
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = pair.sample_point(rng)
-            L = build_L(pair, p, order=2).value()
+            L = pair.frame(p, 2).L.value()
             assert np.allclose(L, np.diag(p), atol=1e-12)
 
     def test_lorentz_dini_L_closed_form(self):
         # same formulas continued to y < 0 flip the sign: L = -diag(x, y)
         pair = catalog.get_entry("lorentz_dini").pair
         p = (2.0, -0.5)
-        L = build_L(pair, p, order=2).value()
+        L = pair.frame(p, 2).L.value()
         assert np.allclose(L, np.diag([-2.0, 0.5]), atol=1e-12)
 
     def test_beltrami_L_closed_form(self):
         # flat g, sphere-projection gbar: L = Id + x x^T
         pair = catalog.get_entry("beltrami").pair
         p = (0.4, -0.7)
-        L = build_L(pair, p, order=2).value()
+        L = pair.frame(p, 2).L.value()
         x = np.array(p)
         assert np.allclose(L, np.eye(2) + np.outer(x, x), atol=1e-12)
 
     def test_scaled_pair_constant_L(self):
         # gbar = 4 g gives L = 4^(-1/(n+1)) Id in any dimension; here n = 2
         pair = catalog.get_entry("scaled").pair
-        L = build_L(pair, (1.0, 0.5), order=2).value()
+        L = pair.frame((1.0, 0.5), 2).L.value()
         assert np.allclose(L, 4.0 ** (-1.0 / 3.0) * np.eye(2), atol=1e-14)
 
     def test_L_gradient_matches_finite_differences(self):
         pair = dini()
         p = np.array([1.7, 0.35])
-        L = build_L(pair, p, order=2)
+        L = pair.frame(p, 2).L
         h = 1e-6
         for s in range(2):
             plus, minus = p.copy(), p.copy()
             plus[s] += h
             minus[s] -= h
-            fd = (build_L(pair, plus, 0).value() - build_L(pair, minus, 0).value()) / (2 * h)
+            fd = (
+                pair.frame(plus, 0).L.value() - pair.frame(minus, 0).L.value()
+            ) / (2 * h)
             grad = np.array([[L.comps[i, j].coeffs[1 + s] for j in range(2)]
                              for i in range(2)])
             assert np.allclose(grad, fd, rtol=1e-7, atol=1e-9)
@@ -93,7 +92,7 @@ class TestStructureTensor:
     def test_eigenvalues_match_char_coeffs(self):
         pair = catalog.get_entry("trivial3").pair
         p = (1.1, 0.8, 2.0)
-        bd = benenti_data(pair, p, order=2)
+        bd = pair.frame(p, 2).benenti
         coeffs = [c.value for c in bd.char_coeffs]  # ascending in t
         roots = np.sort(np.roots(coeffs[::-1]))
         eigs = np.sort(pair.frame(p, 2).L_eigenvalues().real)
@@ -104,7 +103,7 @@ class TestBenentiData:
     def test_dini_point_oracle(self):
         # at (2, 1): L = diag(2, 1), lam = 3/2, dlam = (1/2, 1/2),
         # phi = (-1/4, -1/2), char poly t^2 - 3 t + 2
-        bd = benenti_data(dini(), DINI_POINT, order=3)
+        bd = dini().frame(DINI_POINT, 3).benenti
         assert bd.lam.value == pytest.approx(1.5, abs=1e-14)
         assert np.allclose(bd.lam_form.value(), [0.5, 0.5], atol=1e-14)
         assert np.allclose(bd.phi_form.value(), [-0.25, -0.5], atol=1e-14)
@@ -113,7 +112,7 @@ class TestBenentiData:
 
     def test_dini_S0_K0(self):
         # S(0) = adjugate(-L) = diag(-1, -2); K(0) = g S(0) with g = delta here
-        bd = benenti_data(dini(), DINI_POINT, order=2)
+        bd = dini().frame(DINI_POINT, 2).benenti
         assert np.allclose(jet_matrix_values(bd.S_coeffs[0].comps),
                            [[-1.0, 0.0], [0.0, -2.0]], atol=1e-14)
         assert np.allclose(bd.K_coeffs[0].value(),
@@ -123,7 +122,7 @@ class TestBenentiData:
         for name in catalog.equivalent_entries():
             pair = catalog.get_entry(name).pair
             p = pair.sample_point(np.random.default_rng(5), shrink=0.1)
-            bd = benenti_data(pair, p, order=2)
+            bd = pair.frame(p, 2).benenti
             for K in bd.K_coeffs:
                 v = K.value()
                 assert np.max(np.abs(v - v.T)) < 1e-10 * max(1.0, np.max(np.abs(v)))
@@ -141,15 +140,15 @@ class TestBenentiData:
         for name in ("dini", "beltrami", "lorentz_dini"):
             pair = catalog.get_entry(name).pair
             p = np.array(pair.sample_point(np.random.default_rng(2), shrink=0.1))
-            phi = benenti_data(pair, p, order=2).phi_form.value()
+            phi = pair.frame(p, 2).benenti.phi_form.value()
             h = 1e-6
             fd = np.empty(pair.dim)
             for s in range(pair.dim):
                 plus, minus = p.copy(), p.copy()
                 plus[s] += h
                 minus[s] -= h
-                lp = math.log(abs(np.linalg.det(build_L(pair, plus, 0).value())))
-                lm = math.log(abs(np.linalg.det(build_L(pair, minus, 0).value())))
+                lp = math.log(abs(np.linalg.det(pair.frame(plus, 0).L.value())))
+                lm = math.log(abs(np.linalg.det(pair.frame(minus, 0).L.value())))
                 fd[s] = (lp - lm) / (2 * h)
             assert np.allclose(phi, -0.5 * fd, rtol=1e-6, atol=1e-9)
 
@@ -158,7 +157,7 @@ class TestBenentiData:
         for name in ("dini", "beltrami", "trivial3"):
             pair = catalog.get_entry(name).pair
             p = pair.sample_point(np.random.default_rng(4), shrink=0.1)
-            bd = benenti_data(pair, p, order=2)
+            bd = pair.frame(p, 2).benenti
             lam = bd.lam_form.value()
             recon = -np.einsum("si,s->i", bd.L.value(), bd.phi_form.value())
             assert np.allclose(lam, recon, atol=1e-12 * max(1.0, np.max(np.abs(lam))))
@@ -166,7 +165,7 @@ class TestBenentiData:
     def test_lam_gradient_matches_finite_differences(self):
         pair = catalog.get_entry("beltrami").pair
         p = np.array([0.3, 0.6])
-        bd = benenti_data(pair, p, order=2)
+        bd = pair.frame(p, 2).benenti
         # closed form for this pair: lam = 1 + r^2 / 2 so dlam = x
         assert np.allclose(bd.lam_form.value(), p, atol=1e-12)
         h = 1e-6
@@ -174,8 +173,8 @@ class TestBenentiData:
             plus, minus = p.copy(), p.copy()
             plus[s] += h
             minus[s] -= h
-            lp = 0.5 * np.trace(build_L(pair, plus, 0).value())
-            lm = 0.5 * np.trace(build_L(pair, minus, 0).value())
+            lp = 0.5 * np.trace(pair.frame(plus, 0).L.value())
+            lm = 0.5 * np.trace(pair.frame(minus, 0).L.value())
             assert bd.lam_form.value()[s] == pytest.approx((lp - lm) / (2 * h),
                                                            rel=1e-7, abs=1e-9)
 
@@ -375,15 +374,6 @@ class TestPairBehavior:
         pair = dini()
         assert pair.frame((1.5, 0.5), 2) is pair.frame((1.5, 0.5), 2)
         assert pair.frame((1.5, 0.5), 2) is not pair.frame((1.5, 0.5), 3)
-
-    def test_pair_pickles_without_frames(self):
-        pair = dini()
-        pair.frame(DINI_POINT, 2)
-        clone = pickle.loads(pickle.dumps(pair))
-        assert not clone._frames
-        assert check_projective_equivalence(clone, DINI_POINT) == pytest.approx(
-            check_projective_equivalence(pair, DINI_POINT), abs=1e-15
-        )
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -35,7 +36,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             verify.VerifyConfig(order=2)
         with pytest.raises(ValueError):
-            verify.VerifyConfig(jobs=0)
+            verify.VerifyConfig(seed=-1)
+        for grid in ((), (0.0, float("inf")), (float("nan"),)):
+            with pytest.raises(ValueError):
+                verify.VerifyConfig(t_grid=grid)
         with pytest.raises(ValueError):
             verify.VerifyConfig(checks=("basic", "frobnicate"))
 
@@ -92,12 +96,25 @@ class TestReports:
         b = quick_report("dini", seed=2)
         assert a.records[0].point != b.records[0].point
 
-    def test_parallel_matches_serial(self):
-        ser = quick_report("dini", jobs=1)
-        par = quick_report("dini", jobs=3)
-        assert [r.to_mapping() for r in ser.records] == [
-            r.to_mapping() for r in par.records
-        ]
+    def test_nan_residual_counts_as_the_worst(self, monkeypatch):
+        calls = []
+
+        def killing(pair, t, point, order):
+            calls.append(t)
+            # NaN at t = 1 on the second point, 0 everywhere else
+            return float("nan") if len(calls) == 5 else 0.0
+
+        monkeypatch.setattr(verify, "check_killing_tensor", killing)
+        rep = quick_report("dini", checks=("killing",), t_grid=(0.0, 1.0, 2.0))
+        first, second = rep.records[:2]
+        assert first.passed and first.residual == 0.0
+        assert dict(first.params)["t"] == 0.0  # the first of equal maxima
+        assert math.isnan(second.residual) and not second.passed
+        assert dict(second.params)["t"] == 1.0
+        assert not rep.passed
+        assert math.isnan(rep.max_residuals()["killing"])
+        doc = yaml.safe_load(rep.render())
+        assert math.isnan(doc["summary"]["max_residual"]["killing"])
 
     def test_check_subset_sees_identical_points(self):
         full = quick_report("dini")
