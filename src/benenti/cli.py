@@ -183,18 +183,26 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _check_list(text: str):
     names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        # no check would run, and an empty report passes
+        raise argparse.ArgumentTypeError(f"no check ids in {text!r}")
     unknown = [n for n in names if n not in CHECK_IDS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -244,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         "describe", help="summarize a pair: signature, structure eigenvalues"
     )
     p_desc.add_argument("pair", help="catalog name or file path")
-    p_desc.add_argument("--samples", type=int, default=3, help="points to inspect")
-    p_desc.add_argument("--seed", type=_seed, default=42, help="sampling seed")
+    p_desc.add_argument("--samples", type=_int_at_least(1), default=3,
+                        help="points to inspect")
+    p_desc.add_argument("--seed", type=_int_at_least(0), default=42,
+                        help="sampling seed")
     p_desc.set_defaults(func=cmd_describe)
 
     return parser

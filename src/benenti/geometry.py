@@ -9,11 +9,21 @@ differences as an independent cross-check.
 
 Index conventions
 -----------------
-``JetTensor`` stores components in an object ndarray with all upper (contra-
-variant) axes first, then all lower (covariant) axes.  ``raise_index`` and
-``lower_index`` append the moved index at the end of its new block;
-``covariant_derivative`` inserts the differentiation index at the *front* of
-the lower block, so ``(nabla T)[..., k, j, ...]`` means ``nabla_k T..._j...``.
+``JetTensor`` stores its jets in one float array ``coeffs`` of shape
+``(*batch, *tensor, ncoeffs)``: optional batch axes (one per axis of a
+batch of points), then the tensor axes with all upper (contravariant) axes
+before all lower (covariant) ones, then the jet coefficients.
+``raise_index`` and ``lower_index`` append the moved index at the end of
+its new block; ``covariant_derivative`` inserts the differentiation index
+at the *front* of the lower block, so ``(nabla T)[..., k, j, ...]`` means
+``nabla_k T..._j...``.
+
+Contractions multiply every term at once and then add the terms of each
+sum one after another, in the order of the summed index, so each component
+gets the bits of the scalar loop ``acc = term_0; acc = acc + term_1; ...``.
+That loop also gives the bits of one that starts at ``acc = 0``, such as
+``np.einsum`` over jets: no coefficient of a product is ``-0.0`` (each is
+summed from ``+0.0``), so adding the first term to zero changes nothing.
 
 Each derivative costs one jet order: a metric evaluated at order m yields
 Christoffel symbols at order m - 1 and a Ricci tensor at order m - 2.
@@ -33,24 +43,35 @@ DEGENERACY_FACTOR = 1e-10  # |det g| must exceed this times (max |g_ij|)^dim
 
 
 class JetTensor:
-    """Tensor with jet components, upper axes before lower axes."""
+    """Tensor with jet components, upper axes before lower axes.
 
-    __slots__ = ("comps", "n_upper", "n_lower")
+    The constructor takes an array-like of ``Jet``s of one space (and one
+    batch), shaped like the tensor; ``t[i, j]`` gives a component back as a
+    ``Jet``.
+    """
+
+    __slots__ = ("space", "coeffs", "n_upper", "n_lower")
 
     def __init__(self, comps, n_upper: int, n_lower: int):
-        comps = np.asarray(comps, dtype=object)
-        if comps.ndim != n_upper + n_lower:
-            raise ValueError(
-                f"components have {comps.ndim} axes, expected "
-                f"{n_upper} upper + {n_lower} lower"
-            )
-        self.comps = comps
-        self.n_upper = n_upper
-        self.n_lower = n_lower
+        flat, shape = _flat_jets(comps, n_upper + n_lower)
+        space = flat[0].space
+        if any(j.space is not space for j in flat):
+            raise ValueError("tensor components must share nvars and order")
+        # [component, *batch, coeff] -> [*batch, component, coeff]
+        stacked = np.moveaxis(np.array([j.coeffs for j in flat]), 0, -2)
+        self.space, self.n_upper, self.n_lower = space, n_upper, n_lower
+        self.coeffs = stacked.reshape(stacked.shape[:-2] + shape + (space.ncoeffs,))
+
+    @classmethod
+    def _dense(cls, space, coeffs: np.ndarray, n_upper: int, n_lower: int):
+        t = object.__new__(cls)
+        t.space, t.coeffs, t.n_upper, t.n_lower = space, coeffs, n_upper, n_lower
+        return t
 
     @property
     def dim(self) -> int:
-        return self.comps.shape[0] if self.comps.ndim else 0
+        rank = self.n_upper + self.n_lower
+        return self.coeffs.shape[-1 - rank] if rank else 0
 
     @property
     def rank(self) -> tuple[int, int]:
@@ -58,50 +79,143 @@ class JetTensor:
 
     @property
     def order(self) -> int:
-        return self.comps.flat[0].order
+        return self.space.order
 
     def value(self) -> np.ndarray:
         """Point values of all components as a float array; batched jets
-        give a leading batch axis."""
-        batch = self.comps.flat[0].coeffs.shape[:-1]
-        consts = np.array([c.coeffs.T[0] for c in self.comps.flat])
-        return consts.T.reshape(batch + self.comps.shape)
+        give leading batch axes."""
+        return self.coeffs[..., 0].copy()
 
-    def __getitem__(self, idx):
-        return self.comps[idx]
+    def __getitem__(self, idx) -> jets.Jet:
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        if len(idx) != self.n_upper + self.n_lower:
+            raise IndexError(f"a component of a rank-{self.rank} tensor needs "
+                             f"{sum(self.rank)} indices, got {len(idx)}")
+        return jets.Jet._new(self.space, self.coeffs[(Ellipsis, *idx, slice(None))])
+
+    def _like(self, coeffs) -> "JetTensor":
+        return JetTensor._dense(self.space, coeffs, self.n_upper, self.n_lower)
 
     def __add__(self, other):
         self._check_like(other)
-        return JetTensor(self.comps + other.comps, self.n_upper, self.n_lower)
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_like(other)
-        return JetTensor(self.comps - other.comps, self.n_upper, self.n_lower)
-
-    def __neg__(self):
-        return JetTensor(-self.comps, self.n_upper, self.n_lower)
+        return self._like(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return JetTensor(self.comps * scalar, self.n_upper, self.n_lower)
+        """Product with a number, or with a scalar jet (component on the left)."""
+        if isinstance(scalar, jets.Jet):
+            if scalar.space is not self.space:
+                raise ValueError("jets must share nvars and order")
+            c = scalar.coeffs
+            c = c.reshape(c.shape[:-1] + (1,) * sum(self.rank) + c.shape[-1:])
+            return self._like(jets.product_coeffs(self.space, self.coeffs, c))
+        return self._like(self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def truncated(self, order: int) -> "JetTensor":
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = jets.truncate(self.comps[idx], order)
-        return JetTensor(out, self.n_upper, self.n_lower)
+        if order == self.order:
+            return self
+        if order > self.order or order < 0:
+            raise ValueError(f"cannot truncate order-{self.order} jets to order {order}")
+        sp = jets._space(self.space.nvars, order)
+        return JetTensor._dense(sp, self.coeffs[..., : sp.ncoeffs].copy(),
+                                self.n_upper, self.n_lower)
 
     def _check_like(self, other):
         if not isinstance(other, JetTensor):
             raise TypeError(f"expected JetTensor, got {type(other).__name__}")
-        if other.rank != self.rank or other.comps.shape != self.comps.shape:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        if (other.rank, other.coeffs.shape, other.space) != (
+                self.rank, self.coeffs.shape, self.space):
+            raise ValueError(f"tensors differ in rank, shape or jet space: "
+                             f"{self!r} vs {other!r}")
 
     def __repr__(self):
         return (
             f"JetTensor(rank={self.rank}, dim={self.dim}, order={self.order})"
         )
+
+
+def _flat_jets(comps, rank: int):
+    """The jets of a nested sequence ``rank`` levels deep, in row-major
+    order, and the shape of the nesting."""
+    if isinstance(comps, jets.Jet) != (rank == 0):
+        raise ValueError(f"expected jets nested {rank} levels deep, got {comps!r}")
+    if rank == 0:
+        return [comps], ()
+    parts = [_flat_jets(c, rank - 1) for c in comps]
+    shapes = {shape for _, shape in parts}
+    if len(shapes) != 1:
+        raise ValueError("tensor components must form a full, non-empty array")
+    return [j for js, _ in parts for j in js], (len(parts),) + shapes.pop()
+
+
+def _accumulate(terms: np.ndarray, acc=None, subtract: bool = False) -> np.ndarray:
+    """Add (or subtract) the terms ``terms[..., r, :]`` onto ``acc`` one
+    after another; without ``acc`` the sum starts from the first term."""
+    for r in range(terms.shape[-2]):
+        term = terms[..., r, :]
+        if acc is None:
+            acc = term
+        else:
+            acc = acc - term if subtract else acc + term
+    return acc
+
+
+def _terms(sp, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products ``a * b`` of the jets an einsum-style ``spec`` pairs up,
+    not yet summed: the output axes, then one axis over the summed letters
+    (row-major, in the order they first appear), then the coefficients.
+    The tensor axes of ``a`` and ``b`` carry the letters of ``spec``;
+    leading batch axes broadcast."""
+    inputs, out = spec.split("->")
+    letters_a, letters_b = inputs.split(",")
+    summed = "".join(dict.fromkeys(c for c in letters_a + letters_b if c not in out))
+    full = out + summed
+
+    def aligned(x, letters):
+        lead = x.ndim - 1 - len(letters)
+        axes = sorted(range(len(letters)), key=lambda i: full.index(letters[i]))
+        x = x.transpose(*range(lead), *(lead + i for i in axes), x.ndim - 1)
+        return x[(Ellipsis, *(slice(None) if c in letters else None for c in full),
+                  slice(None))]
+
+    terms = jets.product_coeffs(sp, aligned(a, letters_a), aligned(b, letters_b))
+    return terms.reshape(terms.shape[: terms.ndim - 1 - len(summed)] + (-1, sp.ncoeffs))
+
+
+def _contract(sp, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The einsum ``spec`` of two coefficient arrays, each sum added term by
+    term from its first term."""
+    return _accumulate(_terms(sp, spec, a, b))
+
+
+def _diagonal(c: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
+    """``c[..., s, ..., s, ...]`` over two axes given from the end, the
+    diagonal index placed just before the coefficients."""
+    return np.moveaxis(np.diagonal(c, axis1=axis1, axis2=axis2), -1, -2)
+
+
+def _mirrored(c: np.ndarray) -> np.ndarray:
+    """Copy of ``c`` with the last two tensor axes made symmetric from the
+    upper triangle."""
+    out = c.copy()
+    for i, j in itertools.combinations(range(c.shape[-2]), 2):
+        out[..., j, i, :] = c[..., i, j, :]
+    return out
+
+
+def symmetrized(t: JetTensor) -> JetTensor:
+    """Rank-2 tensor averaged with its transpose; the diagonal is kept as
+    it is and each off-diagonal average is computed once and mirrored."""
+    c = t.coeffs
+    out = c.copy()
+    for i, j in itertools.combinations(range(t.dim), 2):
+        out[..., i, j, :] = out[..., j, i, :] = 0.5 * (c[..., i, j, :] + c[..., j, i, :])
+    return t._like(out)
 
 
 class MetricField:
@@ -144,16 +258,11 @@ class MetricField:
         """Metric components as jets at the point, symmetrized and checked."""
         coords = jets.seed_coordinates(point, order)
         assignment = dict(zip(self.coordinates, coords))
-        raw = np.empty((self.dim, self.dim), dtype=object)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                raw[i, j] = expr.evaluate(self.components[i][j], assignment)
-        sym = np.empty_like(raw)
-        for i in range(self.dim):
-            sym[i, i] = raw[i, i]
-            for j in range(i + 1, self.dim):
-                sym[i, j] = sym[j, i] = 0.5 * (raw[i, j] + raw[j, i])
-        g = JetTensor(sym, 0, 2)
+        raw = np.array([[expr.evaluate(c, assignment).coeffs for c in row]
+                        for row in self.components])
+        if raw.ndim == 4:  # [i, j, point, coeff] -> [point, i, j, coeff]
+            raw = raw.transpose(2, 0, 1, 3)
+        g = symmetrized(JetTensor._dense(coords[0].space, raw, 0, 2))
         self._check_nondegenerate(g.value(), point)
         return g
 
@@ -195,63 +304,49 @@ class MetricField:
         return f"MetricField({label} dim={self.dim}, coords={self.coordinates})"
 
 
-def _parity(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _permutation_terms(sp, c: np.ndarray) -> np.ndarray:
+    """Signed Leibniz products of the last two tensor axes of ``c``, one per
+    permutation in ``itertools.permutations`` order, before the
+    coefficients."""
+    perms = list(itertools.permutations(range(c.shape[-2])))
+    cols = np.array(perms)
+    term = c[..., 0, cols[:, 0], :]
+    for i in range(1, len(cols[0])):
+        term = jets.product_coeffs(sp, term, c[..., i, cols[:, i], :])
+    # the parity of a permutation is that of its number of inversions
+    signs = [(-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2)) for p in perms]
+    return term * np.array(signs)[:, None]
 
 
 def determinant(t: JetTensor) -> jets.Jet:
     """Determinant of a rank-2 tensor via the Leibniz expansion."""
     if t.n_upper + t.n_lower != 2:
         raise ValueError(f"determinant needs a rank-2 tensor, got {t.rank}")
+    return jets.Jet._new(t.space, _accumulate(_permutation_terms(t.space, t.coeffs)))
+
+
+def _adjugate(t: JetTensor) -> JetTensor:
+    """Adjugate of a rank-2 tensor: adj(A) @ A = det(A) I, from the
+    cofactors of all minors at once."""
     d = t.dim
-    acc = None
-    for perm in itertools.permutations(range(d)):
-        term = t.comps[0, perm[0]]
-        for i in range(1, d):
-            term = term * t.comps[i, perm[i]]
-        term = term * _parity(perm)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _adjugate(comps: np.ndarray) -> np.ndarray:
-    """Adjugate matrix of an object ndarray of jets: adj(A) @ A = det(A) I."""
-    d = comps.shape[0]
+    out = np.zeros(t.coeffs.shape)
     if d == 1:
-        out = np.empty((1, 1), dtype=object)
-        out[0, 0] = jets.Jet.constant(
-            1.0, comps[0, 0].nvars, comps[0, 0].order
-        )
-        return out
-    out = np.empty((d, d), dtype=object)
-    rows = list(range(d))
-    cols = list(range(d))
-    for i in range(d):
-        sub_rows = rows[:i] + rows[i + 1 :]
-        for j in range(d):
-            sub_cols = cols[:j] + cols[j + 1 :]
-            minor = comps[np.ix_(sub_rows, sub_cols)]
-            cof = determinant(JetTensor(minor, 0, 2))
-            out[j, i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+        out[..., 0] = 1.0
+        return t._like(out)
+    keep = np.array([[k for k in range(d) if k != i] for i in range(d)])
+    minors = t.coeffs[..., keep[:, None, :, None], keep[None, :, None, :], :]
+    cof = _accumulate(_permutation_terms(t.space, minors))  # [i, j]: row i, col j out
+    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    return t._like(np.swapaxes(cof, -3, -2) * sign[..., None])
 
 
 def inverse_metric(g: JetTensor) -> JetTensor:
     """Inverse of a (0,2) metric jet as a (2,0) tensor, adjugate over det."""
     if g.rank != (0, 2):
         raise ValueError(f"inverse_metric needs a (0,2) tensor, got {g.rank}")
-    det = determinant(g)
-    adj = _adjugate(g.comps)
-    inv_det = jets.reciprocal(det)
-    out = np.empty_like(adj)
-    for idx in np.ndindex(*adj.shape):
-        out[idx] = adj[idx] * inv_det
-    return JetTensor(out, 2, 0)
+    inv_det = jets.reciprocal(determinant(g)).coeffs
+    out = jets.product_coeffs(g.space, _adjugate(g).coeffs, inv_det[..., None, None, :])
+    return JetTensor._dense(g.space, out, 2, 0)
 
 
 def christoffel(g: JetTensor, g_inv: JetTensor | None = None) -> JetTensor:
@@ -265,26 +360,13 @@ def christoffel(g: JetTensor, g_inv: JetTensor | None = None) -> JetTensor:
         raise ValueError("metric jets must have order >= 1 for christoffel")
     if g_inv is None:
         g_inv = inverse_metric(g)
-    d = g.dim
-    out_order = g.order - 1
-    dg = np.empty((d, d, d), dtype=object)  # dg[s, j, k] = d_s g_jk
-    for s in range(d):
-        for j in range(d):
-            for k in range(j, d):
-                dg[s, j, k] = dg[s, k, j] = jets.differentiate(g.comps[j, k], s)
-    ginv_t = np.empty((d, d), dtype=object)
-    for idx in np.ndindex(d, d):
-        ginv_t[idx] = jets.truncate(g_inv.comps[idx], out_order)
-    gamma = np.empty((d, d, d), dtype=object)
-    for j in range(d):
-        for k in range(j, d):
-            for i in range(d):
-                acc = None
-                for s in range(d):
-                    term = ginv_t[i, s] * (dg[j, s, k] + dg[k, s, j] - dg[s, j, k])
-                    acc = term if acc is None else acc + term
-                gamma[i, j, k] = gamma[i, k, j] = 0.5 * acc
-    return JetTensor(gamma, 1, 2)
+    ginv_t = g_inv.truncated(g.order - 1)
+    # dg[s, j, k] = d_s g_jk, from the upper triangle of g
+    dg = np.moveaxis(jets.gradient_coeffs(g.space, _mirrored(g.coeffs)), -2, -4)
+    # braces[s, j, k] = d_j g_sk + d_k g_sj - d_s g_jk
+    braces = np.swapaxes(dg, -4, -3) + np.moveaxis(dg, -4, -2) - dg
+    gamma = _contract(ginv_t.space, "is,sjk->ijk", ginv_t.coeffs, braces) * 0.5
+    return JetTensor._dense(ginv_t.space, _mirrored(gamma), 1, 2)
 
 
 def covariant_derivative(t: JetTensor, gamma: JetTensor) -> JetTensor:
@@ -298,42 +380,31 @@ def covariant_derivative(t: JetTensor, gamma: JetTensor) -> JetTensor:
                                   - sum_b gamma^{s}_{k j_b} T^{i..}_{..s..}
     """
     u, l = t.rank
-    d = t.dim
     out_order = min(t.order - 1, gamma.order)
     if out_order < 0:
         raise ValueError("tensor jets must have order >= 1 to differentiate")
-    tt = t.truncated(out_order + 1) if t.order > out_order + 1 else t
-    gm = gamma.truncated(out_order) if gamma.order > out_order else gamma
-    out_shape = (d,) * u + (d,) + (d,) * l
-    out = np.empty(out_shape, dtype=object)
-    for idx in np.ndindex(*out_shape):
-        upper = idx[:u]
-        k = idx[u]
-        lower = idx[u + 1 :]
-        acc = jets.differentiate(tt.comps[upper + lower], k)
-        for a in range(u):
-            for s in range(d):
-                t_idx = upper[:a] + (s,) + upper[a + 1 :] + lower
-                acc = acc + gm.comps[upper[a], k, s] * jets.truncate(
-                    tt.comps[t_idx], out_order
-                )
-        for b in range(l):
-            for s in range(d):
-                t_idx = upper + lower[:b] + (s,) + lower[b + 1 :]
-                acc = acc - gm.comps[s, k, lower[b]] * jets.truncate(
-                    tt.comps[t_idx], out_order
-                )
-        out[idx] = acc
-    return JetTensor(out, u, l + 1)
+    tt = t.truncated(out_order + 1)
+    gm = gamma.truncated(out_order)
+    sp = gm.space
+    acc = np.moveaxis(jets.gradient_coeffs(tt.space, tt.coeffs), -2, -2 - l)
+    tc = tt.coeffs[..., : sp.ncoeffs]
+    upper, lower = "abcd"[:u], "pqrt"[:l]
+    out = upper + "k" + lower
+    for a in range(u):
+        moved = upper[:a] + "s" + upper[a + 1:] + lower
+        terms = _terms(sp, f"{upper[a]}ks,{moved}->{out}", gm.coeffs, tc)
+        acc = _accumulate(terms, acc)
+    for b in range(l):
+        moved = upper + lower[:b] + "s" + lower[b + 1:]
+        terms = _terms(sp, f"sk{lower[b]},{moved}->{out}", gm.coeffs, tc)
+        acc = _accumulate(terms, acc, subtract=True)
+    return JetTensor._dense(sp, acc, u, l + 1)
 
 
 def gradient_tensor(f: jets.Jet) -> JetTensor:
     """Coordinate gradient of a scalar jet as a (0,1) tensor."""
-    d = f.nvars
-    out = np.empty((d,), dtype=object)
-    for i in range(d):
-        out[i] = jets.differentiate(f, i)
-    return JetTensor(out, 0, 1)
+    c = jets.gradient_coeffs(f.space, f.coeffs)
+    return JetTensor._dense(jets._space(f.nvars, f.order - 1), c, 0, 1)
 
 
 def ricci(gamma: JetTensor) -> JetTensor:
@@ -346,26 +417,18 @@ def ricci(gamma: JetTensor) -> JetTensor:
         raise ValueError(f"ricci needs a (1,2) connection, got {gamma.rank}")
     if gamma.order < 1:
         raise ValueError("connection jets must have order >= 1 for ricci")
-    d = gamma.dim
-    out_order = gamma.order - 1
-    gm = gamma.truncated(out_order)
-    out = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            acc = None
-            for s in range(d):
-                term = jets.differentiate(gamma.comps[s, i, j], s)
-                term = term - jets.differentiate(gamma.comps[s, s, i], j)
-                acc = term if acc is None else acc + term
-            for s in range(d):
-                for p in range(d):
-                    acc = acc + (
-                        gm.comps[s, s, p] * gm.comps[p, i, j]
-                        - gm.comps[s, j, p] * gm.comps[p, s, i]
-                    )
-            # symmetric for a Levi-Civita connection, so mirror i <-> j
-            out[i, j] = out[j, i] = acc
-    return JetTensor(out, 0, 2)
+    gm = gamma.truncated(gamma.order - 1)
+    sp = gm.space
+    dgamma = jets.gradient_coeffs(gamma.space, gamma.coeffs)  # [s, i, j, v] = d_v gamma^s_ij
+    # per s: d_s gamma^s_ij - d_j gamma^s_si, as [i, j, s]
+    acc = _accumulate(_diagonal(dgamma, -5, -2) - _diagonal(dgamma, -5, -4))
+    trace = np.swapaxes(_diagonal(gm.coeffs, -4, -3), -3, -2)  # [s, p] = gamma^s_sp
+    quadratic = (
+        _terms(sp, "sp,pij->ij", trace, gm.coeffs)
+        - _terms(sp, "sjp,psi->ij", gm.coeffs, gm.coeffs)
+    )
+    # symmetric for a Levi-Civita connection, so mirror i <-> j
+    return JetTensor._dense(sp, _mirrored(_accumulate(quadratic, acc)), 0, 2)
 
 
 def contract(t: JetTensor, upper_slot: int, lower_slot: int) -> JetTensor:
@@ -375,25 +438,28 @@ def contract(t: JetTensor, upper_slot: int, lower_slot: int) -> JetTensor:
         raise ValueError(
             f"cannot contract slots ({upper_slot}, {lower_slot}) of rank {t.rank}"
         )
-    ax_u = upper_slot
-    ax_l = u + lower_slot
-    d = t.dim
-    out_shape = t.comps.shape[:ax_u] + t.comps.shape[ax_u + 1 :]
-    out_shape = out_shape[: ax_l - 1] + out_shape[ax_l:]
-    out = np.empty(out_shape, dtype=object)
-    for idx in np.ndindex(*out_shape) if out_shape else [()]:
-        pre = idx[:ax_u]
-        mid = idx[ax_u : ax_l - 1]
-        post = idx[ax_l - 1 :]
-        acc = None
-        for s in range(d):
-            full = pre + (s,) + mid + (s,) + post
-            acc = t.comps[full] if acc is None else acc + t.comps[full]
-        if out_shape:
-            out[idx] = acc
-        else:
-            return JetTensor(np.asarray(acc, dtype=object), 0, 0)
-    return JetTensor(out, u - 1, l - 1)
+    rank = u + l
+    diag = _diagonal(t.coeffs, upper_slot - rank - 1, u + lower_slot - rank - 1)
+    return JetTensor._dense(t.space, _accumulate(diag), u - 1, l - 1)
+
+
+def matmul(a: JetTensor, b: JetTensor) -> JetTensor:
+    """The rank-2 product a_{i s} b_{s j}, index positions kept."""
+    upper = int(a.n_upper > 0) + int(b.n_upper > 1)
+    c = _contract(a.space, "is,sj->ij", a.coeffs, b.coeffs)
+    return JetTensor._dense(a.space, c, upper, 2 - upper)
+
+
+def _move_index(t: JetTensor, metric: JetTensor, slot: int, pos: int,
+                rank: tuple) -> JetTensor:
+    """Contract tensor slot ``slot`` of ``t`` with the second index of
+    ``metric``; the new index goes to tensor position ``pos`` of the result."""
+    letters = "abcdefgh"[: sum(t.rank)]
+    moved = letters[:slot] + "s" + letters[slot + 1:]
+    rest = moved.replace("s", "")
+    out = rest[:pos] + "i" + rest[pos:]
+    c = _contract(t.space, f"{moved},is->{out}", t.coeffs, metric.coeffs)
+    return JetTensor._dense(t.space, c, *rank)
 
 
 def raise_index(t: JetTensor, g_inv: JetTensor, lower_slot: int) -> JetTensor:
@@ -401,12 +467,7 @@ def raise_index(t: JetTensor, g_inv: JetTensor, lower_slot: int) -> JetTensor:
     u, l = t.rank
     if not 0 <= lower_slot < l:
         raise ValueError(f"no lower slot {lower_slot} in rank {t.rank}")
-    ax = u + lower_slot
-    moved = np.moveaxis(t.comps, ax, -1)
-    raised = np.einsum("...s,is->...i", moved, g_inv.comps)
-    # contraction appended the new upper axis last; the upper block ends at u
-    raised = np.moveaxis(raised, -1, u)
-    return JetTensor(raised, u + 1, l - 1)
+    return _move_index(t, g_inv, u + lower_slot, u, (u + 1, l - 1))
 
 
 def lower_index(t: JetTensor, g: JetTensor, upper_slot: int) -> JetTensor:
@@ -414,9 +475,7 @@ def lower_index(t: JetTensor, g: JetTensor, upper_slot: int) -> JetTensor:
     u, l = t.rank
     if not 0 <= upper_slot < u:
         raise ValueError(f"no upper slot {upper_slot} in rank {t.rank}")
-    moved = np.moveaxis(t.comps, upper_slot, -1)
-    lowered = np.einsum("...s,is->...i", moved, g.comps)
-    return JetTensor(lowered, u - 1, l + 1)
+    return _move_index(t, g, upper_slot, u + l - 1, (u - 1, l + 1))
 
 
 def christoffel_values(metric: MetricField, point) -> np.ndarray:
@@ -431,11 +490,9 @@ def christoffel_values(metric: MetricField, point) -> np.ndarray:
     g = metric.evaluate(point, order=1)
     d = metric.dim
     gv = g.value()
-    dg = np.empty(gv.shape[:-2] + (d, d, d))  # dg[..., s, j, k] = d_s g_jk
-    for j in range(d):
-        for k in range(j, d):
-            # order-1 jet coefficients 1..d are exactly the partials
-            dg[..., j, k] = dg[..., k, j] = g.comps[j, k].coeffs[..., 1 : 1 + d]
+    # order-1 jet coefficients 1..d are exactly the partials: dg[..., s, j, k] = d_s g_jk
+    partials = g.coeffs[..., 1 : 1 + d]  # [..., j, k, s]
+    dg = np.ascontiguousarray(partials.swapaxes(-1, -2).swapaxes(-2, -3))
     ginv = np.linalg.inv(gv)
     # braces[s, j, k] = d_j g_sk + d_k g_sj - d_s g_jk
     dg_jsk = dg.swapaxes(-3, -2)

@@ -23,6 +23,11 @@ result equals the stacked unbatched results bit for bit.  The Taylor series
 of the analytic functions are therefore computed per row by the same scalar
 expressions (array ``exp`` or ``**`` can round differently).
 
+Arrays of jets are plain coefficient arrays whose last axis holds the
+coefficients and whose leading axes index the jets.  ``product_coeffs`` and
+``gradient_coeffs`` act on such arrays, broadcasting the leading axes, and
+give every jet the bits of the same operation on a single ``Jet``.
+
 Jets are immutable values and all operations are pure.
 """
 
@@ -87,56 +92,61 @@ class _Space:
                 kk.append(self.position[s])
         self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
         self._diff = None
-        self._bins = {}
+        self._bins = np.empty(0, dtype=np.intp)
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in a) for a in self.indices]
         )
 
     def diff_tables(self):
-        """Per-variable (source positions, factors) mapping coefficients of a
-        jet to those of its partial derivative one order down."""
+        """Source positions and factors, of shape (nvars, lower ncoeffs), that
+        map a jet's coefficients to those of its partial in each variable."""
         if self._diff is None:
             lower = _space(self.nvars, self.order - 1)
-            tabs = []
+            src = np.empty((self.nvars, lower.ncoeffs), dtype=np.intp)
+            fac = np.empty((self.nvars, lower.ncoeffs))
             for v in range(self.nvars):
-                src = np.empty(lower.ncoeffs, dtype=np.intp)
-                fac = np.empty(lower.ncoeffs)
                 for t, beta in enumerate(lower.indices):
                     shifted = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
-                    src[t] = self.position[shifted]
-                    fac[t] = beta[v] + 1
-                tabs.append((src, fac))
-            self._diff = tabs
+                    src[v, t] = self.position[shifted]
+                    fac[v, t] = beta[v] + 1
+            self._diff = (src, fac)
         return self._diff
 
     def batch_bins(self, rows: int) -> np.ndarray:
         """Output slots of the convolution table for ``rows`` stacked jets,
-        row after row, so one ``bincount`` multiplies every row at once."""
-        bins = self._bins.get(rows)
-        if bins is None:
+        row after row, so one ``bincount`` multiplies every row at once.  The
+        slots of fewer rows are a prefix of those of more, so one array, grown
+        to the most rows asked for, serves every row count."""
+        size = rows * len(self._mul[2])
+        if len(self._bins) < size:
             kk = self._mul[2]
-            bins = (kk + self.ncoeffs * np.arange(rows)[:, None]).ravel()
-            self._bins[rows] = bins
-        return bins
+            self._bins = (kk + self.ncoeffs * np.arange(rows)[:, None]).ravel()
+        return self._bins[:size]
 
 
-def _batch_product(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of two batches of coefficient rows.
+def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated products of two arrays of jets of one space, broadcast
+    over their leading axes.
 
-    Each output coefficient of each row sums its products in the order of
-    the convolution table, starting from zero, as the unbatched kernel
+    Each output coefficient of each jet sums its products in the order of
+    the convolution table, starting from zero, as the single-jet kernel
     ``np.bincount(kk, a[ii] * b[jj])`` does.
     """
     ii, jj, _ = sp._mul
-    if a.shape != b.shape:
-        raise ValueError(
-            f"jets must share the batch: {a.shape[:-1]} vs {b.shape[:-1]}"
-        )
-    rows = a.shape[0]
+    terms = a[..., ii] * b[..., jj]
+    rows = terms.size // len(ii)
     return np.bincount(
-        sp.batch_bins(rows), (a[:, ii] * b[:, jj]).ravel(),
-        minlength=rows * sp.ncoeffs,
-    ).reshape(rows, sp.ncoeffs)
+        sp.batch_bins(rows), terms.ravel(), minlength=rows * sp.ncoeffs,
+    ).reshape(terms.shape[:-1] + (sp.ncoeffs,))
+
+
+def gradient_coeffs(sp: _Space, c: np.ndarray) -> np.ndarray:
+    """Coefficients of every first partial of an array of jets: the
+    variable goes on a new axis before the (one order lower) coefficients."""
+    if sp.order < 1:
+        raise OrderExhaustedError("cannot differentiate an order-0 jet")
+    src, fac = sp.diff_tables()
+    return c[..., src] * fac
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,7 +289,11 @@ class Jet:
                     self.space,
                     np.bincount(kk, a[ii] * b[jj], minlength=self.space.ncoeffs),
                 )
-            return Jet._new(self.space, _batch_product(self.space, a, b))
+            if a.shape != b.shape:
+                raise ValueError(
+                    f"jets must share the batch: {a.shape[:-1]} vs {b.shape[:-1]}"
+                )
+            return Jet._new(self.space, product_coeffs(self.space, a, b))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Jet._new(self.space, self.coeffs * float(other))
         return NotImplemented
@@ -358,10 +372,9 @@ def differentiate(f: Jet, i: int) -> Jet:
         raise OrderExhaustedError("cannot differentiate an order-0 jet")
     if not 0 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    src, fac = f.space.diff_tables()[i]
+    src, fac = f.space.diff_tables()
     lower = _space(f.nvars, f.order - 1)
-    coeffs = f.coeffs[src] if f.coeffs.ndim == 1 else f.coeffs[:, src]
-    return Jet._new(lower, coeffs * fac)
+    return Jet._new(lower, f.coeffs[..., src[i]] * fac[i])
 
 
 def gradient(f: Jet) -> list[Jet]:
@@ -381,7 +394,7 @@ def _compose(f: Jet, series: np.ndarray) -> Jet:
         w[:, 0] = 0.0
         acc[:, 0] = series[:, -1]
         for a in series.T[-2::-1]:
-            acc = _batch_product(sp, acc, w)
+            acc = product_coeffs(sp, acc, w)
             acc[:, 0] += a
         return Jet._new(sp, acc)
     w[0] = 0.0

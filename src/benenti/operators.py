@@ -30,8 +30,17 @@ import numpy as np
 
 from . import expr, jets
 from .errors import BenentiError, OrderExhaustedError
-from .geometry import JetTensor, MetricField, christoffel_values
-from .projective import PointFrame, ProjectivePair, _matmul
+from .geometry import (
+    JetTensor,
+    MetricField,
+    _accumulate,
+    _contract,
+    _diagonal,
+    christoffel_values,
+    matmul,
+    symmetrized,
+)
+from .projective import PointFrame, ProjectivePair
 
 FunctionLike = Union[str, expr.Expression, Callable]
 
@@ -61,14 +70,9 @@ class QuantizedOperator:
         """A^{ij} as jets at (point, order), symmetrized."""
         frame = self.pair.frame(point, order)
         raw = self._coefficients(frame)
-        comps = raw.comps if isinstance(raw, JetTensor) else np.asarray(raw)
-        d = self.dim
-        sym = np.empty((d, d), dtype=object)
-        for i in range(d):
-            sym[i, i] = comps[i, i]
-            for j in range(i + 1, d):
-                sym[i, j] = sym[j, i] = 0.5 * (comps[i, j] + comps[j, i])
-        return JetTensor(sym, 2, 0)
+        if not isinstance(raw, JetTensor):
+            raw = JetTensor(raw, 2, 0)
+        return JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
 
     @classmethod
     def from_expressions(cls, metric: MetricField, components, name=None):
@@ -82,11 +86,9 @@ class QuantizedOperator:
         def coefficients(frame: PointFrame):
             seeds = jets.seed_coordinates(frame.point, frame.order)
             assignment = dict(zip(coords, seeds))
-            out = np.empty((d, d), dtype=object)
-            for i in range(d):
-                for j in range(d):
-                    out[i, j] = expr.evaluate(parsed[i][j], assignment)
-            return out
+            return JetTensor(
+                [[expr.evaluate(c, assignment) for c in row] for row in parsed], 2, 0
+            )
 
         return cls(metric, coefficients, name=name)
 
@@ -105,11 +107,9 @@ def laplacian(geometry) -> QuantizedOperator:
 def killing_operator(pair: ProjectivePair, t: float) -> QuantizedOperator:
     """Carter operator of the pair's Killing tensor K^(t): A = S(t) g^{-1}."""
 
-    def coefficients(frame: PointFrame):
-        ginv = frame.g_inv
-        return _matmul(frame.S_of_t(t).comps, ginv.comps)
-
-    return QuantizedOperator(pair, coefficients, name=f"K_hat(t={t})")
+    return QuantizedOperator(
+        pair, lambda frame: matmul(frame.S_of_t(t), frame.g_inv), name=f"K_hat(t={t})"
+    )
 
 
 def killing_coefficient_operator(pair: ProjectivePair, l: int) -> QuantizedOperator:
@@ -120,11 +120,9 @@ def killing_coefficient_operator(pair: ProjectivePair, l: int) -> QuantizedOpera
     if not 0 <= l < pair.dim:
         raise ValueError(f"coefficient index {l} outside 0..{pair.dim - 1}")
 
-    def coefficients(frame: PointFrame):
-        S = frame.benenti.S_coeffs[l]
-        return _matmul(S.comps, frame.g_inv.comps)
-
-    return QuantizedOperator(pair, coefficients, name=f"K_hat[{l}]")
+    return QuantizedOperator(
+        pair, lambda frame: frame.A_coeffs[l], name=f"K_hat[{l}]"
+    )
 
 
 def _function_jet(op: QuantizedOperator, f: FunctionLike, point, order: int):
@@ -151,35 +149,23 @@ def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
         raise OrderExhaustedError(
             f"applying a second-order operator needs jet order >= 2, got {m}"
         )
-    d = op.dim
     frame = op.pair.frame(point, m)
-    A = op.coefficient_tensor(point, m)
-    df = [jets.differentiate(f_jet, j) for j in range(d)]  # order m-1
-    V = []
-    for i in range(d):
-        acc = None
-        for j in range(d):
-            term = jets.truncate(A.comps[i, j], m - 1) * df[j]
-            acc = term if acc is None else acc + term
-        V.append(acc)
+    A = op.coefficient_tensor(point, m).truncated(m - 1)
+    sp1, sp2 = A.space, jets._space(f_jet.nvars, m - 2)
+    df = jets.gradient_coeffs(f_jet.space, f_jet.coeffs)  # order m-1
+    V = _contract(sp1, "ij,j->i", A.coeffs, df)
     if form == "christoffel":
         # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
-        acc = None
-        for i in range(d):
-            term = jets.differentiate(V[i], i)
-            weight = jets.truncate(frame.gamma_trace[i], m - 2)
-            term = term + weight * jets.truncate(V[i], m - 2)
-            acc = term if acc is None else acc + term
-        return acc
+        weight = frame.gamma_trace.truncated(m - 2).coeffs
+        terms = (_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
+                 + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
+        return jets.Jet._new(sp2, _accumulate(terms))
     if form == "density":
         # (1/w) d_i (w V^i) with w = sqrt |det g|
         w = frame.sqrt_abs_det_g
-        w_cut = jets.truncate(w, m - 1)
-        acc = None
-        for i in range(d):
-            term = jets.differentiate(w_cut * V[i], i)
-            acc = term if acc is None else acc + term
-        return jets.reciprocal(jets.truncate(w, m - 2)) * acc
+        wV = jets.product_coeffs(sp1, jets.truncate(w, m - 1).coeffs, V)
+        acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
+        return jets.reciprocal(jets.truncate(w, m - 2)) * jets.Jet._new(sp2, acc)
     raise ValueError(f"unknown divergence form {form!r}")
 
 
@@ -391,28 +377,16 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
     return float(p @ A @ p)
 
 
-def _integral_coefficient_fields(pair: ProjectivePair, x):
-    """Values and first x-derivatives of every A_l = S_l g^{-1} at x."""
-    frame = pair.frame(tuple(x), 1)
-    d = pair.dim
-    S_coeffs = frame.benenti.S_coeffs
-    ginv = frame.g_inv
-    vals = np.empty((d, d, d))
-    derivs = np.empty((d, d, d, d))  # [l, s, i, j] = d_s A_l^{ij}
-    for l, S in enumerate(S_coeffs):
-        A = _matmul(S.comps, ginv.comps)
-        for i in range(d):
-            for j in range(d):
-                vals[l, i, j] = A[i, j].value
-                derivs[l, :, i, j] = A[i, j].coeffs[1 : 1 + d]
-    return vals, derivs
-
-
 def integral_field(pair: ProjectivePair, t: float):
-    """x -> (A(t) values, d_s A(t) values) for the family's integral I_t."""
+    """x -> (A(t) values, d_s A(t) values) for the family's integral I_t,
+    from the values and first x-derivatives of every A_l = S_l g^{-1}."""
 
     def field(x):
-        vals, derivs = _integral_coefficient_fields(pair, x)
+        A = pair.frame(tuple(x), 1).A_coeffs
+        vals = np.array([a.value() for a in A])
+        # [l, s, i, j] = d_s A_l^{ij}
+        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
+                           for a in A])
         tp = t ** np.arange(pair.dim)
         return (
             np.einsum("l,lij->ij", tp, vals),

@@ -52,8 +52,13 @@ from .geometry import (
     contract,
     covariant_derivative,
     determinant,
+    _accumulate,
     _adjugate,
+    _contract,
+    _diagonal,
+    gradient_tensor,
     inverse_metric,
+    matmul,
     ricci,
 )
 
@@ -157,28 +162,6 @@ class BenentiData:
     char_coeffs: tuple
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("is,sj->ij", a, b)
-
-
-def _trace(a: np.ndarray):
-    d = a.shape[0]
-    acc = a[0, 0]
-    for s in range(1, d):
-        acc = acc + a[s, s]
-    return acc
-
-
-def _identity_like(sample: jets.Jet, d: int) -> np.ndarray:
-    out = np.empty((d, d), dtype=object)
-    one = jets.Jet.constant(1.0, sample.nvars, sample.order)
-    zero = jets.Jet.constant(0.0, sample.nvars, sample.order)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = one if i == j else zero
-    return out
-
-
 def adjugate_family(L: JetTensor):
     """Coefficients of adjugate(t Id - L) and of det(t Id - L) in t.
 
@@ -192,23 +175,34 @@ def adjugate_family(L: JetTensor):
     algebra; no t is ever substituted.
     """
     d = L.dim
-    ident = _identity_like(L.comps[0, 0], d)
+    sp = L.space
+    diag = np.arange(d)
+    M = np.zeros(L.coeffs.shape)
+    M[..., diag, diag, 0] = 1.0
     S = [None] * d  # S[l] = coefficient of t^l
     char = [None] * (d + 1)
-    char[d] = jets.Jet.constant(1.0, L.comps[0, 0].nvars, L.order)
-    M = ident
+    char[d] = jets.Jet.constant(1.0, sp.nvars, sp.order)
     S[d - 1] = M
     for k in range(1, d):
-        LM = _matmul(L.comps, M)
-        c = _trace(LM) * (-1.0 / k)
-        char[d - k] = c
-        M = LM.copy()
-        for i in range(d):
-            M[i, i] = M[i, i] + c
+        M = _contract(sp, "is,sj->ij", L.coeffs, M)
+        c = _accumulate(_diagonal(M, -3, -2)) * (-1.0 / k)  # trace, first term first
+        char[d - k] = jets.Jet._new(sp, c)
+        M[..., diag, diag, :] += c[..., None, :]
         S[d - 1 - k] = M
-    char[0] = _trace(_matmul(L.comps, M)) * (-1.0 / d)
-    S_coeffs = tuple(JetTensor(m, 1, 1) for m in S)
+    LM = _contract(sp, "is,sj->ij", L.coeffs, M)
+    char[0] = jets.Jet._new(sp, _accumulate(_diagonal(LM, -3, -2)) * (-1.0 / d))
+    S_coeffs = tuple(JetTensor._dense(sp, m, 1, 1) for m in S)
     return S_coeffs, tuple(char)
+
+
+def _polynomial(coeffs, t: float) -> JetTensor:
+    """sum_l t^l coeffs[l] with the powers built up by repeated products."""
+    acc = coeffs[0].coeffs
+    power = 1.0
+    for c in coeffs[1:]:
+        power *= t
+        acc = acc + c.coeffs * float(power)
+    return coeffs[0]._like(acc)
 
 
 class PointFrame:
@@ -251,16 +245,9 @@ class PointFrame:
         return christoffel(self.gbar, self.gbar_inv)
 
     @cached_property
-    def gamma_trace(self) -> np.ndarray:
-        """gamma^s_si as a vector of jets (order m-1); the divergence weight."""
-        d = self.dim
-        out = np.empty((d,), dtype=object)
-        for i in range(d):
-            acc = self.gamma.comps[0, 0, i]
-            for s in range(1, d):
-                acc = acc + self.gamma.comps[s, s, i]
-            out[i] = acc
-        return out
+    def gamma_trace(self) -> JetTensor:
+        """gamma^s_si as a (0,1) tensor (order m-1); the divergence weight."""
+        return contract(self.gamma, 0, 0)
 
     @cached_property
     def sqrt_abs_det_g(self) -> jets.Jet:
@@ -270,55 +257,36 @@ class PointFrame:
     def L(self) -> JetTensor:
         ratio = determinant(self.gbar) * jets.reciprocal(determinant(self.g))
         factor = jets.power(jets.absolute(ratio), 1.0 / (self.dim + 1))
-        mixed = _matmul(self.gbar_inv.comps, self.g.comps)
-        out = np.empty_like(mixed)
-        for idx in np.ndindex(*mixed.shape):
-            out[idx] = factor * mixed[idx]
-        return JetTensor(out, 1, 1)
+        mixed = matmul(self.gbar_inv, self.g)
+        return mixed._like(jets.product_coeffs(
+            mixed.space, factor.coeffs[..., None, None, :], mixed.coeffs))
 
     @cached_property
     def benenti(self) -> BenentiData:
         L = self.L
-        d = self.dim
-        lam = _trace(L.comps) * 0.5
-        lam_form = JetTensor(
-            np.array([jets.differentiate(lam, i) for i in range(d)], dtype=object),
-            0,
-            1,
-        )
-        det_L = determinant(L)
-        adj_L = _adjugate(L.comps)
-        inv_det = jets.reciprocal(det_L)
-        sub = lam_form.comps[0].order  # = order - 1
-        phi = np.empty((d,), dtype=object)
-        for i in range(d):
-            acc = None
-            for s in range(d):
-                linv_si = jets.truncate(adj_L[s, i] * inv_det, sub)
-                term = linv_si * lam_form.comps[s]
-                acc = term if acc is None else acc + term
-            phi[i] = -acc
+        lam = contract(L, 0, 0)[()] * 0.5
+        lam_form = gradient_tensor(lam)
+        inv_det = jets.reciprocal(determinant(L)).coeffs
+        # (L^{-1})^s_i, truncated to the order of lam_form
+        L_inv = jets.product_coeffs(L.space, _adjugate(L).coeffs, inv_det[..., None, None, :])
+        sub = lam_form.space
+        phi = -_contract(sub, "si,s->i", L_inv[..., : sub.ncoeffs], lam_form.coeffs)
         S_coeffs, char_coeffs = adjugate_family(L)
-        K_coeffs = []
-        for S in S_coeffs:
-            K = np.empty((d, d), dtype=object)
-            for i in range(d):
-                for j in range(d):
-                    acc = None
-                    for r in range(d):
-                        term = self.g.comps[i, r] * S.comps[r, j]
-                        acc = term if acc is None else acc + term
-                    K[i, j] = acc
-            K_coeffs.append(JetTensor(K, 0, 2))
         return BenentiData(
             L=L,
             lam=lam,
             lam_form=lam_form,
-            phi_form=JetTensor(phi, 0, 1),
+            phi_form=lam_form._like(phi),
             S_coeffs=S_coeffs,
-            K_coeffs=tuple(K_coeffs),
+            K_coeffs=tuple(matmul(self.g, S) for S in S_coeffs),
             char_coeffs=char_coeffs,
         )
+
+    @cached_property
+    def A_coeffs(self) -> tuple:
+        """The raised coefficients A_l = S_l g^{-1} of the Killing family,
+        one (2,0) tensor per power t^l."""
+        return tuple(matmul(S, self.g_inv) for S in self.benenti.S_coeffs)
 
     @cached_property
     def ricci_tensor(self) -> JetTensor:
@@ -328,27 +296,14 @@ class PointFrame:
     def ricci_endo(self) -> JetTensor:
         """Ric raised on the first slot: R^i_j = g^{is} R_sj, order m-2."""
         ric = self.ricci_tensor
-        ginv = self.g_inv.truncated(ric.order)
-        return JetTensor(_matmul(ginv.comps, ric.comps), 1, 1)
+        return matmul(self.g_inv.truncated(ric.order), ric)
 
     def S_of_t(self, t: float) -> JetTensor:
         """S(t) assembled from its polynomial coefficients."""
-        coeffs = self.benenti.S_coeffs
-        acc = coeffs[0].comps
-        power = 1.0
-        for S in coeffs[1:]:
-            power *= t
-            acc = acc + S.comps * power
-        return JetTensor(acc, 1, 1)
+        return _polynomial(self.benenti.S_coeffs, t)
 
     def K_of_t(self, t: float) -> JetTensor:
-        coeffs = self.benenti.K_coeffs
-        acc = coeffs[0].comps
-        power = 1.0
-        for K in coeffs[1:]:
-            power *= t
-            acc = acc + K.comps * power
-        return JetTensor(acc, 0, 2)
+        return _polynomial(self.benenti.K_coeffs, t)
 
     def L_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.L.value())
@@ -379,25 +334,13 @@ def check_projective_equivalence(pair: ProjectivePair, point, order: int = 2) ->
     """
     frame = pair.frame(point, order)
     bd = frame.benenti
-    d = frame.dim
     # lowered form a_ij = g_is L^s_j
-    a = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for s in range(d):
-                term = frame.g.comps[i, s] * bd.L.comps[s, j]
-                acc = term if acc is None else acc + term
-            a[i, j] = acc
-    nabla_a = covariant_derivative(JetTensor(a, 0, 2), frame.gamma)
+    a = matmul(frame.g, bd.L)
+    nav = covariant_derivative(a, frame.gamma).value()  # [k, i, j]
     lam_v = bd.lam_form.value()
     g_v = frame.g.value()
-    nav = nabla_a.value()  # [k, i, j]
-    model = np.empty_like(nav)
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                model[k, i, j] = lam_v[i] * g_v[j, k] + lam_v[j] * g_v[i, k]
+    model = (lam_v[None, :, None] * g_v.T[:, None, :]
+             + lam_v[None, None, :] * g_v.T[:, :, None])
     defect = np.max(np.abs(nav - model))
     return float(defect / max(1.0, np.max(np.abs(nav))))
 
@@ -428,12 +371,9 @@ def check_phi_identity(pair: ProjectivePair, point, order: int = 2) -> float:
     frame = pair.frame(point, order)
     d = frame.dim
     phi_alg = frame.benenti.phi_form.value()
-    trace_bar = np.array(
-        [sum(frame.gamma_bar.comps[s, s, i].value for s in range(d)) for i in range(d)]
-    )
-    trace = np.array(
-        [sum(frame.gamma.comps[s, s, i].value for s in range(d)) for i in range(d)]
-    )
+    gamma_bar, gamma = frame.gamma_bar.value(), frame.gamma.value()
+    trace_bar = sum(gamma_bar[s, s] for s in range(d))
+    trace = sum(gamma[s, s] for s in range(d))
     phi_conn = (trace_bar - trace) / (d + 1)
     defect = np.max(np.abs(phi_conn - phi_alg))
     return float(defect / max(1.0, np.max(np.abs(phi_conn))))
@@ -487,14 +427,10 @@ def check_carter_condition(
     frame = pair.frame(point, order)
     r = frame.ricci_endo  # order m-2
     s_t = frame.S_of_t(t).truncated(r.order)
-    B = JetTensor(
-        _matmul(r.comps, s_t.comps) - _matmul(s_t.comps, r.comps), 1, 1
-    )
+    B = matmul(r, s_t) - matmul(s_t, r)
     div = contract(covariant_derivative(B, frame.gamma), 0, 0)
     b_vals = np.abs(B.value())
-    db_max = max(
-        float(np.max(np.abs(j.coeffs[1 : 1 + frame.dim]))) for j in B.comps.flat
-    )
+    db_max = float(np.max(np.abs(B.coeffs[..., 1 : 1 + frame.dim])))
     gamma_max = float(np.max(np.abs(frame.gamma.value())))
     scale = max(1.0, db_max, gamma_max * float(np.max(b_vals)))
     return float(np.max(np.abs(div.value())) / scale)

@@ -109,11 +109,15 @@ class VerifyConfig:
             raise ValueError(f"order must be >= 3, got {self.order}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.t_grid is not None:
             if not self.t_grid:
                 raise ValueError("t_grid must not be empty")
             if not all(math.isfinite(t) for t in self.t_grid):
                 raise ValueError(f"t_grid must be finite, got {list(self.t_grid)}")
+        if len(set(self.checks)) != len(self.checks):
+            raise ValueError(f"checks must be distinct, got {list(self.checks)}")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise ValueError(

@@ -181,9 +181,9 @@ class TestBatchedMetrics:
             batched = pair.g.evaluate(pts, order)
             singles = [pair.g.evaluate(p, order) for p in pts]
             assert same_bits(batched.value(), [s.value() for s in singles])
-            for idx in np.ndindex(*batched.comps.shape):
-                assert same_bits(batched.comps[idx].coeffs,
-                                 [s.comps[idx].coeffs for s in singles])
+            for idx in np.ndindex(pair.dim, pair.dim):
+                assert same_bits(batched[idx].coeffs,
+                                 [s[idx].coeffs for s in singles])
 
     def test_christoffel_values(self, name):
         pair = catalog.get_entry(name).pair

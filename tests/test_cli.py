@@ -164,11 +164,25 @@ class TestVerifyCommand:
         assert rc == 2
         assert "points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list_cannot_pass_a_control(self, checks, capsys):
+        # an empty list would run no check and give the control a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "control_nonequiv", "--points", "2", "--checks", checks])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--checks" in captured.err and "no check ids" in captured.err
+
     @pytest.mark.parametrize("flags, word", [
         (["--checks", "killing", "--t-grid", ""], "t_grid"),
         (["--checks", "poisson,commutator", "--t-grid", ""], "t_grid"),
         (["--checks", "killing", "--t-grid", "0,1e400"], "t_grid"),
         (["--checks", "basic", "--seed", "-1"], "seed"),
+        (["--checks", "basic,killing", "--tol", "inf"], "tol"),
+        (["--checks", "basic,killing", "--tol", "nan"], "tol"),
+        (["--checks", "basic,killing", "--tol", "-1"], "tol"),
+        (["--checks", "basic,basic"], "checks"),
     ])
     def test_invalid_config_exits_two(self, flags, word, capsys):
         rc = main(["verify", "dini", "--points", "2", *flags])
@@ -213,6 +227,13 @@ class TestOtherCommands:
             main(["describe", "dini", "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_describe_samples_below_one_exits_two(self, capsys):
+        for samples in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["describe", "dini", "--samples", samples])
+            assert exc.value.code == 2
+            assert "--samples" in capsys.readouterr().err
 
     def test_describe_file_path(self, tmp_path, capsys):
         path = tmp_path / "flat.yaml"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jet_reference as ref
 from benenti import jets
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import (
@@ -52,7 +53,7 @@ def fd_christoffel(metric, point, h=1e-6):
 
 
 def max_coeff(tensor):
-    return max(np.max(np.abs(j.coeffs)) for j in tensor.comps.flat)
+    return np.max(np.abs(tensor.coeffs))
 
 
 class TestMetricField:
@@ -102,7 +103,7 @@ class TestInverseAndDeterminant:
             for j in range(d):
                 acc = None
                 for s in range(d):
-                    term = g.comps[i, s] * ginv.comps[s, j]
+                    term = g[i, s] * ginv[s, j]
                     acc = term if acc is None else acc + term
                 expect = 1.0 if i == j else 0.0
                 assert acc.value == pytest.approx(expect, abs=1e-13)
@@ -163,7 +164,7 @@ class TestChristoffel:
         logvol = jets.log(jets.sqrt(jets.absolute(determinant(g))))
         for k in range(2):
             want = jets.partial(logvol, tuple(1 if i == k else 0 for i in range(2)))
-            assert tr.comps[k].value == pytest.approx(want, rel=1e-12)
+            assert tr[k].value == pytest.approx(want, rel=1e-12)
 
 
 class TestCovariantDerivative:
@@ -184,8 +185,8 @@ class TestCovariantDerivative:
         x, y = jets.seed_coordinates((1.2, 0.7), order=3)
         f = jets.exp(x) * jets.sin(y)
         grad = gradient_tensor(f)
-        assert grad.comps[0].value == pytest.approx(math.exp(1.2) * math.sin(0.7))
-        assert grad.comps[1].value == pytest.approx(math.exp(1.2) * math.cos(0.7))
+        assert grad[0].value == pytest.approx(math.exp(1.2) * math.sin(0.7))
+        assert grad[1].value == pytest.approx(math.exp(1.2) * math.cos(0.7))
 
     def test_scalar_hessian_symmetric(self):
         point = (1.2, 0.7)
@@ -194,7 +195,7 @@ class TestCovariantDerivative:
         x, y = jets.seed_coordinates(point, order=4)
         f = jets.exp(x - y) + x * y * y
         hess = covariant_derivative(gradient_tensor(f), gamma)
-        diff = hess.comps[0, 1] - hess.comps[1, 0]
+        diff = hess[0, 1] - hess[1, 0]
         assert np.max(np.abs(diff.coeffs)) < 1e-12
 
     def test_one_form_components(self):
@@ -206,8 +207,8 @@ class TestCovariantDerivative:
         w[0] = jets.Jet.constant(1.0, 2, 2)
         w[1] = jets.Jet.constant(0.0, 2, 2)
         nabla_w = covariant_derivative(JetTensor(w, 0, 1), gamma)
-        assert nabla_w.comps[1, 1].value == pytest.approx(1.7)  # -(-r)
-        assert nabla_w.comps[0, 0].value == pytest.approx(0.0)
+        assert nabla_w[1, 1].value == pytest.approx(1.7)  # -(-r)
+        assert nabla_w[0, 0].value == pytest.approx(0.0)
 
 
 class TestRicci:
@@ -233,7 +234,7 @@ class TestRicci:
         gamma = christoffel(g)
         ric = ricci(gamma)
         ginv = inverse_metric(g).truncated(ric.order)
-        scalar = contract(raise_index(ric, ginv, 0), 0, 0).comps[()]
+        scalar = contract(raise_index(ric, ginv, 0), 0, 0)[()]
         gt = g.truncated(ric.order)
         einstein = ric - 0.5 * scalar * gt
         assert max_coeff(einstein) < 1e-10
@@ -243,7 +244,7 @@ class TestRicci:
         g = SPHERE.evaluate(point, order=3)
         ric = ricci(christoffel(g))
         ginv = inverse_metric(g).truncated(ric.order)
-        scalar = contract(raise_index(ric, ginv, 0), 0, 0).comps[()]
+        scalar = contract(raise_index(ric, ginv, 0), 0, 0)[()]
         assert scalar.value == pytest.approx(2.0, rel=1e-10)
 
 
@@ -275,7 +276,7 @@ class TestIndexAlgebra:
         # index order: t_ij -> raised^i_j -> lowered_j i (restored slot last)
         for i in range(2):
             for j in range(2):
-                diff = back.comps[j, i] - t.comps[i, j]
+                diff = back[j, i] - t[i, j]
                 assert np.max(np.abs(diff.coeffs)) < 1e-12
 
     def test_contract_matches_trace(self):
@@ -284,7 +285,7 @@ class TestIndexAlgebra:
         ginv = inverse_metric(g)
         t = self._random_tensor(np.random.default_rng(3), point)
         mixed = raise_index(t, ginv, 0)  # t^i_j
-        tr = contract(mixed, 0, 0).comps[()]
+        tr = contract(mixed, 0, 0)[()]
         expect = np.trace(ginv.value() @ t.value())
         assert tr.value == pytest.approx(expect, rel=1e-12)
 
@@ -307,3 +308,67 @@ class TestJetTensor:
         assert max_coeff(z) == 0.0
         doubled = 2.0 * g
         assert np.allclose(doubled.value(), 2 * g.value())
+
+
+def random_jet_tensor(rng, n, rank, order=4, symmetric=False, diagonal=0.0):
+    """A tensor of random order-``order`` jets in n variables; ``diagonal``
+    is added to the constant terms of a rank-2 diagonal."""
+    size = len(jets.multi_indices(n, order))
+    comps = {}
+    for idx in np.ndindex(*(n,) * sum(rank)):
+        if symmetric and idx[::-1] in comps:
+            comps[idx] = comps[idx[::-1]]
+            continue
+        c = rng.uniform(-0.5, 0.5, size)
+        if len(set(idx)) == 1 and len(idx) == 2:
+            c[0] += diagonal + idx[0]
+        comps[idx] = jets.Jet(n, order, c)
+    nested = np.empty((n,) * sum(rank), dtype=object)
+    for idx, jet in comps.items():
+        nested[idx] = jet
+    return JetTensor(nested, *rank)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+class TestDenseKernelsBitwise:
+    """The dense kernels against per-component loops on scalar jets, bit
+    for bit at order 4, so a change in the order of a sum shows here."""
+
+    @pytest.fixture
+    def metric(self, n):
+        return random_jet_tensor(np.random.default_rng(n), n, (0, 2),
+                                 symmetric=True, diagonal=2.0)
+
+    def test_determinant_and_inverse(self, n, metric):
+        want = ref.determinant(lambda i, j: metric[i, j], n)
+        ref.assert_same_bits({(): determinant(metric)}, {(): want})
+        ref.assert_same_bits(inverse_metric(metric), ref.inverse(metric, n))
+
+    def test_christoffel(self, n, metric):
+        g_inv = inverse_metric(metric)
+        ref.assert_same_bits(christoffel(metric, g_inv), ref.christoffel(metric, g_inv, n))
+
+    @pytest.mark.parametrize("rank", [(0, 1), (0, 2), (1, 1)])
+    def test_covariant_derivative(self, n, metric, rank):
+        gamma = christoffel(metric)
+        t = random_jet_tensor(np.random.default_rng(10 * n), n, rank)
+        ref.assert_same_bits(covariant_derivative(t, gamma),
+                         ref.covariant_derivative(t, gamma, n))
+
+    def test_ricci(self, n, metric):
+        gamma = christoffel(metric)
+        ref.assert_same_bits(ricci(gamma), ref.ricci(gamma, n))
+
+    def test_contract(self, n, metric):
+        gamma = christoffel(metric)
+        for slot in (0, 1):
+            ref.assert_same_bits(contract(gamma, 0, slot), ref.contract(gamma, n, 0, slot))
+        mixed = random_jet_tensor(np.random.default_rng(n + 1), n, (1, 1))
+        ref.assert_same_bits(contract(mixed, 0, 0), ref.contract(mixed, n, 0, 0))
+
+    def test_raise_index(self, n, metric):
+        g_inv = inverse_metric(metric)
+        t = random_jet_tensor(np.random.default_rng(n + 2), n, (0, 2))
+        for slot in (0, 1):
+            ref.assert_same_bits(raise_index(t, g_inv, slot),
+                             ref.raise_index(t, g_inv, n, slot))

@@ -171,11 +171,11 @@ class TestCommutator:
         a, b = 0.37, -1.21
 
         def combo_coeffs(frame):
-            ginv = frame.g_inv.comps
-            S0 = frame.benenti.S_coeffs[0].comps
-            S1 = frame.benenti.S_coeffs[1].comps
-            from benenti.projective import _matmul
-            return a * _matmul(S0, ginv) + b * _matmul(S1, ginv)
+            ginv = frame.g_inv
+            S0 = frame.benenti.S_coeffs[0]
+            S1 = frame.benenti.S_coeffs[1]
+            from benenti.geometry import matmul
+            return a * matmul(S0, ginv) + b * matmul(S1, ginv)
 
         combined = ops.QuantizedOperator(pair, combo_coeffs)
         p, f = (1.7, 0.8), "exp(x) * y"

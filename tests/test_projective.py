@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jet_reference as ref
 from benenti import catalog, jets
 from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
 from benenti.projective import (
@@ -27,9 +28,15 @@ def tensor_values(t):
     return t.value()
 
 
-def jet_matrix_values(comps):
-    return np.array([[comps[i, j].value for j in range(comps.shape[1])]
-                     for i in range(comps.shape[0])])
+def jet_matrix_values(t):
+    return np.array([[t[i, j].value for j in range(t.dim)]
+                     for i in range(t.dim)])
+
+
+def jet_array(t):
+    """The components of a rank-2 tensor as an object array of jets."""
+    return np.array([[t[i, j] for j in range(t.dim)] for i in range(t.dim)],
+                    dtype=object)
 
 
 class TestStructureTensor:
@@ -75,7 +82,7 @@ class TestStructureTensor:
             fd = (
                 pair.frame(plus, 0).L.value() - pair.frame(minus, 0).L.value()
             ) / (2 * h)
-            grad = np.array([[L.comps[i, j].coeffs[1 + s] for j in range(2)]
+            grad = np.array([[L[i, j].coeffs[1 + s] for j in range(2)]
                              for i in range(2)])
             assert np.allclose(grad, fd, rtol=1e-7, atol=1e-9)
 
@@ -113,7 +120,7 @@ class TestBenentiData:
     def test_dini_S0_K0(self):
         # S(0) = adjugate(-L) = diag(-1, -2); K(0) = g S(0) with g = delta here
         bd = dini().frame(DINI_POINT, 2).benenti
-        assert np.allclose(jet_matrix_values(bd.S_coeffs[0].comps),
+        assert np.allclose(jet_matrix_values(bd.S_coeffs[0]),
                            [[-1.0, 0.0], [0.0, -2.0]], atol=1e-14)
         assert np.allclose(bd.K_coeffs[0].value(),
                            [[-1.0, 0.0], [0.0, -2.0]], atol=1e-14)
@@ -179,6 +186,37 @@ class TestBenentiData:
                                                            rel=1e-7, abs=1e-9)
 
 
+def generic_pair(n):
+    """Two full, non-equivalent metrics in n variables: every entry of L,
+    S(t) and K(t) is a non-trivial jet."""
+    def metric(diagonal, off):
+        rows = [[diagonal(i) if i == j else off(min(i, j) + 1, max(i, j) + 1)
+                 for j in range(n)] for i in range(n)]
+        return MetricField([f"x{i + 1}" for i in range(n)], rows)
+
+    g = metric(lambda i: f"{4 + i} + 0.3 * x{i + 1}^2",
+               lambda a, b: f"0.3 * sin(x{a} + 2 * x{b})")
+    gbar = metric(lambda i: f"{2 + i} + 0.2 * x{i + 1} * x{(i + 1) % n + 1}",
+                  lambda a, b: f"0.25 * x{a} * cos(x{a} - x{b})")
+    return ProjectivePair(g, gbar)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_benenti_matches_scalar_jet_loops(n):
+    """PointFrame.benenti at order 4 against per-component loops on scalar
+    jets, bit for bit, so a change in the order of a sum shows here."""
+    frame = generic_pair(n).frame((0.3, 0.5, 0.7, 0.9)[:n], 4)
+    bd = frame.benenti
+    lam, lam_form, phi, S, K, char = ref.benenti(frame)
+    ref.assert_same_bits({(): bd.lam}, {(): lam})
+    ref.assert_same_bits(bd.lam_form, lam_form)
+    ref.assert_same_bits(bd.phi_form, phi)
+    for l in range(n):
+        ref.assert_same_bits(bd.S_coeffs[l], S[l])
+        ref.assert_same_bits(bd.K_coeffs[l], K[l])
+    ref.assert_same_bits(dict(enumerate(bd.char_coeffs)), dict(enumerate(char)))
+
+
 class TestAdjugateFamily:
     def rand_L(self, rng, d, order=2):
         comps = np.empty((d, d), dtype=object)
@@ -195,12 +233,12 @@ class TestAdjugateFamily:
         L = self.rand_L(rng, d)
         S_coeffs, char = adjugate_family(L)
         for t in rng.uniform(-3, 3, 5):
-            S = S_coeffs[0].comps
+            S = jet_array(S_coeffs[0])
             power = 1.0
             for c in S_coeffs[1:]:
                 power *= t
-                S = S + c.comps * power
-            tid_minus_L = -L.comps.copy()
+                S = S + jet_array(c) * power
+            tid_minus_L = -jet_array(L)
             det = char[0]
             power = 1.0
             for c in char[1:]:
@@ -238,14 +276,14 @@ class TestAdjugateFamily:
         recovered = recovered.reshape(d, d, d)
         for l in range(d):
             assert np.allclose(recovered[l],
-                               jet_matrix_values(S_coeffs[l].comps), atol=1e-9)
+                               jet_matrix_values(S_coeffs[l]), atol=1e-9)
 
     def test_two_dim_closed_form(self):
         # for n = 2 the family is S(t) = t Id + (L - trace(L) Id)
         pair = dini()
         frame = pair.frame((1.9, 0.6), 2)
-        S0 = jet_matrix_values(frame.benenti.S_coeffs[0].comps)
-        S1 = jet_matrix_values(frame.benenti.S_coeffs[1].comps)
+        S0 = jet_matrix_values(frame.benenti.S_coeffs[0])
+        S1 = jet_matrix_values(frame.benenti.S_coeffs[1])
         Lv = frame.L.value()
         assert np.allclose(S1, np.eye(2), atol=1e-14)
         assert np.allclose(S0, Lv - np.trace(Lv) * np.eye(2), atol=1e-13)
@@ -254,7 +292,7 @@ class TestAdjugateFamily:
         pair = catalog.get_entry("trivial3").pair
         frame = pair.frame((0.9, 1.4, 1.1), 2)
         for t in (-1.2, 0.3, 2.5):
-            direct = _adjugate((frame.L * -1.0 + _identity_times(frame, t)).comps)
+            direct = _adjugate(frame.L * -1.0 + _identity_times(frame, t))
             assert np.allclose(frame.S_of_t(t).value(),
                                jet_matrix_values(direct), atol=1e-11)
 
@@ -262,7 +300,7 @@ class TestAdjugateFamily:
 def _identity_times(frame, t):
     d = frame.dim
     comps = np.empty((d, d), dtype=object)
-    sample = frame.L.comps[0, 0]
+    sample = frame.L[0, 0]
     for i in range(d):
         for j in range(d):
             comps[i, j] = jets.Jet.constant(t if i == j else 0.0,

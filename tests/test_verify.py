@@ -40,8 +40,13 @@ class TestConfig:
         for grid in ((), (0.0, float("inf")), (float("nan"),)):
             with pytest.raises(ValueError):
                 verify.VerifyConfig(t_grid=grid)
-        with pytest.raises(ValueError):
-            verify.VerifyConfig(checks=("basic", "frobnicate"))
+        for checks in (("basic", "frobnicate"), ("basic", "basic"),
+                       ("killing", "basic", "killing")):
+            with pytest.raises(ValueError):
+                verify.VerifyConfig(checks=checks)
+        for tol in (float("inf"), float("nan"), -1.0, 0.0):
+            with pytest.raises(ValueError):
+                verify.VerifyConfig(tol=tol)
 
     def test_threshold_defaults_and_override(self):
         cfg = verify.VerifyConfig()
