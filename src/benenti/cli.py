@@ -32,11 +32,7 @@ def _resolve_pair(spec: str):
 
 
 def _build_config(args) -> VerifyConfig:
-    kwargs = dict(
-        points=args.points,
-        order=args.order,
-        seed=args.seed,
-    )
+    kwargs = dict(points=args.points, seed=args.seed)
     if args.tol is not None:
         kwargs["tol"] = args.tol
     if args.t_grid is not None:
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("pairs", nargs="*", help="catalog names or file paths")
     p_verify.add_argument("--all", action="store_true", help="verify the whole catalog")
     p_verify.add_argument("--points", type=int, default=20, help="sample points per check")
-    p_verify.add_argument("--order", type=int, default=4, help="jet order for frame checks")
     p_verify.add_argument(
         "--tol", type=float, default=None,
         help="override every per-check threshold with one value",

@@ -65,14 +65,19 @@ class QuantizedOperator:
         self.coordinates = geometry.coordinates
         self._coefficients = coefficients
         self.name = name
+        self._field = (None, None)  # (frame, symmetrized A at its order)
 
     def coefficient_tensor(self, point, order: int) -> JetTensor:
-        """A^{ij} as jets at (point, order), symmetrized."""
+        """A^{ij} as jets at (point, order), symmetrized; computed once per
+        frame at the frame's order and served truncated."""
         frame = self.pair.frame(point, order)
-        raw = self._coefficients(frame)
-        if not isinstance(raw, JetTensor):
-            raw = JetTensor(raw, 2, 0)
-        return JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
+        if self._field[0] is not frame:
+            raw = self._coefficients(frame)
+            if not isinstance(raw, JetTensor):
+                raw = JetTensor(raw, 2, 0)
+            field = JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
+            self._field = (frame, field)
+        return self._field[1].truncated(order)
 
     @classmethod
     def from_expressions(cls, metric: MetricField, components, name=None):

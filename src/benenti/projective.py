@@ -107,14 +107,15 @@ class ProjectivePair:
         self._frames: OrderedDict = OrderedDict()
 
     def frame(self, point, order: int) -> "PointFrame":
-        """Geometric data at (point, order), cached per pair."""
-        key = (tuple(float(c) for c in point), int(order))
-        hit = self._frames.get(key)
-        if hit is not None:
-            self._frames.move_to_end(key)
-            return hit
-        fr = PointFrame(self, key[0], order)
-        self._frames[key] = fr
+        """Geometric data at the point to at least ``order``: one cached frame
+        per point, built at the highest order asked for there, serves every
+        lower order (graded jets make those prefixes of its coefficients)."""
+        key = tuple(float(c) for c in point)
+        fr = self._frames.get(key)
+        if fr is None or not 0 <= order <= fr.order:
+            fr = PointFrame(self, key, order)  # rejects a negative order
+            self._frames[key] = fr
+        self._frames.move_to_end(key)
         if len(self._frames) > _FRAME_CACHE_SIZE:
             self._frames.popitem(last=False)
         return fr

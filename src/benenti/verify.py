@@ -43,7 +43,12 @@ from .projective import (
     t_grid,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+# Jet order of the frame checks.  The commutator and decompose checks apply
+# two second-order operators to order-4 jets; no other residual depends on
+# the order, so every frame check reads the same order-4 frame of a point.
+FRAME_ORDER = 4
 
 CHECK_IDS = (
     "basic",
@@ -93,7 +98,6 @@ class VerifyConfig:
     """Echoable configuration for a verification run."""
 
     points: int = 20
-    order: int = 4
     seed: int = 42
     tol: Optional[float] = None
     t_grid: Optional[tuple] = None
@@ -103,14 +107,15 @@ class VerifyConfig:
     drift_trajectories: int = 3
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError(f"points must be positive, got {self.points}")
-        if self.order < 3:
-            raise ValueError(f"order must be >= 3, got {self.order}")
+        for name in ("points", "drift_trajectories"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        for name in ("tol", "drift_step", "drift_horizon"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.t_grid is not None:
             if not self.t_grid:
                 raise ValueError("t_grid must not be empty")
@@ -199,7 +204,6 @@ class VerificationReport:
             "configuration": {
                 "seed": cfg.seed,
                 "points": cfg.points,
-                "order": cfg.order,
                 "tol": "per-check defaults" if cfg.tol is None else float(cfg.tol),
                 "t_grid": "eigenvalue-filtered default"
                 if cfg.t_grid is None
@@ -292,14 +296,12 @@ def _commutator_candidates(pair, point, grid):
 
 def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
     """(residual, params) of one check other than drift at one point."""
-    if check == "basic":
-        return check_projective_equivalence(pair, point, cfg.order), ()
-    if check == "connection":
-        return check_connection_difference(pair, point, cfg.order), ()
-    if check == "phi":
-        return check_phi_identity(pair, point, cfg.order), ()
-    if check == "ricci-comm":
-        return check_ricci_commutation(pair, point, cfg.order), ()
+    if check in ("basic", "connection", "phi", "ricci-comm"):
+        frame_check = {"basic": check_projective_equivalence,
+                       "connection": check_connection_difference,
+                       "phi": check_phi_identity,
+                       "ricci-comm": check_ricci_commutation}[check]
+        return frame_check(pair, point, FRAME_ORDER), ()
     grid = _grid_at(pair, point, cfg)
     if check == "decompose":
         t, s = grid[0], grid[-1]
@@ -314,15 +316,11 @@ def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
             ("v_norm", float(dec.v_norm)),
         )
         return max(dec.q_norm, dec.v_norm), params
-    if check == "killing":
+    if check in ("killing", "carter"):
+        family_check = (check_killing_tensor if check == "killing"
+                        else check_carter_condition)
         return _worst(
-            (check_killing_tensor(pair, t, point, cfg.order), (("t", float(t)),))
-            for t in grid
-        )
-    if check == "carter":
-        order = max(cfg.order, 3)
-        return _worst(
-            (check_carter_condition(pair, t, point, order), (("t", float(t)),))
+            (family_check(pair, t, point, FRAME_ORDER), (("t", float(t)),))
             for t in grid
         )
     if check == "poisson":

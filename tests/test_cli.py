@@ -190,6 +190,13 @@ class TestVerifyCommand:
         assert rc == 2
         assert err.startswith("error: ") and word in err
 
+    def test_order_flag_is_rejected(self, capsys):
+        # every frame check runs at the one order the commutator needs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "dini", "--order", "4"])
+        assert exc.value.code == 2
+        assert "--order" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_list_shows_catalog(self, capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from benenti import jets
 from benenti.errors import EvaluationDomainError, ExpressionSyntaxError
 from benenti.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -206,3 +209,12 @@ def test_jet_value_matches_real_evaluation(xv, yv):
     x, y = jets.seed_coordinates((xv, yv), order=3)
     jet = evaluate(e, {"x": x, "y": y})
     assert np.isclose(jet.value, real, rtol=1e-13, atol=1e-13)
+
+
+def test_readme_lists_the_expression_functions():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"the functions `([a-z ]+)`", readme).group(1).split()
+    assert tuple(listed) == FUNCTIONS
+    for name in ("tan", "log"):
+        with pytest.raises(ExpressionSyntaxError, match="unknown identifier"):
+            parse(f"{name}(x)", XY)

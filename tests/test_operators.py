@@ -5,7 +5,7 @@ import pytest
 
 from benenti import catalog, jets, operators as ops
 from benenti.errors import OrderExhaustedError
-from benenti.geometry import MetricField
+from benenti.geometry import MetricField, matmul
 from benenti.operators import PhaseSpacePoint
 
 FLAT = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
@@ -263,6 +263,25 @@ class TestDecompose:
         dec = ops.commutator_decompose(op, op, (1.8, 0.6))
         assert dec.q_norm == 0.0 and dec.v_norm == 0.0
         assert dec.cubic_residual == 0.0
+
+    def test_coefficient_field_is_computed_once_per_operator(self):
+        # the nested applications at orders 4 and 2 share one field
+        pair = dini()
+        calls = []
+
+        def killing(t):
+            def coefficients(frame):
+                calls.append(t)
+                return matmul(frame.S_of_t(t), frame.g_inv)
+            return ops.QuantizedOperator(pair, coefficients)
+
+        dec = ops.commutator_decompose(killing(0.0), killing(3.0), (1.9, 0.45))
+        assert sorted(calls) == [0.0, 3.0]
+        reference = ops.commutator_decompose(
+            ops.killing_operator(pair, 0.0), ops.killing_operator(pair, 3.0),
+            (1.9, 0.45))
+        assert np.array_equal(dec.Q, reference.Q)
+        assert np.array_equal(dec.V, reference.V)
 
     def test_equivalent_pair_decomposes_to_zero(self):
         pair = dini()

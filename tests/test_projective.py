@@ -7,6 +7,7 @@ import jet_reference as ref
 from benenti import catalog, jets
 from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
 from benenti.projective import (
+    PointFrame,
     ProjectivePair,
     adjugate_family,
     check_carter_condition,
@@ -22,6 +23,11 @@ DINI_POINT = (2.0, 1.0)
 
 def dini():
     return catalog.get_entry("dini").pair
+
+
+def fresh(pair):
+    """A copy of the pair with an empty frame cache."""
+    return ProjectivePair(pair.g, pair.gbar, pair.domain)
 
 
 def tensor_values(t):
@@ -217,6 +223,77 @@ def test_benenti_matches_scalar_jet_loops(n):
     ref.assert_same_bits(dict(enumerate(bd.char_coeffs)), dict(enumerate(char)))
 
 
+def levi_civita_3():
+    """Levi-Civita normal form in three variables with X_i = x_i."""
+    def diagonal(entries):
+        return [[entries[i] if i == j else "0" for j in range(3)]
+                for i in range(3)]
+
+    factors = ["(x1 - x2) * (x1 - x3)", "(x1 - x2) * (x2 - x3)",
+               "(x1 - x3) * (x2 - x3)"]
+    g = MetricField(("x1", "x2", "x3"), diagonal(factors))
+    gbar = MetricField(("x1", "x2", "x3"), diagonal(
+        [f"{f} / (x{i + 1} * x1 * x2 * x3)" for i, f in enumerate(factors)]))
+    return ProjectivePair(g, gbar, {"x1": (3.0, 3.8), "x2": (1.8, 2.5),
+                                    "x3": (0.4, 1.2)})
+
+
+# PointFrame quantities by the lowest frame order that can compute them
+FRAME_QUANTITIES = {
+    0: ("g", "gbar", "g_inv", "gbar_inv", "sqrt_abs_det_g", "L"),
+    1: ("gamma", "gamma_bar", "gamma_trace", "benenti", "A_coeffs"),
+    2: ("ricci_tensor", "ricci_endo"),
+}
+
+
+def frame_coefficients(frame):
+    """(name, coefficient array) of every quantity the frame's order allows."""
+    out = []
+    for lowest, names in FRAME_QUANTITIES.items():
+        if frame.order < lowest:
+            continue
+        for name in names:
+            value = getattr(frame, name)
+            if name == "benenti":
+                parts = [value.L, value.lam, value.lam_form, value.phi_form,
+                         *value.S_coeffs, *value.K_coeffs, *value.char_coeffs]
+            elif isinstance(value, tuple):
+                parts = list(value)
+            else:
+                parts = [value]
+            out += [(f"{name}[{i}]", part.coeffs) for i, part in enumerate(parts)]
+    return out
+
+
+TRUNCATION_PAIRS = [*catalog.list_entries(), "levi_civita_3", "generic_3"]
+
+
+@pytest.mark.parametrize("name", TRUNCATION_PAIRS)
+def test_lower_order_frames_are_prefixes_of_the_top_one(name):
+    """Every quantity of a frame built at order k < 4 equals the leading
+    coefficients of the order-4 frame's, bit for bit: the frame cache serves
+    every lower order from one top-order frame per point."""
+    if name == "levi_civita_3":
+        pair = levi_civita_3()
+    elif name == "generic_3":
+        pair = generic_pair(3)
+    else:
+        pair = catalog.get_entry(name).pair
+    if pair.domain is None:
+        point = (0.3, 0.5, 0.7)
+    else:
+        point = pair.sample_point(np.random.default_rng(5), shrink=0.1)
+    top = dict(frame_coefficients(PointFrame(pair, point, 4)))
+    for order in range(4):
+        low = frame_coefficients(PointFrame(pair, point, order))
+        assert low
+        for label, coeffs in low:
+            prefix = top[label][..., : coeffs.shape[-1]]
+            assert prefix.shape == coeffs.shape, (order, label)
+            assert np.array_equal(prefix.view(np.int64), coeffs.view(np.int64)), (
+                order, label)
+
+
 class TestAdjugateFamily:
     def rand_L(self, rng, d, order=2):
         comps = np.empty((d, d), dtype=object)
@@ -409,10 +486,20 @@ class TestPairBehavior:
             ProjectivePair(pair.g, pair.gbar).sample_point(rng)
 
     def test_frame_cache_returns_same_object(self):
-        pair = dini()
-        assert pair.frame((1.5, 0.5), 2) is pair.frame((1.5, 0.5), 2)
-        assert pair.frame((1.5, 0.5), 2) is not pair.frame((1.5, 0.5), 3)
+        pair = fresh(dini())
+        p = (1.5, 0.5)
+        assert pair.frame(p, 2) is pair.frame(p, 2)
+        high = pair.frame(p, 3)
+        assert high.order == 3
+        # one frame per point: lower orders are served by the highest one
+        assert pair.frame(p, 2) is high
+        assert pair.frame(p, 0) is high
+        assert pair.frame(p, 4).order == 4
 
     def test_negative_order_rejected(self):
+        pair = fresh(dini())
         with pytest.raises(ValueError):
-            dini().frame(DINI_POINT, -1)
+            pair.frame(DINI_POINT, -1)
+        pair.frame(DINI_POINT, 2)
+        with pytest.raises(ValueError):
+            pair.frame(DINI_POINT, -1)

@@ -8,7 +8,7 @@ import yaml
 from benenti import catalog, verify
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
-from benenti.projective import ProjectivePair
+from benenti.projective import PointFrame, ProjectivePair
 
 
 def strip_timing(text: str) -> str:
@@ -27,14 +27,12 @@ def quick_report(name, **overrides):
 class TestConfig:
     def test_defaults(self):
         cfg = verify.VerifyConfig()
-        assert cfg.points == 20 and cfg.order == 4 and cfg.seed == 42
+        assert cfg.points == 20 and cfg.seed == 42
         assert cfg.checks == verify.CHECK_IDS
 
     def test_validation(self):
         with pytest.raises(ValueError):
             verify.VerifyConfig(points=0)
-        with pytest.raises(ValueError):
-            verify.VerifyConfig(order=2)
         with pytest.raises(ValueError):
             verify.VerifyConfig(seed=-1)
         for grid in ((), (0.0, float("inf")), (float("nan"),)):
@@ -47,6 +45,13 @@ class TestConfig:
         for tol in (float("inf"), float("nan"), -1.0, 0.0):
             with pytest.raises(ValueError):
                 verify.VerifyConfig(tol=tol)
+        for trajectories in (0, -1):
+            with pytest.raises(ValueError, match="drift_trajectories"):
+                verify.VerifyConfig(drift_trajectories=trajectories)
+        for name in ("drift_step", "drift_horizon"):
+            for value in (float("inf"), float("nan"), -1e-3, 0.0):
+                with pytest.raises(ValueError, match=name):
+                    verify.VerifyConfig(**{name: value})
 
     def test_threshold_defaults_and_override(self):
         cfg = verify.VerifyConfig()
@@ -149,6 +154,23 @@ class TestReports:
     def test_tol_override_applies_to_records(self):
         rep = quick_report("control_nonequiv", tol=1e6)
         assert rep.passed  # absurd tolerance turns everything green
+
+    def test_frames_are_built_at_orders_zero_and_four_only(self, monkeypatch):
+        # sampling builds an order-0 frame per point; the first frame check
+        # replaces it by the order-4 frame every later check reads
+        built = []
+        build = PointFrame.__init__
+
+        def counting(frame, pair, point, order):
+            built.append(order)
+            build(frame, pair, point, order)
+
+        monkeypatch.setattr(PointFrame, "__init__", counting)
+        dini = catalog.get_entry("dini").pair
+        pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
+        checks = tuple(c for c in verify.CHECK_IDS if c != "drift")
+        verify.verify_pair(pair, verify.VerifyConfig(points=3, checks=checks))
+        assert sorted(built) == [0, 0, 0, 4, 4, 4]
 
     def test_degenerate_sampling_exhausts_retries(self):
         g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
