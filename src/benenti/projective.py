@@ -36,7 +36,6 @@ test suite.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -61,8 +60,6 @@ from .geometry import (
     matmul,
     ricci,
 )
-
-_FRAME_CACHE_SIZE = 128
 
 
 class ProjectivePair:
@@ -104,20 +101,21 @@ class ProjectivePair:
             self.domain = clean
         else:
             self.domain = None
-        self._frames: OrderedDict = OrderedDict()
+        self._frame = None
 
     def frame(self, point, order: int) -> "PointFrame":
-        """Geometric data at the point to at least ``order``: one cached frame
-        per point, built at the highest order asked for there, serves every
-        lower order (graded jets make those prefixes of its coefficients)."""
+        """Geometric data at the point to at least ``order``.
+
+        The pair keeps one frame, the last one built.  It serves every order
+        at or below its own at its point (graded jets make those prefixes of
+        its coefficients); any other request builds a frame that replaces
+        it.  Callers therefore finish with one point before the next, as
+        ``verify_pair`` does.
+        """
         key = tuple(float(c) for c in point)
-        fr = self._frames.get(key)
-        if fr is None or not 0 <= order <= fr.order:
-            fr = PointFrame(self, key, order)  # rejects a negative order
-            self._frames[key] = fr
-        self._frames.move_to_end(key)
-        if len(self._frames) > _FRAME_CACHE_SIZE:
-            self._frames.popitem(last=False)
+        fr = self._frame
+        if fr is None or fr.point != key or not 0 <= order <= fr.order:
+            fr = self._frame = PointFrame(self, key, order)  # rejects order < 0
         return fr
 
     def sample_point(self, rng: np.random.Generator, shrink: float = 0.0):

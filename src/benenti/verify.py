@@ -234,10 +234,13 @@ class VerificationReport:
         )
 
 
-def _sample_points(pair: ProjectivePair, n: int, rng: np.random.Generator):
-    """n domain points, resampling degenerate draws up to 100 times each."""
-    points = []
-    for _ in range(n):
+def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
+                   rng: np.random.Generator):
+    """(points, t grids): cfg.points domain points, resampling degenerate
+    draws up to 100 times each, and the t grid of each point, taken while
+    its order-0 frame is still the pair's frame."""
+    points, grids = [], []
+    for _ in range(cfg.points):
         for _attempt in range(100):
             p = pair.sample_point(rng)
             try:
@@ -245,19 +248,15 @@ def _sample_points(pair: ProjectivePair, n: int, rng: np.random.Generator):
             except DegenerateMetricError:
                 continue
             points.append(p)
+            grids.append(t_grid(pair, p) if cfg.t_grid is None
+                         else tuple(cfg.t_grid))
             break
         else:
             raise DegenerateMetricError(
                 f"could not sample a non-degenerate point in "
                 f"{pair.name or 'pair'} after 100 tries"
             )
-    return points
-
-
-def _grid_at(pair: ProjectivePair, point, cfg: VerifyConfig) -> tuple:
-    if cfg.t_grid is not None:
-        return tuple(cfg.t_grid)
-    return t_grid(pair, point)
+    return points, grids
 
 
 def _unordered_pairs(values: Sequence[float]):
@@ -294,7 +293,7 @@ def _commutator_candidates(pair, point, grid):
             yield abs(value) / scale, params
 
 
-def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
+def _record_at(pair, check, point, grid, momentum):
     """(residual, params) of one check other than drift at one point."""
     if check in ("basic", "connection", "phi", "ricci-comm"):
         frame_check = {"basic": check_projective_equivalence,
@@ -302,7 +301,6 @@ def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
                        "phi": check_phi_identity,
                        "ricci-comm": check_ricci_commutation}[check]
         return frame_check(pair, point, FRAME_ORDER), ()
-    grid = _grid_at(pair, point, cfg)
     if check == "decompose":
         t, s = grid[0], grid[-1]
         dec = ops.commutator_decompose(
@@ -338,12 +336,12 @@ def _record_at(pair, check, point, momentum, cfg: VerifyConfig):
     raise ValueError(f"unknown check: {check}")
 
 
-def _drift_records(pair, points, velocities, cfg: VerifyConfig):
+def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):
     """(start point, residual, params) of each drift trajectory."""
     n = min(cfg.drift_trajectories, len(points))
     ts, starts = [], []
-    for x0, v in zip(points[:n], velocities[:n]):
-        ts.append(_grid_at(pair, x0, cfg)[0])
+    for x0, grid, v in zip(points[:n], grids, velocities[:n]):
+        ts.append(grid[0])
         p0 = tuple(pair.g.values(x0) @ np.asarray(v, dtype=float))
         starts.append(ops.PhaseSpacePoint(x0, p0))
     results = ops.geodesic_drifts(
@@ -381,7 +379,7 @@ def verify_pair(
 
     ss = np.random.SeedSequence(cfg.seed)
     s_points, s_momenta, s_velocities = ss.spawn(3)
-    points = _sample_points(pair, cfg.points, np.random.default_rng(s_points))
+    points, grids = _sample_points(pair, cfg, np.random.default_rng(s_points))
     momenta = np.random.default_rng(s_momenta).uniform(
         -2.0, 2.0, size=(cfg.points, pair.dim)
     )
@@ -389,25 +387,25 @@ def verify_pair(
         -0.7, 0.7, size=(cfg.points, pair.dim)
     )
 
-    records = []
-    for check in cfg.checks:
-        if check == "drift":
-            outcomes = _drift_records(pair, points, velocities, cfg)
-        else:
-            outcomes = [
-                (point, *_record_at(pair, check, point, momentum, cfg))
-                for point, momentum in zip(points, momenta)
-            ]
-        for point, residual, params in outcomes:
-            records.append(
-                CheckRecord(
-                    check=check,
-                    point=tuple(float(c) for c in point),
-                    residual=float(residual),
-                    threshold=cfg.threshold(check),
-                    params=params,
-                )
-            )
+    # Every check runs at a point before the next point replaces the pair's
+    # frame; the records still come out check by check.
+    outcomes = {check: [] for check in cfg.checks if check != "drift"}
+    for point, grid, momentum in zip(points, grids, momenta):
+        for check, found in outcomes.items():
+            found.append((point, *_record_at(pair, check, point, grid, momentum)))
+    if "drift" in cfg.checks:
+        outcomes["drift"] = _drift_records(pair, points, grids, velocities, cfg)
+    records = [
+        CheckRecord(
+            check=check,
+            point=tuple(float(c) for c in point),
+            residual=float(residual),
+            threshold=cfg.threshold(check),
+            params=params,
+        )
+        for check in cfg.checks
+        for point, residual, params in outcomes[check]
+    ]
     return VerificationReport(
         pair_name=pair.name or "unnamed",
         source=source,

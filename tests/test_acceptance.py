@@ -42,7 +42,7 @@ from benenti.projective import (
     check_ricci_commutation,
     t_grid,
 )
-from benenti.verify import _sample_points, function_suite
+from benenti.verify import VerifyConfig, _sample_points, function_suite
 
 QUANTUM_ENTRIES = ("dini", "beltrami", "lorentz_dini", "scaled", "trivial")
 SEED = 42
@@ -54,7 +54,9 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _points(pair, n=20, seed=SEED):
-    return _sample_points(pair, n, np.random.default_rng(seed))
+    points, _grids = _sample_points(
+        pair, VerifyConfig(points=n), np.random.default_rng(seed))
+    return points
 
 
 def _grid_pairs(grid):

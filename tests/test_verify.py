@@ -155,22 +155,38 @@ class TestReports:
         rep = quick_report("control_nonequiv", tol=1e6)
         assert rep.passed  # absurd tolerance turns everything green
 
-    def test_frames_are_built_at_orders_zero_and_four_only(self, monkeypatch):
-        # sampling builds an order-0 frame per point; the first frame check
-        # replaces it by the order-4 frame every later check reads
-        built = []
-        build = PointFrame.__init__
+    @pytest.mark.parametrize("points, checks", [
+        (3, tuple(c for c in verify.CHECK_IDS if c != "drift")),
+        # more points than a pair ever kept frames for
+        (130, ("basic", "connection")),
+    ])
+    def test_frames_are_built_at_orders_zero_and_four_only(
+        self, monkeypatch, points, checks
+    ):
+        # sampling builds an order-0 frame per point and takes its t grid
+        # there; the walk over the points then builds one order-4 frame per
+        # point, which every check at that point reads
+        built, grid_points = [], []
+        build, grid = PointFrame.__init__, verify.t_grid
 
         def counting(frame, pair, point, order):
             built.append(order)
             build(frame, pair, point, order)
 
+        def counting_grid(pair, point):
+            grid_points.append(point)
+            return grid(pair, point)
+
         monkeypatch.setattr(PointFrame, "__init__", counting)
+        monkeypatch.setattr(verify, "t_grid", counting_grid)
         dini = catalog.get_entry("dini").pair
         pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
-        checks = tuple(c for c in verify.CHECK_IDS if c != "drift")
-        verify.verify_pair(pair, verify.VerifyConfig(points=3, checks=checks))
-        assert sorted(built) == [0, 0, 0, 4, 4, 4]
+        rep = verify.verify_pair(
+            pair, verify.VerifyConfig(points=points, checks=checks)
+        )
+        assert built == [0] * points + [4] * points
+        assert grid_points == [r.point for r in rep.records
+                               if r.check == checks[0]]
 
     def test_degenerate_sampling_exhausts_retries(self):
         g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
