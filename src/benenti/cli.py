@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .errors import BenentiError, PairFileError, UnknownEntryError
+from .errors import BenentiError, UnknownEntryError
 from .pairfile import load_pair
 from .verify import CHECK_IDS, VerifyConfig, verify_pair
 
@@ -60,18 +60,7 @@ def cmd_verify(args) -> int:
     documents = []
     all_passed = True
     for spec in specs:
-        try:
-            pair, source, expected = _resolve_pair(spec)
-        except PairFileError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        except UnknownEntryError as err:
-            print(f"error: {err.args[0]}", file=sys.stderr)
-            return 2
-        except OSError as err:
-            print(f"error: cannot read {spec}: {err}", file=sys.stderr)
-            return 2
-
+        pair, source, expected = _resolve_pair(spec)
         report = verify_pair(
             pair, config, source=source, expected_equivalent=expected
         )
@@ -127,18 +116,7 @@ def _diagonalizability(L: np.ndarray) -> str:
 
 
 def cmd_describe(args) -> int:
-    try:
-        pair, source, expected = _resolve_pair(args.pair)
-    except PairFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnknownEntryError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: cannot read {args.pair}: {err}", file=sys.stderr)
-        return 2
-
+    pair, source, expected = _resolve_pair(args.pair)
     print(f"pair: {pair.name or args.pair}")
     print(f"source: {source}")
     print(f"dimension: {pair.dim}")

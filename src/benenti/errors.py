@@ -68,3 +68,7 @@ class UnknownEntryError(BenentiError, KeyError):
     def __init__(self, name: str, known):
         self.name = name
         super().__init__(f"unknown catalog entry {name!r}; known: {', '.join(known)}")
+
+    def __str__(self):
+        # KeyError.__str__ would quote the message
+        return self.args[0]

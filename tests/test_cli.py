@@ -103,11 +103,14 @@ class TestVerifyCommand:
         assert rc == 2
         assert "cannot read" in err
 
-    def test_unknown_name_exits_two(self, capsys):
-        rc = main(["verify", "zorp"])
+    @pytest.mark.parametrize("command", ["verify", "describe"])
+    def test_unknown_name_exits_two(self, capsys, command):
+        rc = main([command, "zorp"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "unknown catalog entry" in err and "dini" in err
+        # one unquoted error line, though the error is a KeyError
+        assert err.startswith("error: unknown catalog entry 'zorp'; known: ")
+        assert "dini" in err and err.count("\n") == 1
 
     def test_no_pairs_exits_two(self, capsys):
         rc = main(["verify"])
@@ -223,11 +226,6 @@ class TestOtherCommands:
             assert sorted(map(float, (x, y))) == pytest.approx(
                 sorted(map(float, (e1, e2))), abs=1e-4
             )
-
-    def test_describe_unknown_pair(self, capsys):
-        rc = main(["describe", "zorp"])
-        assert rc == 2
-        assert "unknown catalog entry" in capsys.readouterr().err
 
     def test_describe_negative_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
