@@ -69,8 +69,13 @@ class _Source:
     def __init__(self, text: str, label: str):
         self.label = label
         try:
-            self.data = yaml.safe_load(text)
-            self.root = yaml.compose(text)
+            loader = yaml.SafeLoader(text)  # one parse gives nodes and data
+            try:
+                self.root = loader.get_single_node()
+                self.data = (None if self.root is None
+                             else loader.construct_document(self.root))
+            finally:
+                loader.dispose()
         except yaml.MarkedYAMLError as err:
             line = col = None
             if err.problem_mark is not None:
@@ -293,6 +298,8 @@ def load_pair(path) -> ProjectivePair:
         text = p.read_text()
     except OSError as err:
         raise PairFileError(f"cannot read {p}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise PairFileError(f"cannot read {p}: {err}") from err
     pair = parse_pair(text, label=str(p))
     if pair.name is None:
         pair.name = p.stem

@@ -90,6 +90,12 @@ class TestParseGood:
             load_pair(tmp_path / "absent.yaml")
         assert "cannot read" in str(err.value)
 
+    def test_load_pair_undecodable_file(self, tmp_path):
+        f = tmp_path / "binary.yaml"
+        f.write_bytes(b"\xff\xfe dim: 2\n")
+        with pytest.raises(PairFileError, match="cannot read .*binary.yaml"):
+            load_pair(f)
+
 
 class TestDiagnostics:
     def test_yaml_syntax_error_has_position(self):
