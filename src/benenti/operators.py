@@ -401,48 +401,17 @@ def integral_field(pair: ProjectivePair, t: float):
     return field
 
 
-def expression_quadratic_field(coordinates: Sequence[str], components):
-    """x -> (values, derivatives) of a quadratic form given as expressions.
-
-    For ad-hoc integrals F(x, p) = A^{ij}(x) p_i p_j that do not come from a
-    metric pair, e.g. non-conserved controls.
-    """
-    coords = tuple(coordinates)
-    d = len(coords)
-    if len(components) != d or any(len(row) != d for row in components):
-        raise ValueError(f"coefficient matrix must be {d}x{d}")
-    parsed = [[expr.parse(str(c), coords) for c in row] for row in components]
-
-    def field(x):
-        seeds = jets.seed_coordinates(x, 1)
-        assignment = dict(zip(coords, seeds))
-        vals = np.empty((d, d))
-        derivs = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                jet = expr.evaluate(parsed[i][j], assignment)
-                vals[i, j] = jet.value
-                derivs[:, i, j] = jet.coeffs[1 : 1 + d]
-        return vals, derivs
-
-    return field
-
-
-def _bracket_terms(field_t, field_s, phi: PhaseSpacePoint):
-    At, dAt = field_t(phi.x)
-    As, dAs = field_s(phi.x)
+def _bracket_terms(pair: ProjectivePair, t: float, s: float,
+                   phi: PhaseSpacePoint):
+    """dI_t/dp, dI_t/dx, dI_s/dp and dI_s/dx at the phase point."""
+    At, dAt = integral_field(pair, t)(phi.x)
+    As, dAs = integral_field(pair, s)(phi.x)
     p = np.asarray(phi.p)
     dIt_dp = 2.0 * At @ p
     dIs_dp = 2.0 * As @ p
     dIt_dx = np.einsum("sij,i,j->s", dAt, p, p)
     dIs_dx = np.einsum("sij,i,j->s", dAs, p, p)
     return dIt_dp, dIt_dx, dIs_dp, dIs_dx
-
-
-def quadratic_bracket(field_t, field_s, phi: PhaseSpacePoint) -> float:
-    """{F, G} for two quadratic-in-p functions given by coefficient fields."""
-    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(field_t, field_s, phi)
-    return float(dIt_dp @ dIs_dx - dIt_dx @ dIs_dp)
 
 
 def poisson_bracket(pair: ProjectivePair, t: float, s: float,
@@ -452,17 +421,14 @@ def poisson_bracket(pair: ProjectivePair, t: float, s: float,
     The x-derivatives come from order-1 jets of the coefficient fields; the
     p-derivatives are analytic (I is an explicit quadratic in p).
     """
-    return quadratic_bracket(
-        integral_field(pair, t), integral_field(pair, s), phi
-    )
+    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
+    return float(dIt_dp @ dIs_dx - dIt_dx @ dIs_dp)
 
 
 def poisson_residual(pair: ProjectivePair, t: float, s: float,
                      phi: PhaseSpacePoint) -> float:
     """|{I_t, I_s}| over max(1, size of either term), cancellation-proof."""
-    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(
-        integral_field(pair, t), integral_field(pair, s), phi
-    )
+    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
     value = float(dIt_dp @ dIs_dx - dIt_dx @ dIs_dp)
     scale = max(
         1.0,

@@ -401,14 +401,6 @@ class TestPoisson:
             for (t, s) in ((0.0, 3.0), (-2.0, 0.5), (1.0, 2.0)):
                 assert ops.poisson_residual(pair, t, s, phi) < 1e-8
 
-    def test_hand_value_for_flat_control(self):
-        # {x p_x^2, p_x^2 + p_y^2} at x=(1,1), p=(1,0): the only contribution
-        # is -dF/dx . dG/dp = -(1)(2) = -2
-        fK = ops.expression_quadratic_field(("x", "y"), [["x", "0"], ["0", "0"]])
-        fH = ops.expression_quadratic_field(("x", "y"), [["1", "0"], ["0", "1"]])
-        phi = PhaseSpacePoint((1.0, 1.0), (1.0, 0.0))
-        assert ops.quadratic_bracket(fK, fH, phi) == pytest.approx(-2.0, rel=1e-14)
-
     def test_bracket_matches_fd_hamiltonian_oracle(self):
         # the control pair has genuinely nonzero brackets; compare the jet
         # route against central differences of I_t on phase space
