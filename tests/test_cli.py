@@ -14,6 +14,14 @@ def strip_timing(text: str) -> str:
     return re.sub(r"timing:\n(  .*\n)+", "", text)
 
 
+def assert_unknown_name_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    # one unquoted error line, though the error is a KeyError
+    assert err.startswith("error: unknown catalog entry 'zorp'; known: ")
+    assert "dini" in err and err.count("\n") == 1
+
+
 GOOD_FILE = """\
 dim: 2
 coords: [u, v]
@@ -103,14 +111,8 @@ class TestVerifyCommand:
         assert rc == 2
         assert "cannot read" in err
 
-    @pytest.mark.parametrize("command", ["verify", "describe"])
-    def test_unknown_name_exits_two(self, capsys, command):
-        rc = main([command, "zorp"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        # one unquoted error line, though the error is a KeyError
-        assert err.startswith("error: unknown catalog entry 'zorp'; known: ")
-        assert "dini" in err and err.count("\n") == 1
+    def test_unknown_name_exits_two(self, capsys):
+        assert_unknown_name_error(main(["verify", "zorp"]), capsys)
 
     def test_no_pairs_exits_two(self, capsys):
         rc = main(["verify"])
@@ -226,6 +228,9 @@ class TestOtherCommands:
             assert sorted(map(float, (x, y))) == pytest.approx(
                 sorted(map(float, (e1, e2))), abs=1e-4
             )
+
+    def test_describe_unknown_pair(self, capsys):
+        assert_unknown_name_error(main(["describe", "zorp"]), capsys)
 
     def test_describe_negative_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -401,6 +401,16 @@ class TestPoisson:
             for (t, s) in ((0.0, 3.0), (-2.0, 0.5), (1.0, 2.0)):
                 assert ops.poisson_residual(pair, t, s, phi) < 1e-8
 
+    def test_hand_value_for_flat_control(self):
+        # g = 1, gbar = diag(1 + x^2, 1): L = diag(b^-2, b) with b = (1+x^2)^(1/3),
+        # so I_t = (t - b) p_x^2 + (t - b^-2) p_y^2. At p = (1, 0) the bracket
+        # is -2 (t - s) b'(x); at x = 1, t = 1, s = 0 that is -(4/3) 2^(-2/3)
+        pair = catalog.get_entry("control_nonequiv").pair
+        phi = PhaseSpacePoint((1.0, 1.0), (1.0, 0.0))
+        assert ops.poisson_bracket(pair, 1.0, 0.0, phi) == pytest.approx(
+            -(4.0 / 3.0) * 2.0 ** (-2.0 / 3.0), rel=1e-14
+        )
+
     def test_bracket_matches_fd_hamiltonian_oracle(self):
         # the control pair has genuinely nonzero brackets; compare the jet
         # route against central differences of I_t on phase space

@@ -67,6 +67,32 @@ class TestConfig:
         assert len(set(suite)) == 7
 
 
+def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
+    # sampling builds an order-0 frame per point and takes its t grid there;
+    # the walk over the points then builds one order-4 frame per point, which
+    # every check at that point reads
+    built, grid_points = [], []
+    build, grid = PointFrame.__init__, verify.t_grid
+
+    def counting(frame, pair, point, order):
+        built.append(order)
+        build(frame, pair, point, order)
+
+    def counting_grid(pair, point):
+        grid_points.append(point)
+        return grid(pair, point)
+
+    monkeypatch.setattr(PointFrame, "__init__", counting)
+    monkeypatch.setattr(verify, "t_grid", counting_grid)
+    dini = catalog.get_entry("dini").pair
+    pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
+    rep = verify.verify_pair(
+        pair, verify.VerifyConfig(points=points, checks=checks)
+    )
+    assert built == [0] * points + [4] * points
+    assert grid_points == [r.point for r in rep.records if r.check == checks[0]]
+
+
 class TestReports:
     def test_equivalent_pair_passes_all_checks(self):
         rep = quick_report("dini")
@@ -155,38 +181,15 @@ class TestReports:
         rep = quick_report("control_nonequiv", tol=1e6)
         assert rep.passed  # absurd tolerance turns everything green
 
-    @pytest.mark.parametrize("points, checks", [
-        (3, tuple(c for c in verify.CHECK_IDS if c != "drift")),
+    def test_frames_are_built_at_orders_zero_and_four_only(self, monkeypatch):
+        checks = tuple(c for c in verify.CHECK_IDS if c != "drift")
+        assert_one_frame_per_order_and_point(monkeypatch, 3, checks)
+
+    def test_frames_are_built_once_past_128_points(self, monkeypatch):
         # more points than a pair ever kept frames for
-        (130, ("basic", "connection")),
-    ])
-    def test_frames_are_built_at_orders_zero_and_four_only(
-        self, monkeypatch, points, checks
-    ):
-        # sampling builds an order-0 frame per point and takes its t grid
-        # there; the walk over the points then builds one order-4 frame per
-        # point, which every check at that point reads
-        built, grid_points = [], []
-        build, grid = PointFrame.__init__, verify.t_grid
-
-        def counting(frame, pair, point, order):
-            built.append(order)
-            build(frame, pair, point, order)
-
-        def counting_grid(pair, point):
-            grid_points.append(point)
-            return grid(pair, point)
-
-        monkeypatch.setattr(PointFrame, "__init__", counting)
-        monkeypatch.setattr(verify, "t_grid", counting_grid)
-        dini = catalog.get_entry("dini").pair
-        pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
-        rep = verify.verify_pair(
-            pair, verify.VerifyConfig(points=points, checks=checks)
+        assert_one_frame_per_order_and_point(
+            monkeypatch, 130, ("basic", "connection")
         )
-        assert built == [0] * points + [4] * points
-        assert grid_points == [r.point for r in rep.records
-                               if r.check == checks[0]]
 
     def test_degenerate_sampling_exhausts_retries(self):
         g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
