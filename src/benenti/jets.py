@@ -276,27 +276,17 @@ class Jet:
         return Jet._new(self.space, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError(
-                    "jets must share nvars and order: "
-                    f"({self.nvars},{self.order}) vs ({other.nvars},{other.order})"
-                )
-            a, b = self.coeffs, other.coeffs
-            if a.ndim == b.ndim == 1:
-                ii, jj, kk = self.space._mul
-                return Jet._new(
-                    self.space,
-                    np.bincount(kk, a[ii] * b[jj], minlength=self.space.ncoeffs),
-                )
-            if a.shape != b.shape:
-                raise ValueError(
-                    f"jets must share the batch: {a.shape[:-1]} vs {b.shape[:-1]}"
-                )
-            return Jet._new(self.space, product_coeffs(self.space, a, b))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Jet._new(self.space, self.coeffs * float(other))
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if a.shape != b.shape:
+            raise ValueError(
+                f"jets must share the batch: {a.shape[:-1]} vs {b.shape[:-1]}"
+            )
+        return Jet._new(self.space, product_coeffs(self.space, a, b))
 
     __rmul__ = __mul__
 
@@ -385,25 +375,16 @@ def gradient(f: Jet) -> list[Jet]:
 
 
 def _compose(f: Jet, series: np.ndarray) -> Jet:
-    """Evaluate ``sum_k series[..., k] * (f - f.value)^k`` by Horner."""
-    sp = f.space
+    """Evaluate ``sum_k series[..., k] * (f - f.value)^k`` by Horner, with
+    the same recurrence on every row of a batch."""
     w = f.coeffs.copy()
+    w[..., 0] = 0.0
     acc = np.zeros(w.shape)
-    if w.ndim == 2:
-        # the same recurrence on every row; series.T runs over k
-        w[:, 0] = 0.0
-        acc[:, 0] = series[:, -1]
-        for a in series.T[-2::-1]:
-            acc = product_coeffs(sp, acc, w)
-            acc[:, 0] += a
-        return Jet._new(sp, acc)
-    w[0] = 0.0
-    ii, jj, kk = sp._mul
-    acc[0] = series[-1]
-    for a in series[-2::-1]:
-        acc = np.bincount(kk, acc[ii] * w[jj], minlength=sp.ncoeffs)
-        acc[0] += a
-    return Jet._new(sp, acc)
+    acc[..., 0] = series[..., -1]
+    for k in range(series.shape[-1] - 2, -1, -1):
+        acc = product_coeffs(f.space, acc, w)
+        acc[..., 0] += series[..., k]
+    return Jet._new(f.space, acc)
 
 
 def _constant_terms(f: Jet) -> list[float]:

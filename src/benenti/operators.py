@@ -146,32 +146,45 @@ def _function_jet(op: QuantizedOperator, f: FunctionLike, point, order: int):
     return expr.evaluate(f, dict(zip(op.coordinates, seeds)))
 
 
-def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
-                  form: str = "christoffel") -> jets.Jet:
-    """Core application; consumes two jet orders."""
-    m = f_jet.order
+def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
+           form: str = "christoffel") -> np.ndarray:
+    """nabla_i (A^{ij} d_j f) on arrays of jets; consumes two jet orders.
+
+    ``f`` holds jets of space ``sp`` (order m), ``A`` symmetrized (2,0)
+    fields to order m-1 or more, shape (..., n, n, coeffs).  Their leading
+    axes broadcast, and each result has the bits of its own application.
+    """
+    m = sp.order
     if m < 2:
         raise OrderExhaustedError(
             f"applying a second-order operator needs jet order >= 2, got {m}"
         )
-    frame = op.pair.frame(point, m)
-    A = op.coefficient_tensor(point, m).truncated(m - 1)
-    sp1, sp2 = A.space, jets._space(f_jet.nvars, m - 2)
-    df = jets.gradient_coeffs(f_jet.space, f_jet.coeffs)  # order m-1
-    V = _contract(sp1, "ij,j->i", A.coeffs, df)
+    sp1, sp2 = jets._space(sp.nvars, m - 1), jets._space(sp.nvars, m - 2)
+    df = jets.gradient_coeffs(sp, f)  # order m-1
+    V = _contract(sp1, "ij,j->i", A[..., : sp1.ncoeffs], df)
     if form == "christoffel":
         # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
-        weight = frame.gamma_trace.truncated(m - 2).coeffs
+        weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
         terms = (_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
                  + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
-        return jets.Jet._new(sp2, _accumulate(terms))
+        return _accumulate(terms)
     if form == "density":
         # (1/w) d_i (w V^i) with w = sqrt |det g|
         w = frame.sqrt_abs_det_g
-        wV = jets.product_coeffs(sp1, jets.truncate(w, m - 1).coeffs, V)
+        wV = jets.product_coeffs(sp1, w.coeffs[: sp1.ncoeffs], V)
         acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
-        return jets.reciprocal(jets.truncate(w, m - 2)) * jets.Jet._new(sp2, acc)
+        return jets.product_coeffs(
+            sp2, jets.reciprocal(jets.truncate(w, m - 2)).coeffs, acc)
     raise ValueError(f"unknown divergence form {form!r}")
+
+
+def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
+                  form: str = "christoffel") -> jets.Jet:
+    """Core application to one jet; consumes two jet orders."""
+    m = f_jet.order
+    A = op.coefficient_tensor(point, m).coeffs
+    out = _apply(op.pair.frame(point, m), A, f_jet.space, f_jet.coeffs, form)
+    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out)
 
 
 def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
@@ -194,49 +207,52 @@ def laplace_apply(metric, f: FunctionLike, point, output_order: int = 0) -> jets
 
 def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
                    f_jet4: jets.Jet, point):
-    """(op_t op_s f)(p) and (op_s op_t f)(p) from one order-4 jet."""
-    inner_s = _apply_to_jet(op_s, f_jet4, point)  # order 2
-    inner_t = _apply_to_jet(op_t, f_jet4, point)
-    ts = _apply_to_jet(op_t, inner_s, point).value
-    st = _apply_to_jet(op_s, inner_t, point).value
-    return ts, st
+    """(op_t op_s f)(p) and (op_s op_t f)(p) from an order-4 jet, as floats,
+    or as lists from a stack of them: four applications in all."""
+    if op_t.coordinates != op_s.coordinates:
+        raise ValueError("operators live on different charts")
+    sp, sp2, f = f_jet4.space, jets._space(f_jet4.nvars, 2), f_jet4.coeffs
+    A_t = op_t.coefficient_tensor(point, 4).coeffs
+    A_s = op_s.coefficient_tensor(point, 4).coeffs
+    frame_t, frame_s = op_t.pair.frame(point, 4), op_s.pair.frame(point, 4)
+    ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
+    st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]
+    return ts.tolist(), st.tolist()
 
 
 def commutator_apply(op_t: QuantizedOperator, op_s: QuantizedOperator,
                      f: FunctionLike, point) -> float:
     """[op_t, op_s] f at the point, as a plain number (working order 4)."""
-    if op_t.coordinates != op_s.coordinates:
-        raise ValueError("operators live on different charts")
-    f_jet = _function_jet(op_t, f, point, 4)
-    ts, st = _nested_values(op_t, op_s, f_jet, point)
+    ts, st = _nested_values(op_t, op_s, _function_jet(op_t, f, point, 4), point)
     return ts - st
 
 
 def commutator_residual(op_t: QuantizedOperator, op_s: QuantizedOperator,
                         f: FunctionLike, point) -> float:
     """|[op_t, op_s] f| / max(1, |op_t op_s f|, |op_s op_t f|) at the point."""
-    if op_t.coordinates != op_s.coordinates:
-        raise ValueError("operators live on different charts")
-    f_jet = _function_jet(op_t, f, point, 4)
-    ts, st = _nested_values(op_t, op_s, f_jet, point)
+    ts, st = _nested_values(op_t, op_s, _function_jet(op_t, f, point, 4), point)
     return abs(ts - st) / max(1.0, abs(ts), abs(st))
 
 
-def killing_commutator_grid(pair: ProjectivePair, f: FunctionLike, point) -> np.ndarray:
+def killing_commutator_grid(pair: ProjectivePair, f, point) -> np.ndarray:
     """B[l, k] = (K_hat[l] K_hat[k] f)(p) over the family's coefficients.
 
     Since K_hat(t) = sum_l t^l K_hat[l], any [K_hat(t), K_hat(s)] f follows
     from this grid by polynomial combination; see commutator_from_grid.
+    A list or tuple of functions gives the stack B[f, l, k] of their grids,
+    from two applications of the n stacked fields to the stacked functions.
     """
     d = pair.dim
+    functions = f if isinstance(f, (list, tuple)) else [f]
     ops = [killing_coefficient_operator(pair, l) for l in range(d)]
-    f_jet = _function_jet(ops[0], f, point, 4)
-    inner = [_apply_to_jet(op, f_jet, point) for op in ops]  # order 2 each
-    B = np.empty((d, d))
-    for l in range(d):
-        for k in range(d):
-            B[l, k] = _apply_to_jet(ops[l], inner[k], point).value
-    return B
+    fs = np.array([_function_jet(ops[0], g, point, 4).coeffs for g in functions])
+    A = np.array([op.coefficient_tensor(point, 4).coeffs for op in ops])
+    frame = pair.frame(point, 4)
+    inner = _apply(frame, A, jets._space(d, 4), fs[:, None])  # [f, k], order 2
+    # [f, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs
+    B = np.ascontiguousarray(
+        _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0])
+    return B if isinstance(f, (list, tuple)) else B[0]
 
 
 def commutator_from_grid(B: np.ndarray, t: float, s: float):
@@ -287,28 +303,23 @@ def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
     zeroth-order part; V comes from the linear probes and Q from the
     quadratic ones (halved: d^2 of u_a u_b hits both index orders).
     """
-    if op_t.coordinates != op_s.coordinates:
-        raise ValueError("operators live on different charts")
     d = op_t.dim
     seeds = jets.seed_coordinates(point, 4)
     u = [s - s.value for s in seeds]  # centered coordinates
-
-    def commutator_on(probe):
-        ts, st = _nested_values(op_t, op_s, probe, point)
-        return ts - st, max(1.0, abs(ts), abs(st))
-
-    V = np.empty(d)
-    for a in range(d):
-        V[a], _ = commutator_on(u[a])
+    quadratic = list(combinations_with_replacement(range(d), 2))
+    probes = (u + [u[a] * u[b] for a, b in quadratic]
+              + [u[a] * u[b] * u[c]
+                 for a, b, c in combinations_with_replacement(range(d), 3)])
+    stacked = jets.Jet._new(seeds[0].space, np.array([p.coeffs for p in probes]))
+    ts, st = _nested_values(op_t, op_s, stacked, point)
+    values = [x - y for x, y in zip(ts, st)]
+    V = np.array(values[:d])
     Q = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            value, _ = commutator_on(u[a] * u[b])
-            Q[a, b] = Q[b, a] = 0.5 * value
+    for (a, b), value in zip(quadratic, values[d:]):
+        Q[a, b] = Q[b, a] = 0.5 * value
     cubic = 0.0
-    for a, b, c in combinations_with_replacement(range(d), 3):
-        value, scale = commutator_on(u[a] * u[b] * u[c])
-        cubic = max(cubic, abs(value) / scale)
+    for k in range(d + len(quadratic), len(probes)):
+        cubic = max(cubic, abs(values[k]) / max(1.0, abs(ts[k]), abs(st[k])))
     return CommutatorDecomposition(
         point=tuple(float(x) for x in point), Q=Q, V=V, cubic_residual=cubic
     )
@@ -384,19 +395,24 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
 
 def integral_field(pair: ProjectivePair, t: float):
     """x -> (A(t) values, d_s A(t) values) for the family's integral I_t,
-    from the values and first x-derivatives of every A_l = S_l g^{-1}."""
+    from the values and first x-derivatives of every A_l = S_l g^{-1}.
+    Each is computed once per frame and t, and kept with the frame."""
 
     def field(x):
-        A = pair.frame(tuple(x), 1).A_coeffs
-        vals = np.array([a.value() for a in A])
-        # [l, s, i, j] = d_s A_l^{ij}
-        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
-                           for a in A])
-        tp = t ** np.arange(pair.dim)
-        return (
-            np.einsum("l,lij->ij", tp, vals),
-            np.einsum("l,lsij->sij", tp, derivs),
-        )
+        frame = pair.frame(tuple(x), 1)
+        key = float(t).hex()  # tells -0.0 from 0.0
+        if key not in frame.integral_fields:
+            A = frame.A_coeffs
+            vals = np.array([a.value() for a in A])
+            # [l, s, i, j] = d_s A_l^{ij}
+            derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
+                               for a in A])
+            tp = t ** np.arange(pair.dim)
+            frame.integral_fields[key] = (
+                np.einsum("l,lij->ij", tp, vals),
+                np.einsum("l,lsij->sij", tp, derivs),
+            )
+        return frame.integral_fields[key]
 
     return field
 

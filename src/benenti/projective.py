@@ -218,6 +218,7 @@ class PointFrame:
         self.point = tuple(float(c) for c in point)
         self.order = order
         self.dim = pair.dim
+        self.integral_fields = {}  # filled by operators.integral_field
 
     @cached_property
     def g(self) -> JetTensor:
