@@ -1,17 +1,20 @@
 """Per-component reference versions of the tensor kernels, on scalar jets.
 
 Each function spells out one component at a time with ``Jet`` arithmetic,
-in the order of operations the dense kernels of ``benenti.geometry`` and
-``benenti.projective`` promise, so the dense results must equal these bit
-for bit.  Tensors are read through ``t[i, j, ...]``; results are dicts from
-index tuples to jets.
+in the order of operations the dense kernels of ``benenti.geometry``,
+``benenti.projective`` and ``benenti.operators`` promise, so the dense
+results must equal these bit for bit.  Tensors are read through
+``t[i, j, ...]``; results are dicts from index tuples to jets.
+
+The operator references apply one operator to one jet at a time, with the
+per-function and per-probe loops the stacked applications replace.
 """
 
 import itertools
 
 import numpy as np
 
-from benenti import jets
+from benenti import expr, jets, operators
 
 
 def assert_same_bits(tensor, expected):
@@ -182,3 +185,77 @@ def benenti(frame):
     K = [{(i, j): first_term_sum(g[i, r] * Sl[r, j] for r in range(d))
           for i in range(d) for j in range(d)} for Sl in S]
     return lam, dict(enumerate(lam_form)), dict(enumerate(phi)), S, K, char
+
+
+def apply_operator(frame, A, f):
+    """nabla_i (A^{ij} d_j f) for one (2,0) field ``A`` and one order-m jet
+    ``f``: V^i = sum_j A^{ij} d_j f, then the sum over i of
+    d_i V^i + gamma^s_{si} V^i, each sum from its first term."""
+    m, d = f.order, f.nvars
+    df = [jets.differentiate(f, j) for j in range(d)]
+    V = [first_term_sum(jets.truncate(A[i, j], m - 1) * df[j] for j in range(d))
+         for i in range(d)]
+    weight = frame.gamma_trace
+    return first_term_sum(
+        jets.differentiate(V[i], i)
+        + jets.truncate(weight[i], m - 2) * jets.truncate(V[i], m - 2)
+        for i in range(d)
+    )
+
+
+def function_jet(pair, f, point):
+    seeds = jets.seed_coordinates(point, 4)
+    return expr.evaluate(expr.parse(f, pair.coordinates),
+                         dict(zip(pair.coordinates, seeds)))
+
+
+def commutator_grids(pair, functions, point):
+    """[f, l, k] = (K_hat[l] K_hat[k] f)(p), one function and one
+    application at a time."""
+    d = pair.dim
+    frame = pair.frame(point, 4)
+    fields = [operators.killing_coefficient_operator(pair, l)
+              .coefficient_tensor(point, 4) for l in range(d)]
+    out = np.empty((len(functions), d, d))
+    for n, f in enumerate(functions):
+        f_jet = function_jet(pair, f, point)
+        inner = [apply_operator(frame, fields[k], f_jet) for k in range(d)]
+        for l in range(d):
+            for k in range(d):
+                out[n, l, k] = apply_operator(frame, fields[l], inner[k]).value
+    return out
+
+
+def nested_values(op_t, op_s, f_jet, point):
+    """(op_t op_s f)(p) and (op_s op_t f)(p) for one order-4 jet."""
+    frame_t, frame_s = op_t.pair.frame(point, 4), op_s.pair.frame(point, 4)
+    A_t, A_s = op_t.coefficient_tensor(point, 4), op_s.coefficient_tensor(point, 4)
+    inner_s = apply_operator(frame_s, A_s, f_jet)
+    inner_t = apply_operator(frame_t, A_t, f_jet)
+    return (apply_operator(frame_t, A_t, inner_s).value,
+            apply_operator(frame_s, A_s, inner_t).value)
+
+
+def decompose(op_t, op_s, point):
+    """(Q, V, cubic_residual) of [op_t, op_s] at the point, one centred
+    monomial probe at a time."""
+    d = op_t.dim
+    u = [s - s.value for s in jets.seed_coordinates(point, 4)]
+
+    def commutator_on(probe):
+        ts, st = nested_values(op_t, op_s, probe, point)
+        return ts - st, max(1.0, abs(ts), abs(st))
+
+    V = np.empty(d)
+    for a in range(d):
+        V[a], _ = commutator_on(u[a])
+    Q = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            value, _ = commutator_on(u[a] * u[b])
+            Q[a, b] = Q[b, a] = 0.5 * value
+    cubic = 0.0
+    for a, b, c in itertools.combinations_with_replacement(range(d), 3):
+        value, scale = commutator_on(u[a] * u[b] * u[c])
+        cubic = max(cubic, abs(value) / scale)
+    return Q, V, cubic

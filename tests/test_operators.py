@@ -1,19 +1,38 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benenti import catalog, jets, operators as ops
+import jet_reference as ref
+from benenti import catalog, jets, operators as ops, pairfile, verify
 from benenti.errors import OrderExhaustedError
 from benenti.geometry import MetricField, matmul
 from benenti.operators import PhaseSpacePoint
+from benenti.projective import PointFrame
 
 FLAT = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
 SPHERE = MetricField(("theta", "phi"), [["1", "0"], ["0", "sin(theta)^2"]])
 
 
+# generated Levi-Civita pairs at n = 3 and n = 4, kept with the golden reports
+FIXTURES = Path(__file__).resolve().parent / "golden"
+STACKED_PAIRS = [*catalog.list_entries(), "lc3", "lc4"]
+
+
 def dini():
     return catalog.get_entry("dini").pair
+
+
+def stacked_pair(name):
+    if name in catalog.list_entries():
+        return catalog.get_entry(name).pair
+    return pairfile.load_pair(FIXTURES / f"{name}.yaml")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def raised_killing_values(pair, t, x):
@@ -257,6 +276,54 @@ class TestCommutator:
             )
 
 
+class TestStackedApplication:
+    """The stacked applications against one application at a time
+    (tests/jet_reference.py), bit for bit, at two sampled points per pair."""
+
+    @staticmethod
+    def sampled(pair):
+        cfg = verify.VerifyConfig(points=2, seed=11)
+        return verify._sample_points(pair, cfg, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("name", STACKED_PAIRS)
+    def test_commutator_grids_match_per_function_loops(self, name):
+        pair = stacked_pair(name)
+        suite = verify.function_suite(pair.coordinates)
+        for point in self.sampled(pair)[0]:
+            grids = ops.killing_commutator_grid(pair, suite, point)
+            assert same_bits(grids, ref.commutator_grids(pair, suite, point))
+            one = ops.killing_commutator_grid(pair, suite[0], point)  # a str
+            assert same_bits(one, grids[0]) and one.flags.c_contiguous
+            assert all(B.flags.c_contiguous for B in grids)
+
+    @pytest.mark.parametrize("name", STACKED_PAIRS)
+    def test_decomposition_matches_per_probe_loops(self, name):
+        pair = stacked_pair(name)
+        for point, grid in zip(*self.sampled(pair)):
+            t, s = grid[0], grid[-1]
+            dec = ops.commutator_decompose(
+                ops.killing_operator(pair, t), ops.killing_operator(pair, s), point)
+            Q, V, cubic = ref.decompose(
+                ops.killing_operator(pair, t), ops.killing_operator(pair, s), point)
+            assert same_bits(dec.Q, Q) and same_bits(dec.V, V)
+            assert same_bits(dec.cubic_residual, cubic)
+
+    def test_commutator_record_computes_n_coefficient_fields(self, monkeypatch):
+        pair = stacked_pair("lc3")
+        original = ops.symmetrized  # called once per field computation
+        fields = []
+
+        def counting(t):
+            fields.append(t)
+            return original(t)
+
+        monkeypatch.setattr(ops, "symmetrized", counting)
+        report = verify.verify_pair(
+            pair, verify.VerifyConfig(points=2, checks=("commutator",)))
+        assert len(report.records) == 2
+        assert len(fields) == 2 * pair.dim
+
+
 class TestDecompose:
     def test_self_decomposition_is_zero(self):
         op = ops.killing_operator(dini(), 1.0)
@@ -400,6 +467,23 @@ class TestPoisson:
             phi = PhaseSpacePoint(x, mom)
             for (t, s) in ((0.0, 3.0), (-2.0, 0.5), (1.0, 2.0)):
                 assert ops.poisson_residual(pair, t, s, phi) < 1e-8
+
+    def test_integral_fields_are_built_once_per_point_and_t(self, monkeypatch):
+        # the check brackets every unordered (t, s) pair of the grid, 36 of
+        # them on 8 values, but needs only the 8 fields I_t
+        original = PointFrame.A_coeffs
+        reads = []
+
+        def counting(frame):
+            reads.append(frame.point)
+            return original.func(frame)
+
+        monkeypatch.setattr(PointFrame, "A_coeffs", property(counting))
+        grid = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+        report = verify.verify_pair(dini(), verify.VerifyConfig(
+            points=2, checks=("poisson",), t_grid=grid))
+        assert len(report.records) == 2
+        assert len(reads) == 2 * len(grid)
 
     def test_hand_value_for_flat_control(self):
         # g = 1, gbar = diag(1 + x^2, 1): L = diag(b^-2, b) with b = (1+x^2)^(1/3),

@@ -127,6 +127,24 @@ class TestReports:
         assert strip_timing(a) == strip_timing(b)
         assert a != b or "elapsed" in a  # timing block present
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="PyYAML is built without libyaml")
+    def test_libyaml_renders_the_text_of_the_python_emitter(self):
+        # every catalog report, controls included, with all ten checks
+        cfg = verify.VerifyConfig(points=2, drift_trajectories=1,
+                                  drift_horizon=0.05)
+        for name in catalog.list_entries():
+            entry = catalog.get_entry(name)
+            rep = verify.verify_pair(entry.pair, cfg, source="catalog",
+                                     expected_equivalent=entry.expected_equivalent)
+            texts = [
+                yaml.dump(rep.to_mapping(), Dumper=dumper, sort_keys=False,
+                          default_flow_style=False)
+                for dumper in (yaml.SafeDumper, yaml.CSafeDumper)
+            ]
+            assert texts[1] == texts[0], name
+            assert rep.render() == texts[0], name
+
     def test_seed_changes_sampled_points(self):
         a = quick_report("dini", seed=1)
         b = quick_report("dini", seed=2)
