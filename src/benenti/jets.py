@@ -132,7 +132,9 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the convolution table, starting from zero, as the single-jet kernel
     ``np.bincount(kk, a[ii] * b[jj])`` does.
     """
-    ii, jj, _ = sp._mul
+    ii, jj, kk = sp._mul
+    if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
+        return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
     terms = a[..., ii] * b[..., jj]
     rows = terms.size // len(ii)
     return np.bincount(

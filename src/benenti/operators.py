@@ -212,8 +212,7 @@ def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
     if op_t.coordinates != op_s.coordinates:
         raise ValueError("operators live on different charts")
     sp, sp2, f = f_jet4.space, jets._space(f_jet4.nvars, 2), f_jet4.coeffs
-    A_t = op_t.coefficient_tensor(point, 4).coeffs
-    A_s = op_s.coefficient_tensor(point, 4).coeffs
+    A_t, A_s = (op.coefficient_tensor(point, 4).coeffs for op in (op_t, op_s))
     frame_t, frame_s = op_t.pair.frame(point, 4), op_s.pair.frame(point, 4)
     ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
     st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]

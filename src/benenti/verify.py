@@ -45,9 +45,6 @@ from .projective import (
 
 SCHEMA_VERSION = 3
 
-# libyaml's emitter renders the same text as PyYAML's, several times faster
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 # Jet order of the frame checks.  The commutator and decompose checks apply
 # two second-order operators to order-4 jets; no other residual depends on
 # the order, so every frame check reads the same order-4 frame of a point.
@@ -232,7 +229,9 @@ class VerificationReport:
         return doc
 
     def render(self) -> str:
-        return yaml.dump(self.to_mapping(), Dumper=_DUMPER, sort_keys=False,
+        # libyaml's emitter writes the text of PyYAML's own, several times faster
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        return yaml.dump(self.to_mapping(), Dumper=dumper, sort_keys=False,
                          default_flow_style=False)
 
 
