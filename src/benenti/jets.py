@@ -380,12 +380,12 @@ def _compose(f: Jet, series: np.ndarray) -> Jet:
     """Evaluate ``sum_k series[..., k] * (f - f.value)^k`` by Horner, with
     the same recurrence on every row of a batch."""
     w = f.coeffs.copy()
-    w[..., 0] = 0.0
+    w.T[0] = 0.0  # .T[0]: the constant term of the jet, or of every row
     acc = np.zeros(w.shape)
-    acc[..., 0] = series[..., -1]
-    for k in range(series.shape[-1] - 2, -1, -1):
+    acc.T[0] = series.T[-1]
+    for a in series.T[-2::-1]:
         acc = product_coeffs(f.space, acc, w)
-        acc[..., 0] += series[..., k]
+        acc.T[0] += a
     return Jet._new(f.space, acc)
 
 
