@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("pairs", nargs="*", help="catalog names or file paths")
     p_verify.add_argument("--all", action="store_true", help="verify the whole catalog")
-    p_verify.add_argument("--points", type=int, default=20, help="sample points per check")
+    p_verify.add_argument("--points", type=int, default=VerifyConfig.points,
+                          help="sample points per check")
     p_verify.add_argument(
         "--tol", type=float, default=None,
         help="override every per-check threshold with one value",
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-grid", type=_float_list, default=None, metavar="T1,T2,...",
         help="family parameters to test (default: eigenvalue-filtered grid)",
     )
-    p_verify.add_argument("--seed", type=int, default=42, help="sampling seed")
+    p_verify.add_argument("--seed", type=int, default=VerifyConfig.seed,
+                          help="sampling seed")
     p_verify.add_argument(
         "--checks", type=_check_list, default=None, metavar="ID1,ID2,...",
         help=f"subset of checks to run (known: {', '.join(CHECK_IDS)})",

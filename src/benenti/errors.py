@@ -27,26 +27,20 @@ class DegenerateMetricError(BenentiError):
 
 
 class ExpressionError(BenentiError):
-    """Base class for expression parsing/evaluation failures."""
+    """Expression parsing/evaluation failure at character offset ``position``."""
+
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(f"{message} (at offset {position})")
 
 
 class ExpressionSyntaxError(ExpressionError):
-    """Syntax or name error in expression text, with a character offset."""
-
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at offset {position})")
+    """Syntax or name error in expression text."""
 
 
 class EvaluationDomainError(ExpressionError):
-    """A singular jet operation occurred while evaluating an expression.
-
-    ``position`` is the character offset of the AST node that failed.
-    """
-
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at offset {position})")
+    """A singular jet operation occurred while evaluating an expression;
+    ``position`` is that of the AST node that failed."""
 
 
 class PairFileError(BenentiError):

@@ -13,9 +13,8 @@ Index conventions
 ``(*batch, *tensor, ncoeffs)``: optional batch axes (one per axis of a
 batch of points), then the tensor axes with all upper (contravariant) axes
 before all lower (covariant) ones, then the jet coefficients.
-``raise_index`` and ``lower_index`` append the moved index at the end of
-its new block; ``covariant_derivative`` inserts the differentiation index
-at the *front* of the lower block, so ``(nabla T)[..., k, j, ...]`` means
+``covariant_derivative`` inserts the differentiation index at the *front*
+of the lower block, so ``(nabla T)[..., k, j, ...]`` means
 ``nabla_k T..._j...``.
 
 Contractions multiply every term at once and then add the terms of each
@@ -223,7 +222,7 @@ class MetricField:
 
     The component matrix is symmetrized on evaluation (entries are averaged
     with their transposes), and every evaluation checks that the metric is
-    comfortably nondegenerate at the point: |det g| must exceed
+    finite and comfortably nondegenerate at the point: |det g| must exceed
     ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.  ``evaluate`` and ``values``
     also take a ``(B, dim)`` batch of points and then fail if the metric is
     degenerate at any of them.
@@ -282,22 +281,25 @@ class MetricField:
         return sym
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
-        """Raise unless the metric is nondegenerate at the point, or at
-        every point of a batch."""
+        """Raise unless the metric is finite and nondegenerate at the point,
+        or at every point of a batch."""
         if values.ndim == 2:
-            self._require(float(np.linalg.det(values)), np.max(np.abs(values)), point)
-            return
+            values, point = values[None], [point]
+        scales = np.abs(values).max(axis=(1, 2))  # NaN or inf where a component is
+        finite = np.isfinite(scales)
+        if not finite.all():  # before the determinant: a NaN passes its test
+            raise self._degenerate(point[int(np.argmin(finite))],
+                                   "a component is not finite")
         dets = np.linalg.det(values)
-        scales = np.abs(values).max(axis=(1, 2))
-        for det, scale, pt in zip(dets, scales, point):
-            self._require(float(det), scale, pt)
+        for det, scale, pt in zip(dets.tolist(), scales, point):
+            if abs(det) <= DEGENERACY_FACTOR * scale**self.dim:
+                raise self._degenerate(pt, f"|det| = {abs(det):.3e}")
 
-    def _require(self, det: float, scale, point) -> None:
-        if abs(det) <= DEGENERACY_FACTOR * scale**self.dim:
-            raise DegenerateMetricError(
-                f"metric{' ' + self.name if self.name else ''} is degenerate "
-                f"at {tuple(float(c) for c in point)}: |det| = {abs(det):.3e}"
-            )
+    def _degenerate(self, point, detail: str) -> DegenerateMetricError:
+        return DegenerateMetricError(
+            f"metric{' ' + self.name if self.name else ''} is degenerate "
+            f"at {tuple(float(c) for c in point)}: {detail}"
+        )
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -448,34 +450,6 @@ def matmul(a: JetTensor, b: JetTensor) -> JetTensor:
     upper = int(a.n_upper > 0) + int(b.n_upper > 1)
     c = _contract(a.space, "is,sj->ij", a.coeffs, b.coeffs)
     return JetTensor._dense(a.space, c, upper, 2 - upper)
-
-
-def _move_index(t: JetTensor, metric: JetTensor, slot: int, pos: int,
-                rank: tuple) -> JetTensor:
-    """Contract tensor slot ``slot`` of ``t`` with the second index of
-    ``metric``; the new index goes to tensor position ``pos`` of the result."""
-    letters = "abcdefgh"[: sum(t.rank)]
-    moved = letters[:slot] + "s" + letters[slot + 1:]
-    rest = moved.replace("s", "")
-    out = rest[:pos] + "i" + rest[pos:]
-    c = _contract(t.space, f"{moved},is->{out}", t.coeffs, metric.coeffs)
-    return JetTensor._dense(t.space, c, *rank)
-
-
-def raise_index(t: JetTensor, g_inv: JetTensor, lower_slot: int) -> JetTensor:
-    """Raise one lower slot with the inverse metric; new upper slot goes last."""
-    u, l = t.rank
-    if not 0 <= lower_slot < l:
-        raise ValueError(f"no lower slot {lower_slot} in rank {t.rank}")
-    return _move_index(t, g_inv, u + lower_slot, u, (u + 1, l - 1))
-
-
-def lower_index(t: JetTensor, g: JetTensor, upper_slot: int) -> JetTensor:
-    """Lower one upper slot with the metric; new lower slot goes last."""
-    u, l = t.rank
-    if not 0 <= upper_slot < u:
-        raise ValueError(f"no upper slot {upper_slot} in rank {t.rank}")
-    return _move_index(t, g, upper_slot, u + l - 1, (u - 1, l + 1))
 
 
 def christoffel_values(metric: MetricField, point) -> np.ndarray:

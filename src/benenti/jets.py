@@ -438,24 +438,25 @@ def log(f: Jet) -> Jet:
     return _compose(f, _series(f, outer))
 
 
-def sin(f: Jet) -> Jet:
+def _shifted(func, f: Jet) -> Jet:
+    """sin or cos of a jet: the k-th derivative of either is the function
+    itself shifted by k pi/2."""
+
     def outer(c0):
         return np.array(
-            [math.sin(c0 + k * math.pi / 2) / math.factorial(k)
+            [func(c0 + k * math.pi / 2) / math.factorial(k)
              for k in range(f.order + 1)]
         )
 
     return _compose(f, _series(f, outer))
+
+
+def sin(f: Jet) -> Jet:
+    return _shifted(math.sin, f)
 
 
 def cos(f: Jet) -> Jet:
-    def outer(c0):
-        return np.array(
-            [math.cos(c0 + k * math.pi / 2) / math.factorial(k)
-             for k in range(f.order + 1)]
-        )
-
-    return _compose(f, _series(f, outer))
+    return _shifted(math.cos, f)
 
 
 def power(f: Jet, exponent: float) -> Jet:

@@ -22,6 +22,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence, Union
@@ -60,24 +61,18 @@ class QuantizedOperator:
         if isinstance(geometry, MetricField):
             geometry = ProjectivePair(geometry, geometry)
         self.pair = geometry
-        self.metric = geometry.g
         self.dim = geometry.dim
         self.coordinates = geometry.coordinates
         self._coefficients = coefficients
         self.name = name
-        self._field = (None, None)  # (frame, symmetrized A at its order)
 
     def coefficient_tensor(self, point, order: int) -> JetTensor:
-        """A^{ij} as jets at (point, order), symmetrized; computed once per
-        frame at the frame's order and served truncated."""
-        frame = self.pair.frame(point, order)
-        if self._field[0] is not frame:
-            raw = self._coefficients(frame)
-            if not isinstance(raw, JetTensor):
-                raw = JetTensor(raw, 2, 0)
-            field = JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
-            self._field = (frame, field)
-        return self._field[1].truncated(order)
+        """A^{ij} as jets at (point, order), symmetrized."""
+        raw = self._coefficients(self.pair.frame(point, order))
+        if not isinstance(raw, JetTensor):
+            raw = JetTensor(raw, 2, 0)
+        field = JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
+        return field.truncated(order)
 
     @classmethod
     def from_expressions(cls, metric: MetricField, components, name=None):
@@ -130,9 +125,9 @@ def killing_coefficient_operator(pair: ProjectivePair, l: int) -> QuantizedOpera
     )
 
 
-def _function_jet(op: QuantizedOperator, f: FunctionLike, point, order: int):
+def _function_jet(coordinates, f: FunctionLike, point, order: int):
     if isinstance(f, str):
-        f = expr.parse(f, op.coordinates)
+        f = expr.parse(f, coordinates)
     if isinstance(f, jets.Jet):
         raise TypeError(
             "pass a jet factory (point, order) -> Jet, not a fixed jet"
@@ -143,7 +138,7 @@ def _function_jet(op: QuantizedOperator, f: FunctionLike, point, order: int):
             raise ValueError("jet factory must produce a Jet of the requested order")
         return out
     seeds = jets.seed_coordinates(point, order)
-    return expr.evaluate(f, dict(zip(op.coordinates, seeds)))
+    return expr.evaluate(f, dict(zip(coordinates, seeds)))
 
 
 def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
@@ -196,7 +191,7 @@ def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
     """
     if output_order < 0:
         raise ValueError(f"output_order must be >= 0, got {output_order}")
-    f_jet = _function_jet(op, f, point, output_order + 2)
+    f_jet = _function_jet(op.coordinates, f, point, output_order + 2)
     return _apply_to_jet(op, f_jet, point, form=form)
 
 
@@ -222,14 +217,14 @@ def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
 def commutator_apply(op_t: QuantizedOperator, op_s: QuantizedOperator,
                      f: FunctionLike, point) -> float:
     """[op_t, op_s] f at the point, as a plain number (working order 4)."""
-    ts, st = _nested_values(op_t, op_s, _function_jet(op_t, f, point, 4), point)
+    ts, st = _nested_values(op_t, op_s, _function_jet(op_t.coordinates, f, point, 4), point)
     return ts - st
 
 
 def commutator_residual(op_t: QuantizedOperator, op_s: QuantizedOperator,
                         f: FunctionLike, point) -> float:
     """|[op_t, op_s] f| / max(1, |op_t op_s f|, |op_s op_t f|) at the point."""
-    ts, st = _nested_values(op_t, op_s, _function_jet(op_t, f, point, 4), point)
+    ts, st = _nested_values(op_t, op_s, _function_jet(op_t.coordinates, f, point, 4), point)
     return abs(ts - st) / max(1.0, abs(ts), abs(st))
 
 
@@ -243,11 +238,13 @@ def killing_commutator_grid(pair: ProjectivePair, f, point) -> np.ndarray:
     """
     d = pair.dim
     functions = f if isinstance(f, (list, tuple)) else [f]
-    ops = [killing_coefficient_operator(pair, l) for l in range(d)]
-    fs = np.array([_function_jet(ops[0], g, point, 4).coeffs for g in functions])
-    A = np.array([op.coefficient_tensor(point, 4).coeffs for op in ops])
+    sp = jets._space(d, 4)
+    fs = np.array([_function_jet(pair.coordinates, g, point, 4).coeffs
+                   for g in functions])
     frame = pair.frame(point, 4)
-    inner = _apply(frame, A, jets._space(d, 4), fs[:, None])  # [f, k], order 2
+    # the fields of killing_coefficient_operator, symmetrized like an operator's
+    A = np.array([symmetrized(a).coeffs[..., : sp.ncoeffs] for a in frame.A_coeffs])
+    inner = _apply(frame, A, sp, fs[:, None])  # [f, k], order 2
     # [f, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs
     B = np.ascontiguousarray(
         _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0])
@@ -392,35 +389,31 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
     return float(p @ A @ p)
 
 
-def integral_field(pair: ProjectivePair, t: float):
-    """x -> (A(t) values, d_s A(t) values) for the family's integral I_t,
+def integral_field(pair: ProjectivePair, t: float, x):
+    """(A(t) values, d_s A(t) values) at x for the family's integral I_t,
     from the values and first x-derivatives of every A_l = S_l g^{-1}.
-    Each is computed once per frame and t, and kept with the frame."""
-
-    def field(x):
-        frame = pair.frame(tuple(x), 1)
-        key = float(t).hex()  # tells -0.0 from 0.0
-        if key not in frame.integral_fields:
-            A = frame.A_coeffs
-            vals = np.array([a.value() for a in A])
-            # [l, s, i, j] = d_s A_l^{ij}
-            derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
-                               for a in A])
-            tp = t ** np.arange(pair.dim)
-            frame.integral_fields[key] = (
-                np.einsum("l,lij->ij", tp, vals),
-                np.einsum("l,lsij->sij", tp, derivs),
-            )
-        return frame.integral_fields[key]
-
-    return field
+    Computed once per frame and t, and kept with the frame."""
+    frame = pair.frame(tuple(x), 1)
+    key = float(t).hex()  # tells -0.0 from 0.0
+    if key not in frame.integral_fields:
+        A = frame.A_coeffs
+        vals = np.array([a.value() for a in A])
+        # [l, s, i, j] = d_s A_l^{ij}
+        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
+                           for a in A])
+        tp = t ** np.arange(pair.dim)
+        frame.integral_fields[key] = (
+            np.einsum("l,lij->ij", tp, vals),
+            np.einsum("l,lsij->sij", tp, derivs),
+        )
+    return frame.integral_fields[key]
 
 
 def _bracket_terms(pair: ProjectivePair, t: float, s: float,
                    phi: PhaseSpacePoint):
     """dI_t/dp, dI_t/dx, dI_s/dp and dI_s/dx at the phase point."""
-    At, dAt = integral_field(pair, t)(phi.x)
-    As, dAs = integral_field(pair, s)(phi.x)
+    At, dAt = integral_field(pair, t, phi.x)
+    As, dAs = integral_field(pair, s, phi.x)
     p = np.asarray(phi.p)
     dIt_dp = 2.0 * At @ p
     dIs_dp = 2.0 * As @ p
@@ -589,7 +582,9 @@ def _integrate(pair: ProjectivePair, form, phi0s, horizon: float,
         tau += h
         if len(rows):
             for row, value in zip(rows, invariants(y, rows)):
-                drift[row] = max(drift[row], abs(value - i0[row]) / denom[row])
+                new = abs(value - i0[row]) / denom[row]
+                if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
+                    drift[row] = new
     for row in rows:
         results[row] = DriftResult(drift[row], False, None, steps)
     return results

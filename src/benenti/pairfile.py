@@ -143,16 +143,14 @@ def _fail_expression(src: _Source, err: ExpressionError, path, where: str):
     """
     node = _node_at(src.root, tuple(path))
     line, col = _mark(node)
-    offset = getattr(err, "position", None)
     if (
         col is not None
-        and offset is not None
         and isinstance(node, yaml.ScalarNode)
         and "\n" not in node.value
     ):
         if node.style in ("'", '"'):
             col += 1
-        col += offset
+        col += err.position
     raise PairFileError(f"{src.label}: {where}: {err}", line, col)
 
 

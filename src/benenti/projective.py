@@ -312,7 +312,7 @@ class PointFrame:
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
-def t_grid(pair: ProjectivePair, point, base=DEFAULT_T_GRID) -> tuple:
+def t_grid(pair: ProjectivePair, point) -> tuple:
     """The default t sample grid, minus values within 1e-6 of an eigenvalue
     of L at the point.
 
@@ -322,7 +322,7 @@ def t_grid(pair: ProjectivePair, point, base=DEFAULT_T_GRID) -> tuple:
     """
     eigs = pair.frame(point, 0).L_eigenvalues()
     return tuple(
-        t for t in base if np.min(np.abs(eigs - t)) > 1e-6
+        t for t in DEFAULT_T_GRID if np.min(np.abs(eigs - t)) > 1e-6
     )
 
 

@@ -140,17 +140,6 @@ def contract(t, d, upper_slot, lower_slot):
     return out
 
 
-def raise_index(t, g_inv, d, lower_slot):
-    """Like ``np.einsum`` over jets: every sum starts at the integer 0."""
-    u, l = t.rank
-    ax = u + lower_slot
-    out = {}
-    for idx in np.ndindex(*(d,) * (u + l)):
-        i, rest = idx[u], idx[:u] + idx[u + 1:]
-        out[idx] = sum(t[rest[:ax] + (s,) + rest[ax:]] * g_inv[i, s] for s in range(d))
-    return out
-
-
 def benenti(frame):
     """lam, lam_form, phi, S_coeffs, K_coeffs and char_coeffs of a frame,
     from its L and g, each indexed like the frame's tensors."""

@@ -1,11 +1,14 @@
+import math
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
-from benenti.cli import main
+from benenti.cli import build_parser, main
+from benenti.verify import VerifyConfig
 
 QUICK = ["--points", "3", "--checks", "basic,connection,killing"]
 
@@ -49,6 +52,21 @@ gbar:
 domain:
   u: [0.1, 1.0]
   v: [0.1, 1.0]
+"""
+
+# g_11 is inf - inf + 1 = NaN everywhere in the domain
+NAN_FILE = """\
+dim: 2
+coords: [x, y]
+g:
+  - ["(x*1e200)*(x*1e200) - (x*1e200)*(x*1e200) + 1", "0"]
+  - ["0", "1"]
+gbar:
+  - ["2", "0"]
+  - ["0", "3"]
+domain:
+  x: [1, 2]
+  y: [1, 2]
 """
 
 
@@ -194,6 +212,32 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and word in err
+
+    def test_nan_drift_fails(self, capsys):
+        # S(t) overflows at t = 1e200; the NaN invariant must not read as 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["verify", "control_nonequiv_curved", "--checks", "drift",
+                       "--points", "2", "--t-grid", "1e200"])
+        doc = yaml.safe_load(capsys.readouterr().out)
+        assert rc == 1
+        assert len(doc["records"]) == 2
+        for record in doc["records"]:
+            assert math.isnan(record["residual"]) and record["verdict"] == "fail"
+        assert math.isnan(doc["summary"]["max_residual"]["drift"])
+
+    def test_non_finite_metric_exits_two_with_position(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(NAN_FILE)
+        rc = main(["verify", str(path), "--points", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "g cannot be evaluated anywhere in the domain" in err
+        assert "not finite" in err and "(line 4, column 3)" in err
+
+    def test_defaults_come_from_the_config(self):
+        args = build_parser().parse_args(["verify", "dini"])
+        assert (args.points, args.seed) == (VerifyConfig().points, VerifyConfig().seed)
 
     def test_order_flag_is_rejected(self, capsys):
         # every frame check runs at the one order the commutator needs

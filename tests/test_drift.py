@@ -12,7 +12,7 @@ from benenti import catalog, operators as ops
 from benenti.geometry import MetricField
 from benenti.operators import PhaseSpacePoint
 from benenti.projective import ProjectivePair
-from benenti.verify import VerifyConfig, verify_pair
+from benenti.verify import DRIFT_STEP, VerifyConfig, verify_pair
 
 
 def start(pair, x0, v):
@@ -28,14 +28,14 @@ def one_at_a_time(pair, ts, phis, horizon, step):
 def test_verify_records_equal_single_trajectories(name):
     pair = catalog.get_entry(name).pair
     cfg = VerifyConfig(points=4, drift_trajectories=4, drift_horizon=0.1,
-                       drift_step=2e-3, checks=("drift",))
+                       checks=("drift",))
     records = verify_pair(pair, cfg).records
     assert len(records) == 4
     for rec in records:
         params = dict(rec.params)
         phi = PhaseSpacePoint(rec.point, tuple(params["momentum"]))
         single = ops.geodesic_drift(pair, params["t"], phi, cfg.drift_horizon,
-                                    cfg.drift_step)
+                                    DRIFT_STEP)
         assert rec.residual == single.max_drift
         assert params["exited"] == single.exited
         assert params.get("exit_time") == single.exit_time
@@ -114,6 +114,23 @@ def test_form_is_evaluated_on_a_batch_of_points():
     r = ops.geodesic_form_drift(pair, energy, phi, 0.2, 1e-2)
     assert set(seen) == {(1, 2)}
     assert not r.exited and r.max_drift <= 1e-8
+
+
+def test_a_nan_drift_sticks():
+    # one NaN invariant mid-trajectory, finite ones after it: the drift stays
+    # NaN, since a NaN ranks above every number
+    pair = catalog.get_entry("dini").pair
+    calls = []
+
+    def energy(points):
+        calls.append(None)
+        values = pair.g.values(points)
+        return values * np.nan if len(calls) == 3 else values
+
+    phi = start(pair, (1.6, 0.75), (0.55, -0.5))
+    r = ops.geodesic_form_drift(pair, energy, phi, 0.2, 1e-2)
+    assert len(calls) == 21 and not r.exited
+    assert np.isnan(r.max_drift)
 
 
 def test_lengths_must_agree():

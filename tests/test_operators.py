@@ -332,7 +332,7 @@ class TestDecompose:
         assert dec.cubic_residual == 0.0
 
     def test_coefficient_field_is_computed_once_per_operator(self):
-        # the nested applications at orders 4 and 2 share one field
+        # the four nested applications read each operator's field once
         pair = dini()
         calls = []
 

@@ -196,6 +196,13 @@ class TestDiagnostics:
         expect_error(GOOD.replace("name: demo", "name: 7"), line=12,
                      fragment="name must be a string")
 
+    def test_non_finite_metric_is_reported_on_load(self):
+        # g_11 = inf - inf + 1 is NaN on the whole domain
+        huge = "(x*1e200)*(x*1e200)"
+        text = GOOD.replace("g:\n  - ['1']", f"g:\n  - ['{huge} - {huge} + 1']")
+        expect_error(text, line=4, column=3,
+                     fragment="g cannot be evaluated anywhere in the domain")
+
     def test_degenerate_metric_is_reported_on_load(self):
         # the metric parses but is singular everywhere; the constructor's
         # rejection must surface as a PairFileError, not a raw exception

@@ -48,10 +48,9 @@ class TestConfig:
         for trajectories in (0, -1):
             with pytest.raises(ValueError, match="drift_trajectories"):
                 verify.VerifyConfig(drift_trajectories=trajectories)
-        for name in ("drift_step", "drift_horizon"):
-            for value in (float("inf"), float("nan"), -1e-3, 0.0):
-                with pytest.raises(ValueError, match=name):
-                    verify.VerifyConfig(**{name: value})
+        for value in (float("inf"), float("nan"), -1e-3, 0.0):
+            with pytest.raises(ValueError, match="drift_horizon"):
+                verify.VerifyConfig(drift_horizon=value)
 
     def test_threshold_defaults_and_override(self):
         cfg = verify.VerifyConfig()
