@@ -9,12 +9,14 @@ coefficient expansion ever happens.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
-brackets (x-derivatives from jets, p-derivatives analytic) and a fixed-step
-Runge-Kutta geodesic integrator measuring how well I_t is conserved.
+brackets (x-derivatives from jets, p-derivatives analytic) and a
+step-controlled Runge-Kutta geodesic integrator measuring how well I_t is
+conserved.
 
-The integrator advances a batch of trajectories together: every stage
-evaluates the Christoffel symbols, and every step the conserved form, at
-all points of the batch in one call.  A form is therefore a callable from
+The integrator advances a batch of trajectories together, each row with
+its own step size: every stage evaluates the Christoffel symbols, and every
+round of accepted steps the conserved form, at all points of the batch in
+one call.  A form is therefore a callable from
 a ``(B, n)`` array of chart points to their ``(B, n, n)`` (0,2) component
 matrices.  Each trajectory's result is bit-identical to integrating it
 alone.
@@ -453,31 +455,59 @@ class DriftResult:
     max_drift: float
     exited: bool
     exit_time: float | None
-    steps: int
+    steps: int  # accepted steps
+    max_error: float  # largest local error estimate of an accepted step
 
 
 # Failures of a stage that mean the trajectory left the metric's good region.
 _STAGE_ERRORS = (BenentiError, np.linalg.LinAlgError)
 
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5): row
+# i gives stage i+2 from stages 1..i+1; the last row is the 5th-order step,
+# whose derivative is the next step's first stage (first same as last).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# 5th- minus 4th-order weights: h * sum_i E_i k_i estimates the local error
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+# A step that leaves the domain is halved down to this size before the exit
+# is recorded, so an exit time lies within it of the crossing.
+_EXIT_STEP = 1e-3
+
+# The smallest tolerance of the integrator.  The error estimate carries a
+# rounding error of about h * eps * |y'|, so a tolerance far below eps can
+# hold every step to a vanishing size.
+MIN_TOLERANCE = 100 * 2.0**-52  # 100 ulp of 1
+
 
 def geodesic_drift(pair: ProjectivePair, t: float, phi0: PhaseSpacePoint,
-                   horizon: float, step: float) -> DriftResult:
+                   horizon: float, tol: float, *, velocity=None) -> DriftResult:
     """Max relative drift of I_t along the g-geodesic through phi0.
 
-    Integrates x'' + Gamma(x') x' = 0 with classical fixed-step RK4 (global
-    error O(step^4)) and tracks |I_t - I_t(0)| / max(1, |I_t(0)|).
-    Integration stops at the domain boundary; the result records the exit.
+    Integrates x'' + Gamma(x') x' = 0 with the step-controlled
+    Dormand-Prince 5(4) pair at local error tolerance ``tol`` and tracks
+    |I_t - I_t(0)| / max(1, |I_t(0)|) at every accepted step.  The start
+    velocity solves g v = p, unless ``velocity`` gives it.  Integration
+    stops at the domain boundary; the result records the exit.
     """
-    return geodesic_drifts(pair, [t], [phi0], horizon, step)[0]
+    velocities = None if velocity is None else [velocity]
+    return geodesic_drifts(pair, [t], [phi0], horizon, tol, velocities=velocities)[0]
 
 
 def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],
                     phi0s: Sequence[PhaseSpacePoint], horizon: float,
-                    step: float) -> list[DriftResult]:
+                    tol: float, *, velocities=None) -> list[DriftResult]:
     """geodesic_drift of I_{ts[b]} from phi0s[b], for every b at once.
 
-    The trajectories are integrated together, one batched RK4; each result
-    equals that of its own geodesic_drift call bit for bit.
+    The trajectories are integrated together, each stage in one batched
+    call; each result equals that of its own geodesic_drift call bit for
+    bit.  ``velocities``, when given, are the start velocities.
     """
     if len(ts) != len(phi0s):
         raise ValueError(f"{len(ts)} values of t for {len(phi0s)} trajectories")
@@ -486,47 +516,57 @@ def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],
     def form(x, rows):
         # one row: the unbatched kernels, faster, same bits
         gv, S = _structure_values(pair, x[0] if len(x) == 1 else x)
-        return gv @ _S_at(S, ts[rows])  # K^(t)_ab, to contract with velocities
+        # K^(t)_ab, to contract with velocities; a huge t overflows S(t),
+        # and the NaN drift that follows fails the record
+        with np.errstate(over="ignore", invalid="ignore"):
+            return gv @ _S_at(S, ts[rows])
 
-    return _integrate(pair, form, phi0s, horizon, step)
+    return _integrate(pair, form, phi0s, velocities, horizon, tol)
 
 
 def geodesic_form_drift(pair: ProjectivePair, form, phi0: PhaseSpacePoint,
-                        horizon: float, step: float) -> DriftResult:
+                        horizon: float, tol: float) -> DriftResult:
     """Drift of an arbitrary quadratic form K_ab(x) v^a v^b along geodesics.
 
     ``form`` maps a ``(B, n)`` batch of chart points to their (0,2)
     component matrices, shape ``(B, n, n)``; an ``(n, n)`` matrix stands
     for the same form at every point.  The trajectory is integrated by the
     engine behind geodesic_drift as a batch of one.  Non-conserved forms
-    make a positive control for the convergence harness.
+    make a positive control for the tolerance harness.
     """
-    return _integrate(pair, lambda x, rows: form(x), [phi0], horizon, step)[0]
+    return _integrate(pair, lambda x, rows: form(x), [phi0], None, horizon, tol)[0]
 
 
-def _integrate(pair: ProjectivePair, form, phi0s, horizon: float,
-               step: float) -> list[DriftResult]:
-    """Fixed-step RK4 over a batch of trajectories, one row each.
+def _step_factor(err: float, tol: float, grow: float) -> float:
+    """Step-size factor after a step with error estimate err: the 5th root of
+    tol / err, damped by 0.9 and kept within [0.2, grow]."""
+    if err == 0.0:
+        return grow
+    return min(grow, max(0.2, 0.9 * (tol / err) ** 0.2))
 
-    Every row takes the same steps and keeps its own drift.  A row leaves
-    the batch when a step takes it out of the domain, or when a stage
-    raises at it: a step whose stages raise is re-run row by row, as
-    batches of one, to find the rows that fail.  ``form(x, rows)`` gives the
-    (0,2) forms at the points ``x`` of the rows still integrated, ``rows``
-    being their indices in ``phi0s``.
+
+def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
+               tol: float) -> list[DriftResult]:
+    """Dormand-Prince 5(4) over a batch of trajectories, one row each.
+
+    Every row keeps its own time, step size, drift and accept/reject
+    decision; each stage is evaluated for all rows still integrated in one
+    call.  A step is accepted when its error estimate, scaled per component
+    by max(1, |y|), is at most ``tol``.  A step that leaves the domain, or
+    whose stages raise at the row (found by re-running it row by row), is
+    halved down to _EXIT_STEP before the row exits.  ``form(x, rows)``
+    gives the (0,2) forms at the points ``x`` of ``rows``, their indices in
+    ``phi0s``.  Start velocities solve g v = p unless given.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not tol >= MIN_TOLERANCE:
+        raise ValueError(f"tolerance must be at least {MIN_TOLERANCE:.3g}, got {tol}")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not phi0s:
         return []
     d = pair.dim
-    x = np.array([phi.x for phi in phi0s], dtype=float)
-    p = np.array([phi.p for phi in phi0s], dtype=float)
-    v = np.linalg.solve(pair.g.values(x), p[..., None])[..., 0]
 
-    def acceleration(y):
+    def derivative(y):
         if len(y) == 1:  # one row: the unbatched kernels, faster, same bits
             gamma = christoffel_values(pair.g, y[0, :d])[None]
         else:
@@ -535,12 +575,25 @@ def _integrate(pair: ProjectivePair, form, phi0s, horizon: float,
         acc = -np.einsum("bijk,bj,bk->bi", gamma, vel, vel)
         return np.concatenate([vel, acc], axis=1)
 
-    def rk4_step(y, h):
-        k1 = acceleration(y)
-        k2 = acceleration(y + 0.5 * h * k1)
-        k3 = acceleration(y + 0.5 * h * k2)
-        k4 = acceleration(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def dp_step(y, k1, h):
+        """(5th-order y at tau + h, its derivative, local error estimate)."""
+        ks = [k1]
+        for row in _DP_A:
+            z = y + h[:, None] * sum(a * k for a, k in zip(row, ks) if a)
+            ks.append(derivative(z))
+        return z, ks[-1], h[:, None] * sum(e * k for e, k in zip(_DP_E, ks) if e)
+
+    def attempt(y, k1, h):
+        """dp_step on the batch, or row by row if a stage raises; a row
+        whose stage raises reads NaN, which counts as leaving the domain."""
+        try:
+            return dp_step(y, k1, h)
+        except _STAGE_ERRORS:
+            if len(y) == 1:
+                return (np.full_like(y, np.nan),) * 3
+            parts = [attempt(y[r : r + 1], k1[r : r + 1], h[r : r + 1])
+                     for r in range(len(y))]
+            return tuple(np.concatenate(p) for p in zip(*parts))
 
     def invariants(y, rows):
         forms = form(y[:, :d], rows)
@@ -549,42 +602,52 @@ def _integrate(pair: ProjectivePair, form, phi0s, horizon: float,
         # row by row: a batched contraction can round differently
         return [float(vel @ f @ vel) for vel, f in zip(y[:, d:], forms)]
 
-    y = np.concatenate([x, v], axis=1)
-    rows = np.arange(len(phi0s))
+    B = len(phi0s)
+    x = np.array([phi.x for phi in phi0s], dtype=float)
+    if velocities is None:
+        p = np.array([phi.p for phi in phi0s], dtype=float)
+        velocities = np.linalg.solve(pair.g.values(x), p[..., None])[..., 0]
+    y = np.concatenate([x, np.asarray(velocities, dtype=float)], axis=1)
+    k = derivative(y)
+    rows = list(range(B))
     i0 = invariants(y, rows)
     denom = [max(1.0, abs(i)) for i in i0]
-    drift = [0.0] * len(phi0s)
-    results = [None] * len(phi0s)
-    steps = int(np.ceil(horizon / step))
-    tau = 0.0
-    for n in range(steps):
-        if not len(rows):
-            break
-        h = min(step, horizon - tau)
-        live = np.ones(len(rows), dtype=bool)
-        try:
-            y_next = rk4_step(y, h)
-        except _STAGE_ERRORS:
-            y_next = np.empty_like(y)
-            for r in range(len(rows)):
-                try:
-                    y_next[r] = rk4_step(y[r : r + 1], h)[0]
-                except _STAGE_ERRORS:
-                    live[r] = False
+    drift, max_err, steps = [0.0] * B, [0.0] * B, [0] * B
+    tau, grow, h = [0.0] * B, [5.0] * B, [min(horizon, tol ** 0.2)] * B
+    results = [None] * B
+    while rows:
+        hs = np.array([min(h[row], horizon - tau[row]) for row in rows])
+        z, kz, e = attempt(y[rows], k[rows], hs)
+        scale = np.maximum(1.0, np.maximum(np.abs(y[rows]), np.abs(z)))
+        errs = np.max(np.abs(e) / scale, axis=1)
+        accepted = []
         for r, row in enumerate(rows):
-            # a failed stage or a step out of the domain is a domain exit
-            if not (live[r] and pair.contains(y_next[r, :d])):
-                live[r] = False
-                results[row] = DriftResult(drift[row], True, tau, n)
-        y = y_next
-        if not live.all():
-            y, rows = y[live], rows[live]
-        tau += h
-        if len(rows):
-            for row, value in zip(rows, invariants(y, rows)):
-                new = abs(value - i0[row]) / denom[row]
-                if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
-                    drift[row] = new
-    for row in rows:
-        results[row] = DriftResult(drift[row], False, None, steps)
+            step, err = float(hs[r]), float(errs[r])
+            # a step too small to move tau means the control has stalled
+            if (not (math.isfinite(err) and pair.contains(z[r, :d]))
+                    or tau[row] + step == tau[row]):
+                if step > _EXIT_STEP:
+                    h[row], grow[row] = step / 2, 1.0
+                else:
+                    results[row] = DriftResult(drift[row], True, tau[row],
+                                               steps[row], max_err[row])
+            elif err > tol:
+                h[row], grow[row] = step * _step_factor(err, tol, 1.0), 1.0
+            else:
+                last = step == horizon - tau[row]  # lands on the horizon exactly
+                tau[row] = horizon if last else tau[row] + step
+                y[row], k[row] = z[r], kz[r]
+                steps[row] += 1
+                max_err[row] = max(max_err[row], err)
+                h[row], grow[row] = step * _step_factor(err, tol, grow[row]), 5.0
+                accepted.append(row)
+        values = invariants(y[accepted], accepted) if accepted else []
+        for row, value in zip(accepted, values):
+            new = abs(value - i0[row]) / denom[row]
+            if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
+                drift[row] = new
+            if tau[row] == horizon:
+                results[row] = DriftResult(drift[row], False, None, steps[row],
+                                           max_err[row])
+        rows = [row for row in rows if results[row] is None]
     return results

@@ -43,16 +43,12 @@ from .projective import (
     t_grid,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Jet order of the frame checks.  The commutator and decompose checks apply
 # two second-order operators to order-4 jets; no other residual depends on
 # the order, so every frame check reads the same order-4 frame of a point.
 FRAME_ORDER = 4
-
-# RK4 step of the drift check.  Drift residuals of equivalent pairs sit six
-# orders below the threshold at this step.
-DRIFT_STEP = 1e-3
 
 CHECK_IDS = (
     "basic",
@@ -137,6 +133,12 @@ class VerifyConfig:
             return self.tol
         return DEFAULT_THRESHOLDS[check]
 
+    def drift_tolerance(self) -> float:
+        """Local error tolerance of the drift integrator: a pass means I_t
+        is conserved to within the threshold, with the integration error
+        resolved three orders below it (or as far as rounding allows)."""
+        return max(self.threshold("drift") * 1e-3, ops.MIN_TOLERANCE)
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -212,7 +214,7 @@ class VerificationReport:
                 else [float(t) for t in cfg.t_grid],
                 "checks": list(cfg.checks),
                 "drift": {
-                    "step": DRIFT_STEP,
+                    "tolerance": cfg.drift_tolerance(),
                     "horizon": cfg.drift_horizon,
                     "trajectories": cfg.drift_trajectories,
                 },
@@ -342,21 +344,20 @@ def _record_at(pair, check, point, grid, momentum):
 def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):
     """(start point, residual, params) of each drift trajectory."""
     n = min(cfg.drift_trajectories, len(points))
-    ts, starts = [], []
-    for x0, grid, v in zip(points[:n], grids, velocities[:n]):
-        ts.append(grid[0])
-        p0 = tuple(pair.g.values(x0) @ np.asarray(v, dtype=float))
-        starts.append(ops.PhaseSpacePoint(x0, p0))
-    results = ops.geodesic_drifts(
-        pair, ts, starts, cfg.drift_horizon, DRIFT_STEP
-    )
+    ts = [grid[0] for grid in grids[:n]]
+    starts = [ops.PhaseSpacePoint(x0, tuple(pair.g.values(x0) @ v))
+              for x0, v in zip(points[:n], velocities[:n])]
+    results = ops.geodesic_drifts(pair, ts, starts, cfg.drift_horizon,
+                                  cfg.drift_tolerance(), velocities=velocities[:n])
     outcomes = []
-    for t, phi0, result in zip(ts, starts, results):
+    for t, phi0, v, result in zip(ts, starts, velocities, results):
         params = [
             ("exited", bool(result.exited)),
+            ("max_error", float(result.max_error)),
             ("momentum", [float(c) for c in phi0.p]),
             ("steps", int(result.steps)),
             ("t", float(t)),
+            ("velocity", [float(c) for c in v]),
         ]
         if result.exit_time is not None:
             params.insert(1, ("exit_time", float(result.exit_time)))

@@ -225,6 +225,20 @@ class TestVerifyCommand:
             assert math.isnan(record["residual"]) and record["verdict"] == "fail"
         assert math.isnan(doc["summary"]["max_residual"]["drift"])
 
+    def test_nan_drift_prints_no_warning(self):
+        # the overflow of S(t) at t = 1e200 shows as failed records only
+        proc = subprocess.run(
+            [sys.executable, "-m", "benenti", "verify", "control_nonequiv_curved",
+             "--checks", "drift", "--points", "2", "--t-grid", "1e200"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        records = yaml.safe_load(proc.stdout)["records"]
+        assert len(records) == 2
+        for record in records:
+            assert math.isnan(record["residual"]) and record["verdict"] == "fail"
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_non_finite_metric_exits_two_with_position(self, tmp_path, capsys):
         path = tmp_path / "nan.yaml"
         path.write_text(NAN_FILE)

@@ -2,7 +2,9 @@
 
 verify integrates all drift trajectories of a pair in one batch; each
 result must be the one a geodesic_drift call of its own gives, exactly:
-same drift, same exit, same exit time, same number of steps.
+same drift, same exit, same exit time, same number of accepted steps and
+the same largest error estimate.  Every row keeps its own step size, so an
+exit is placed by its own step control: within 1e-3 of the crossing.
 """
 
 import numpy as np
@@ -12,7 +14,9 @@ from benenti import catalog, operators as ops
 from benenti.geometry import MetricField
 from benenti.operators import PhaseSpacePoint
 from benenti.projective import ProjectivePair
-from benenti.verify import DRIFT_STEP, VerifyConfig, verify_pair
+from benenti.verify import VerifyConfig, verify_pair
+
+TOL = 1e-10
 
 
 def start(pair, x0, v):
@@ -20,8 +24,8 @@ def start(pair, x0, v):
     return PhaseSpacePoint(x0, tuple(pair.g.values(x0) @ np.asarray(v, dtype=float)))
 
 
-def one_at_a_time(pair, ts, phis, horizon, step):
-    return [ops.geodesic_drift(pair, t, phi, horizon, step) for t, phi in zip(ts, phis)]
+def one_at_a_time(pair, ts, phis, horizon, tol):
+    return [ops.geodesic_drift(pair, t, phi, horizon, tol) for t, phi in zip(ts, phis)]
 
 
 @pytest.mark.parametrize("name", catalog.list_entries())
@@ -35,11 +39,13 @@ def test_verify_records_equal_single_trajectories(name):
         params = dict(rec.params)
         phi = PhaseSpacePoint(rec.point, tuple(params["momentum"]))
         single = ops.geodesic_drift(pair, params["t"], phi, cfg.drift_horizon,
-                                    DRIFT_STEP)
+                                    cfg.drift_tolerance(),
+                                    velocity=params["velocity"])
         assert rec.residual == single.max_drift
         assert params["exited"] == single.exited
         assert params.get("exit_time") == single.exit_time
         assert params["steps"] == single.steps
+        assert params["max_error"] == single.max_error <= cfg.drift_tolerance()
 
 
 def test_rows_keep_their_own_t():
@@ -49,8 +55,8 @@ def test_rows_keep_their_own_t():
             start(pair, (1.5, 0.8), (0.3, 0.2)),
             start(pair, (1.6, 0.75), (0.55, -0.5)),
             start(pair, (2.0, 0.6), (-0.4, 0.1))]
-    batch = ops.geodesic_drifts(pair, ts, phis, 0.2, 4e-3)
-    assert batch == one_at_a_time(pair, ts, phis, 0.2, 4e-3)
+    batch = ops.geodesic_drifts(pair, ts, phis, 0.2, TOL)
+    assert batch == one_at_a_time(pair, ts, phis, 0.2, TOL)
     # the same start point conserves I_t to a different rounding for each t
     assert batch[0].max_drift != batch[2].max_drift
 
@@ -59,13 +65,16 @@ def test_a_row_that_leaves_the_domain():
     pair = catalog.get_entry("dini").pair
     ts = [0.0, 0.0, 1.0]
     phis = [start(pair, (1.6, 0.75), (0.55, -0.5)),
-            start(pair, (2.8, 0.9), (1.5, 1.5)),  # heads out of the box
+            # heads out of the box, crossing y = 0.95 at tau = 0.033792
+            # (found by a reference integration at tolerance 1e-12)
+            start(pair, (2.8, 0.9), (1.5, 1.5)),
             start(pair, (1.5, 0.8), (0.3, 0.2))]
-    batch = ops.geodesic_drifts(pair, ts, phis, 0.6, 1e-2)
+    batch = ops.geodesic_drifts(pair, ts, phis, 0.6, TOL)
     assert [r.exited for r in batch] == [False, True, False]
-    assert 0.0 <= batch[1].exit_time < 0.6 and batch[1].steps < 60
-    assert batch[0].steps == batch[2].steps == 60
-    assert batch == one_at_a_time(pair, ts, phis, 0.6, 1e-2)
+    assert 0.032792 <= batch[1].exit_time < 0.033792
+    assert batch[0].exit_time is None and batch[2].exit_time is None
+    assert batch[0].steps != batch[2].steps  # each row sizes its own steps
+    assert batch == one_at_a_time(pair, ts, phis, 0.6, TOL)
 
 
 def half_plane_pair():
@@ -83,11 +92,11 @@ def test_a_row_whose_stage_raises_mid_batch():
     phis = [start(pair, (0.5, 0.0), (1.0, 0.0)),
             start(pair, (0.5, 0.0), (-1.0, 0.0)),  # reaches x = 0 at 0.5
             start(pair, (1.0, 0.3), (0.5, 0.2))]
-    batch = ops.geodesic_drifts(pair, ts, phis, 1.0, 1e-2)
+    batch = ops.geodesic_drifts(pair, ts, phis, 1.0, TOL)
     assert [r.exited for r in batch] == [False, True, False]
-    assert 0.45 <= batch[1].exit_time < 0.5
-    assert batch[0].steps == batch[2].steps == 100
-    assert batch == one_at_a_time(pair, ts, phis, 1.0, 1e-2)
+    assert 0.499 <= batch[1].exit_time < 0.5
+    assert batch[0].exit_time is None and batch[2].exit_time is None
+    assert batch == one_at_a_time(pair, ts, phis, 1.0, TOL)
 
 
 def test_a_bug_in_a_stage_is_not_a_domain_exit(monkeypatch):
@@ -98,7 +107,7 @@ def test_a_bug_in_a_stage_is_not_a_domain_exit(monkeypatch):
     pair = catalog.get_entry("dini").pair
     with pytest.raises(TypeError):
         ops.geodesic_drift(pair, 0.0, PhaseSpacePoint((1.6, 0.75), (0.3, -0.2)),
-                           0.1, 1e-2)
+                           0.1, TOL)
 
 
 def test_form_is_evaluated_on_a_batch_of_points():
@@ -111,7 +120,7 @@ def test_form_is_evaluated_on_a_batch_of_points():
         return pair.g.values(points)
 
     phi = start(pair, (1.6, 0.75), (0.55, -0.5))
-    r = ops.geodesic_form_drift(pair, energy, phi, 0.2, 1e-2)
+    r = ops.geodesic_form_drift(pair, energy, phi, 0.2, TOL)
     assert set(seen) == {(1, 2)}
     assert not r.exited and r.max_drift <= 1e-8
 
@@ -128,8 +137,9 @@ def test_a_nan_drift_sticks():
         return values * np.nan if len(calls) == 3 else values
 
     phi = start(pair, (1.6, 0.75), (0.55, -0.5))
-    r = ops.geodesic_form_drift(pair, energy, phi, 0.2, 1e-2)
-    assert len(calls) == 21 and not r.exited
+    r = ops.geodesic_form_drift(pair, energy, phi, 0.2, TOL)
+    # the form is evaluated at the start and at every accepted step
+    assert len(calls) == r.steps + 1 and r.steps > 3 and not r.exited
     assert np.isnan(r.max_drift)
 
 
@@ -137,5 +147,5 @@ def test_lengths_must_agree():
     pair = catalog.get_entry("dini").pair
     with pytest.raises(ValueError):
         ops.geodesic_drifts(pair, [0.0, 1.0], [start(pair, (1.6, 0.75), (0.5, 0.1))],
-                            0.1, 1e-2)
-    assert ops.geodesic_drifts(pair, [], [], 0.1, 1e-2) == []
+                            0.1, TOL)
+    assert ops.geodesic_drifts(pair, [], [], 0.1, TOL) == []

@@ -527,7 +527,7 @@ class TestGeodesicDrift:
         pair = catalog.get_entry("beltrami").pair  # g is Euclidean
         form = lambda x: np.array([[1.0, 0.3], [0.3, 2.0]])
         phi0 = PhaseSpacePoint((0.1, -0.2), (0.5, 0.4))
-        r = ops.geodesic_form_drift(pair, form, phi0, 1.0, 1e-3)
+        r = ops.geodesic_form_drift(pair, form, phi0, 1.0, 1e-11)
         assert r.max_drift <= 1e-12
         assert not r.exited
 
@@ -536,33 +536,38 @@ class TestGeodesicDrift:
         x0 = (1.6, 0.75)
         p0 = tuple(pair.g.values(x0) @ np.array([0.55, -0.5]))
         phi0 = PhaseSpacePoint(x0, p0)
-        r = ops.geodesic_drift(pair, 0.0, phi0, 1.0, 1e-3)
+        r = ops.geodesic_drift(pair, 0.0, phi0, 1.0, 1e-11)
         assert r.max_drift <= 1e-8
         assert not r.exited
 
-    def test_fourth_order_convergence(self):
+    def test_drift_follows_the_tolerance(self):
+        # every accepted step's error estimate is within the tolerance, and
+        # a tighter tolerance takes more steps to a smaller drift
         pair = dini()
         x0 = (1.6, 0.75)
         p0 = tuple(pair.g.values(x0) @ np.array([0.55, -0.5]))
         phi0 = PhaseSpacePoint(x0, p0)
-        coarse = ops.geodesic_drift(pair, 0.0, phi0, 1.0, 3.2e-2).max_drift
-        fine = ops.geodesic_drift(pair, 0.0, phi0, 1.0, 1.6e-2).max_drift
-        assert coarse > 1e-13  # truncation-dominated regime
-        assert 12.0 <= coarse / fine <= 20.0
+        runs = [ops.geodesic_drift(pair, 0.0, phi0, 1.0, tol)
+                for tol in (1e-5, 1e-7, 1e-9)]
+        for r, tol in zip(runs, (1e-5, 1e-7, 1e-9)):
+            assert not r.exited
+            assert 0.0 < r.max_error <= tol and r.max_drift <= tol
+        assert runs[0].steps < runs[1].steps < runs[2].steps
+        assert runs[0].max_drift > runs[1].max_drift > runs[2].max_drift
 
     def test_non_conserved_form_drifts(self):
         pair = catalog.get_entry("trivial").pair
         form = lambda x: np.diag([1.0, 0.0])  # theta'^2, not conserved
         x0 = (1.2, 1.0)
         p0 = tuple(pair.g.values(x0) @ np.array([0.5, 0.4]))
-        r = ops.geodesic_form_drift(pair, form, PhaseSpacePoint(x0, p0), 1.0, 1e-3)
+        r = ops.geodesic_form_drift(pair, form, PhaseSpacePoint(x0, p0), 1.0, 1e-11)
         assert r.max_drift >= 1e-3
 
     def test_domain_exit_reported(self):
         pair = dini()
         x0 = (2.8, 0.9)
         p0 = tuple(pair.g.values(x0) @ np.array([1.5, 1.5]))
-        r = ops.geodesic_drift(pair, 0.0, PhaseSpacePoint(x0, p0), 2.0, 1e-3)
+        r = ops.geodesic_drift(pair, 0.0, PhaseSpacePoint(x0, p0), 2.0, 1e-11)
         assert r.exited
         assert r.exit_time is not None and 0.0 <= r.exit_time < 2.0
 
@@ -571,4 +576,6 @@ class TestGeodesicDrift:
         with pytest.raises(ValueError):
             ops.geodesic_drift(dini(), 0.0, phi0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            ops.geodesic_drift(dini(), 0.0, phi0, -1.0, 1e-3)
+            ops.geodesic_drift(dini(), 0.0, phi0, -1.0, 1e-11)
+        with pytest.raises(ValueError):  # below the rounding of the estimate
+            ops.geodesic_drift(dini(), 0.0, phi0, 1.0, ops.MIN_TOLERANCE / 2)

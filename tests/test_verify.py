@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from benenti import catalog, verify
+from benenti import catalog, operators as ops, verify
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
 from benenti.projective import PointFrame, ProjectivePair
@@ -190,9 +190,22 @@ class TestReports:
         assert len(rep.records) == 2
         for rec in rep.records:
             params = dict(rec.params)
-            assert "momentum" in params and "steps" in params
+            assert "momentum" in params and len(params["velocity"]) == 2
             assert isinstance(params["exited"], bool)
+            assert params["steps"] > 0
+            assert 0.0 < params["max_error"] <= rep.config.drift_tolerance()
             assert rec.residual <= 1e-8
+        doc = yaml.safe_load(rep.render())
+        assert doc["configuration"]["drift"]["tolerance"] == 1e-8 * 1e-3
+        assert "step" not in doc["configuration"]["drift"]
+
+    def test_drift_tolerance_stops_at_rounding(self):
+        # a tolerance far below rounding would hold every step back; the
+        # integrator runs at its floor and the report echoes the floor
+        rep = quick_report("dini", checks=("drift",), tol=1e-300)
+        doc = yaml.safe_load(rep.render())
+        assert doc["configuration"]["drift"]["tolerance"] == ops.MIN_TOLERANCE
+        assert all(dict(r.params)["steps"] > 0 for r in rep.records)
 
     def test_tol_override_applies_to_records(self):
         rep = quick_report("control_nonequiv", tol=1e6)
