@@ -124,22 +124,37 @@ class _Space:
         return self._bins[:size]
 
 
+# Products of more table terms than this run in blocks of rows, which bounds
+# the temporary terms and the output slots that batch_bins keeps.
+BLOCK_TERMS = 2**15
+
+
 def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated products of two arrays of jets of one space, broadcast
     over their leading axes.
 
     Each output coefficient of each jet sums its products in the order of
     the convolution table, starting from zero, as the single-jet kernel
-    ``np.bincount(kk, a[ii] * b[jj])`` does.
+    ``np.bincount(kk, a[ii] * b[jj])`` does.  More jets than fit in
+    BLOCK_TERMS table terms are multiplied in blocks of rows, which changes
+    no bits.
     """
     ii, jj, kk = sp._mul
     if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
         return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
+    lead = np.broadcast(a[..., 0], b[..., 0]).shape
+    rows, step = math.prod(lead), max(1, BLOCK_TERMS // len(ii))
+    if rows > step:  # gather each block's rows, never the whole broadcast
+        a, b = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b))
+        out = np.empty((rows, sp.ncoeffs))
+        for start in range(0, rows, step):
+            block = np.unravel_index(np.arange(start, min(start + step, rows)), lead)
+            out[start : start + step] = product_coeffs(sp, a[block], b[block])
+        return out.reshape(lead + (sp.ncoeffs,))
     terms = a[..., ii] * b[..., jj]
-    rows = terms.size // len(ii)
     return np.bincount(
         sp.batch_bins(rows), terms.ravel(), minlength=rows * sp.ncoeffs,
-    ).reshape(terms.shape[:-1] + (sp.ncoeffs,))
+    ).reshape(lead + (sp.ncoeffs,))
 
 
 def gradient_coeffs(sp: _Space, c: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ The quantum side works pointwise through jets: applying an operator to an
 order-m jet of a function yields the order-(m-2) jet of the result, so a
 nested application (a commutator) of two second-order operators needs a
 working order of exactly 4 and produces a plain number.  No symbolic
-coefficient expansion ever happens.
+coefficient expansion ever happens.  The checks work on a block of points
+at once, through the pair's frame of that block, and give one value per
+row; a single point is a block of one.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
@@ -54,7 +56,7 @@ class QuantizedOperator:
     ``geometry`` is a ProjectivePair (a bare MetricField is wrapped in a
     trivial pair); its first metric supplies the connection and volume
     density.  ``coefficients`` maps a PointFrame to the (2,0) component array
-    of A at that frame's point and order.  Components are symmetrized on
+    of A at that frame's points and order.  Components are symmetrized on
     evaluation, like metric components.  Operators built this way annihilate
     constants by construction: there is no zeroth-order term.
     """
@@ -68,9 +70,9 @@ class QuantizedOperator:
         self._coefficients = coefficients
         self.name = name
 
-    def coefficient_tensor(self, point, order: int) -> JetTensor:
-        """A^{ij} as jets at (point, order), symmetrized."""
-        raw = self._coefficients(self.pair.frame(point, order))
+    def coefficient_tensor(self, points, order: int) -> JetTensor:
+        """A^{ij} as jets at (points, order), symmetrized, one row per point."""
+        raw = self._coefficients(self.pair.frame(points, order))
         if not isinstance(raw, JetTensor):
             raw = JetTensor(raw, 2, 0)
         field = JetTensor._dense(raw.space, symmetrized(raw).coeffs, 2, 0)
@@ -86,7 +88,7 @@ class QuantizedOperator:
         parsed = [[expr.parse(str(c), coords) for c in row] for row in components]
 
         def coefficients(frame: PointFrame):
-            seeds = jets.seed_coordinates(frame.point, frame.order)
+            seeds = jets.seed_coordinates(frame.points, frame.order)
             assignment = dict(zip(coords, seeds))
             return JetTensor(
                 [[expr.evaluate(c, assignment) for c in row] for row in parsed], 2, 0
@@ -106,8 +108,9 @@ def laplacian(geometry) -> QuantizedOperator:
     )
 
 
-def killing_operator(pair: ProjectivePair, t: float) -> QuantizedOperator:
-    """Carter operator of the pair's Killing tensor K^(t): A = S(t) g^{-1}."""
+def killing_operator(pair: ProjectivePair, t) -> QuantizedOperator:
+    """Carter operator of the pair's Killing tensor K^(t): A = S(t) g^{-1},
+    with one t per row of a block of points (a number stands for every row)."""
 
     return QuantizedOperator(
         pair, lambda frame: matmul(frame.S_of_t(t), frame.g_inv), name=f"K_hat(t={t})"
@@ -168,7 +171,7 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
     if form == "density":
         # (1/w) d_i (w V^i) with w = sqrt |det g|
         w = frame.sqrt_abs_det_g
-        wV = jets.product_coeffs(sp1, w.coeffs[: sp1.ncoeffs], V)
+        wV = jets.product_coeffs(sp1, w.coeffs[..., None, : sp1.ncoeffs], V)
         acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
         return jets.product_coeffs(
             sp2, jets.reciprocal(jets.truncate(w, m - 2)).coeffs, acc)
@@ -177,11 +180,12 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
 
 def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
                   form: str = "christoffel") -> jets.Jet:
-    """Core application to one jet; consumes two jet orders."""
+    """Core application to one jet at one point, through the frame of that
+    point as a block of one; consumes two jet orders."""
     m = f_jet.order
     A = op.coefficient_tensor(point, m).coeffs
     out = _apply(op.pair.frame(point, m), A, f_jet.space, f_jet.coeffs, form)
-    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out)
+    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out[0])
 
 
 def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
@@ -203,141 +207,149 @@ def laplace_apply(metric, f: FunctionLike, point, output_order: int = 0) -> jets
 
 
 def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
-                   f_jet4: jets.Jet, point):
-    """(op_t op_s f)(p) and (op_s op_t f)(p) from an order-4 jet, as floats,
-    or as lists from a stack of them: four applications in all."""
+                   f: np.ndarray, points):
+    """(op_t op_s f)(p) and (op_s op_t f)(p) at each row of the points, from
+    order-4 jet coefficients ``f`` whose leading axes broadcast against the
+    rows: four applications in all."""
     if op_t.coordinates != op_s.coordinates:
         raise ValueError("operators live on different charts")
-    sp, sp2, f = f_jet4.space, jets._space(f_jet4.nvars, 2), f_jet4.coeffs
-    A_t, A_s = (op.coefficient_tensor(point, 4).coeffs for op in (op_t, op_s))
-    frame_t, frame_s = op_t.pair.frame(point, 4), op_s.pair.frame(point, 4)
+    sp, sp2 = (jets._space(op_t.dim, m) for m in (4, 2))
+    A_t, A_s = (op.coefficient_tensor(points, 4).coeffs for op in (op_t, op_s))
+    frame_t, frame_s = op_t.pair.frame(points, 4), op_s.pair.frame(points, 4)
     ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
     st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]
-    return ts.tolist(), st.tolist()
+    return ts, st
 
 
 def commutator_apply(op_t: QuantizedOperator, op_s: QuantizedOperator,
                      f: FunctionLike, point) -> float:
     """[op_t, op_s] f at the point, as a plain number (working order 4)."""
-    ts, st = _nested_values(op_t, op_s, _function_jet(op_t.coordinates, f, point, 4), point)
-    return ts - st
+    f_jet = _function_jet(op_t.coordinates, f, point, 4)
+    ts, st = _nested_values(op_t, op_s, f_jet.coeffs, point)
+    return float(ts[0] - st[0])
 
 
 def commutator_residual(op_t: QuantizedOperator, op_s: QuantizedOperator,
                         f: FunctionLike, point) -> float:
     """|[op_t, op_s] f| / max(1, |op_t op_s f|, |op_s op_t f|) at the point."""
-    ts, st = _nested_values(op_t, op_s, _function_jet(op_t.coordinates, f, point, 4), point)
+    f_jet = _function_jet(op_t.coordinates, f, point, 4)
+    ts, st = (float(v[0]) for v in _nested_values(op_t, op_s, f_jet.coeffs, point))
     return abs(ts - st) / max(1.0, abs(ts), abs(st))
 
 
-def killing_commutator_grid(pair: ProjectivePair, f, point) -> np.ndarray:
-    """B[l, k] = (K_hat[l] K_hat[k] f)(p) over the family's coefficients.
+def killing_commutator_grid(pair: ProjectivePair, f, points) -> np.ndarray:
+    """B[p, l, k] = (K_hat[l] K_hat[k] f)(p) over the family's coefficients,
+    at each row p of the points.
 
     Since K_hat(t) = sum_l t^l K_hat[l], any [K_hat(t), K_hat(s)] f follows
     from this grid by polynomial combination; see commutator_from_grid.
-    A list or tuple of functions gives the stack B[f, l, k] of their grids,
-    from two applications of the n stacked fields to the stacked functions.
+    A list or tuple of functions gives the stack B[f, p, l, k] of their
+    grids, from two applications of the n stacked fields to the stacked
+    functions.
     """
     d = pair.dim
     functions = f if isinstance(f, (list, tuple)) else [f]
     sp = jets._space(d, 4)
-    fs = np.array([_function_jet(pair.coordinates, g, point, 4).coeffs
-                   for g in functions])
-    frame = pair.frame(point, 4)
+    frame = pair.frame(points, 4)
+    fs = np.array([_function_jet(pair.coordinates, g, frame.points, 4).coeffs
+                   for g in functions])  # [f, p, coeff]
     # the fields of killing_coefficient_operator, symmetrized like an operator's
     A = np.array([symmetrized(a).coeffs[..., : sp.ncoeffs] for a in frame.A_coeffs])
-    inner = _apply(frame, A, sp, fs[:, None])  # [f, k], order 2
-    # [f, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs
-    B = np.ascontiguousarray(
-        _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0])
+    inner = _apply(frame, A, sp, fs[:, None])  # [f, k, p], order 2
+    nested = _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0]
+    # [f, p, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs
+    B = np.ascontiguousarray(np.moveaxis(nested, -1, 1))
     return B if isinstance(f, (list, tuple)) else B[0]
 
 
-def commutator_from_grid(B: np.ndarray, t: float, s: float):
-    """([K_hat(t), K_hat(s)] f, scale) from a nested-application grid.
+def commutator_from_grid(B: np.ndarray, t, s):
+    """([K_hat(t), K_hat(s)] f, scale) from nested-application grids.
 
-    The scale is max(1, |K_t K_s f|, |K_s K_t f|), matching
-    commutator_residual.
+    ``t`` and ``s`` broadcast against the leading axes of ``B``, so one call
+    combines a whole grid of (t, s) pairs.  The scale is max(1, |K_t K_s f|,
+    |K_s K_t f|), matching commutator_residual.  Each grid is combined as a
+    stack of row vectors, which gives the bits of ``tp @ B @ sp``.
     """
-    d = B.shape[0]
-    tp = t ** np.arange(d)
-    sp = s ** np.arange(d)
-    ts = float(tp @ B @ sp)
-    st = float(sp @ B @ tp)
-    return ts - st, max(1.0, abs(ts), abs(st))
+    powers = np.arange(B.shape[-1])
+    tp = np.asarray(t, dtype=float)[..., None, None] ** powers  # [..., 1, l]
+    sp = np.asarray(s, dtype=float)[..., None, None] ** powers
+    ts = (tp @ B @ np.swapaxes(sp, -1, -2))[..., 0, 0]
+    st = (sp @ B @ np.swapaxes(tp, -1, -2))[..., 0, 0]
+    return ts - st, np.fmax(np.fmax(1.0, np.abs(ts)), np.abs(st))
 
 
 @dataclass(frozen=True)
 class CommutatorDecomposition:
-    """First-order form of a commutator at a point.
+    """First-order form of a commutator at each row of a block of points.
 
     If the commutator acts as nabla_i Q^{ij} nabla_j + V^l nabla_l (plus
     nothing of third order), probing with centered monomials recovers Q and
     V exactly: linear probes see only V, quadratic probes only 2Q (their
     first derivatives vanish at the center).  cubic_residual measures the
     scaled action on centered cubics, which any such operator annihilates
-    at the center.
+    at the center.  Q, V and cubic_residual have one row per point.
     """
 
-    point: tuple
+    points: np.ndarray
     Q: np.ndarray
     V: np.ndarray
-    cubic_residual: float
+    cubic_residual: np.ndarray
 
     @property
-    def q_norm(self) -> float:
-        return float(np.max(np.abs(self.Q)))
+    def q_norm(self) -> np.ndarray:
+        return np.max(np.abs(self.Q), axis=(-2, -1))
 
     @property
-    def v_norm(self) -> float:
-        return float(np.max(np.abs(self.V)))
+    def v_norm(self) -> np.ndarray:
+        return np.max(np.abs(self.V), axis=-1)
 
 
 def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
-                         point) -> CommutatorDecomposition:
-    """Probe [op_t, op_s] at a point with centered monomials.
+                         points) -> CommutatorDecomposition:
+    """Probe [op_t, op_s] with centered monomials at a point, or at each
+    row of a block of points.
 
     Both operators annihilate constants, so the commutator has no
     zeroth-order part; V comes from the linear probes and Q from the
     quadratic ones (halved: d^2 of u_a u_b hits both index orders).
     """
     d = op_t.dim
-    seeds = jets.seed_coordinates(point, 4)
-    u = [s - s.value for s in seeds]  # centered coordinates
+    points = np.array(points, dtype=float, ndmin=2)
+    u = jets.seed_coordinates(np.zeros(d), 4)  # centered: the seeds at 0
     quadratic = list(combinations_with_replacement(range(d), 2))
     probes = (u + [u[a] * u[b] for a, b in quadratic]
               + [u[a] * u[b] * u[c]
                  for a, b, c in combinations_with_replacement(range(d), 3)])
-    stacked = jets.Jet._new(seeds[0].space, np.array([p.coeffs for p in probes]))
-    ts, st = _nested_values(op_t, op_s, stacked, point)
-    values = [x - y for x, y in zip(ts, st)]
-    V = np.array(values[:d])
-    Q = np.empty((d, d))
+    stacked = np.array([p.coeffs for p in probes])[:, None]  # [probe, row]
+    ts, st = _nested_values(op_t, op_s, stacked, points)
+    values = ts - st
+    Q = np.empty((len(points), d, d))
     for (a, b), value in zip(quadratic, values[d:]):
-        Q[a, b] = Q[b, a] = 0.5 * value
-    cubic = 0.0
+        Q[:, a, b] = Q[:, b, a] = 0.5 * value
+    cubic = np.zeros(len(points))
     for k in range(d + len(quadratic), len(probes)):
-        cubic = max(cubic, abs(values[k]) / max(1.0, abs(ts[k]), abs(st[k])))
-    return CommutatorDecomposition(
-        point=tuple(float(x) for x in point), Q=Q, V=V, cubic_residual=cubic
-    )
+        scale = np.fmax(np.fmax(1.0, np.abs(ts[k])), np.abs(st[k]))
+        cubic = np.fmax(cubic, np.abs(values[k]) / scale)
+    return CommutatorDecomposition(points=points, Q=Q, V=values[:d].T,
+                                   cubic_residual=cubic)
 
 
 @dataclass(frozen=True)
 class PhaseSpacePoint:
-    """A chart point x with a momentum covector p."""
+    """A chart point x with a momentum covector p, or a block of them with
+    one point and one momentum per row."""
 
     x: tuple
     p: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-        object.__setattr__(self, "p", tuple(float(c) for c in self.p))
-        if len(self.x) != len(self.p):
-            raise ValueError(
-                f"x has {len(self.x)} components but p has {len(self.p)}"
-            )
-        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.p)):
+        x, p = (np.asarray(v, dtype=float) for v in (self.x, self.p))
+        if x.shape != p.shape or x.ndim not in (1, 2):
+            raise ValueError(f"x has shape {x.shape} but p has shape {p.shape}")
+        for name, v in (("x", x), ("p", p)):
+            object.__setattr__(self, name, tuple(map(tuple, v.tolist()))
+                               if v.ndim == 2 else tuple(v.tolist()))
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError(f"non-finite phase-space point {self}")
 
 
@@ -391,61 +403,67 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
     return float(p @ A @ p)
 
 
-def integral_field(pair: ProjectivePair, t: float, x):
-    """(A(t) values, d_s A(t) values) at x for the family's integral I_t,
-    from the values and first x-derivatives of every A_l = S_l g^{-1}.
+def integral_field(pair: ProjectivePair, t, x):
+    """(A(t) values, d_s A(t) values) at each row of the points x for the
+    family's integral I_t, with one t per row (a number stands for every
+    row), from the values and first x-derivatives of every A_l = S_l g^{-1}.
     Computed once per frame and t, and kept with the frame."""
-    frame = pair.frame(tuple(x), 1)
-    key = float(t).hex()  # tells -0.0 from 0.0
+    frame = pair.frame(x, 1)
+    t = np.broadcast_to(np.asarray(t, dtype=float), frame.points.shape[:1])
+    key = t.tobytes()  # tells -0.0 from 0.0
     if key not in frame.integral_fields:
         A = frame.A_coeffs
         vals = np.array([a.value() for a in A])
-        # [l, s, i, j] = d_s A_l^{ij}
-        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, 0)
+        # [l, p, s, i, j] = d_s A_l^{ij} at row p
+        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, -3)
                            for a in A])
-        tp = t ** np.arange(pair.dim)
+        tp = t[:, None] ** np.arange(pair.dim)
         frame.integral_fields[key] = (
-            np.einsum("l,lij->ij", tp, vals),
-            np.einsum("l,lsij->sij", tp, derivs),
+            np.einsum("pl,lpij->pij", tp, vals),
+            np.einsum("pl,lpsij->psij", tp, derivs),
         )
     return frame.integral_fields[key]
 
 
-def _bracket_terms(pair: ProjectivePair, t: float, s: float,
-                   phi: PhaseSpacePoint):
-    """dI_t/dp, dI_t/dx, dI_s/dp and dI_s/dx at the phase point."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of two (P, n) arrays, each with the bits of
+    ``a[r] @ b[r]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _bracket_terms(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
+    """dI_t/dp, dI_t/dx, dI_s/dp and dI_s/dx at the phase points, one row
+    each."""
     At, dAt = integral_field(pair, t, phi.x)
     As, dAs = integral_field(pair, s, phi.x)
-    p = np.asarray(phi.p)
-    dIt_dp = 2.0 * At @ p
-    dIs_dp = 2.0 * As @ p
-    dIt_dx = np.einsum("sij,i,j->s", dAt, p, p)
-    dIs_dx = np.einsum("sij,i,j->s", dAs, p, p)
+    p = np.array(phi.p, ndmin=2)
+    dIt_dp = (2.0 * At @ p[..., None])[..., 0]
+    dIs_dp = (2.0 * As @ p[..., None])[..., 0]
+    dIt_dx = np.einsum("psij,pi,pj->ps", dAt, p, p)
+    dIs_dx = np.einsum("psij,pi,pj->ps", dAs, p, p)
     return dIt_dp, dIt_dx, dIs_dp, dIs_dx
 
 
-def poisson_bracket(pair: ProjectivePair, t: float, s: float,
-                    phi: PhaseSpacePoint) -> float:
-    """{I_t, I_s} = sum_i dI_t/dp_i dI_s/dx^i - dI_t/dx^i dI_s/dp_i.
+def poisson_bracket(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
+    """{I_t, I_s} = sum_i dI_t/dp_i dI_s/dx^i - dI_t/dx^i dI_s/dp_i, one
+    value per row of the phase points.
 
     The x-derivatives come from order-1 jets of the coefficient fields; the
     p-derivatives are analytic (I is an explicit quadratic in p).
     """
     dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
-    return float(dIt_dp @ dIs_dx - dIt_dx @ dIs_dp)
+    return _dot(dIt_dp, dIs_dx) - _dot(dIt_dx, dIs_dp)
 
 
-def poisson_residual(pair: ProjectivePair, t: float, s: float,
-                     phi: PhaseSpacePoint) -> float:
-    """|{I_t, I_s}| over max(1, size of either term), cancellation-proof."""
+def poisson_residual(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
+    """|{I_t, I_s}| over max(1, size of either term), cancellation-proof,
+    one value per row of the phase points, with one t and s per row (a
+    number stands for every row)."""
     dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
-    value = float(dIt_dp @ dIs_dx - dIt_dx @ dIs_dp)
-    scale = max(
-        1.0,
-        float(np.sum(np.abs(dIt_dp * dIs_dx))),
-        float(np.sum(np.abs(dIt_dx * dIs_dp))),
-    )
-    return abs(value) / scale
+    value = _dot(dIt_dp, dIs_dx) - _dot(dIt_dx, dIs_dp)
+    scale = np.fmax(np.fmax(1.0, np.sum(np.abs(dIt_dp * dIs_dx), axis=-1)),
+                    np.sum(np.abs(dIt_dx * dIs_dp), axis=-1))
+    return np.abs(value) / scale
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Killing-candidate tensors
 as explicit polynomial coefficients in t (degree n-1), obtained by the
 Faddeev-LeVerrier recursion in jet arithmetic rather than by sampling t.
 
-The residual checks quantify, at a point, how well the pair satisfies the
-identities that characterize projective equivalence:
+The residual checks quantify, at each row of a block of points, how well
+the pair satisfies the identities that characterize projective equivalence:
 
   * check_projective_equivalence:  nabla_k L_ij = lam_i g_jk + lam_j g_ik
   * check_connection_difference:   gammabar - gamma = delta^i_k phi_j
@@ -25,7 +25,9 @@ identities that characterize projective equivalence:
   * check_carter_condition:        div [Ric_endo, S(t)] = 0
 
 All residuals are max-norms normalized by the scale of the terms entering
-them, so they are dimensionless and comparable across metrics.
+them, so they are dimensionless and comparable across metrics.  A check
+returns one residual per row, each with the bits of its point checked
+alone; a single point is a block of one.
 
 On phi: the 1-form that makes the connection-difference identity hold is
 phi_i = -(L^{-1})^s_i lam_s, equivalently phi = -(1/2) d ln|det L|.  The
@@ -103,18 +105,20 @@ class ProjectivePair:
             self.domain = None
         self._frame = None
 
-    def frame(self, point, order: int) -> "PointFrame":
-        """Geometric data at the point to at least ``order``.
+    def frame(self, points, order: int) -> "PointFrame":
+        """Geometric data at a point, or at each row of a ``(P, n)`` block
+        of points, to at least ``order``.
 
         The pair keeps one frame, the last one built.  It serves every order
-        at or below its own at its point (graded jets make those prefixes of
-        its coefficients); any other request builds a frame that replaces
-        it.  Callers therefore finish with one point before the next, as
+        at or below its own at its points (graded jets make those prefixes
+        of its coefficients); any other request builds a frame that replaces
+        it.  Callers therefore finish with one block before the next, as
         ``verify_pair`` does.
         """
-        key = tuple(float(c) for c in point)
+        key = np.array(points, dtype=float, ndmin=2)
         fr = self._frame
-        if fr is None or fr.point != key or not 0 <= order <= fr.order:
+        if (fr is None or not np.array_equal(fr.points, key)
+                or not 0 <= order <= fr.order):
             fr = self._frame = PointFrame(self, key, order)  # rejects order < 0
         return fr
 
@@ -180,7 +184,7 @@ def adjugate_family(L: JetTensor):
     M[..., diag, diag, 0] = 1.0
     S = [None] * d  # S[l] = coefficient of t^l
     char = [None] * (d + 1)
-    char[d] = jets.Jet.constant(1.0, sp.nvars, sp.order)
+    char[d] = jets.Jet._new(sp, M[..., 0, 0, :].copy())
     S[d - 1] = M
     for k in range(1, d):
         M = _contract(sp, "is,sj->ij", L.coeffs, M)
@@ -194,39 +198,46 @@ def adjugate_family(L: JetTensor):
     return S_coeffs, tuple(char)
 
 
-def _polynomial(coeffs, t: float) -> JetTensor:
-    """sum_l t^l coeffs[l] with the powers built up by repeated products."""
+def _polynomial(coeffs, t) -> JetTensor:
+    """sum_l t^l coeffs[l] over a block, with one t per row (a number
+    stands for every row) and the powers built up by repeated products."""
     acc = coeffs[0].coeffs
-    power = 1.0
+    power = np.ones(len(acc))
     for c in coeffs[1:]:
-        power *= t
-        acc = acc + c.coeffs * float(power)
+        power = power * t
+        acc = acc + c.coeffs * power.reshape((-1,) + (1,) * (acc.ndim - 1))
     return coeffs[0]._like(acc)
 
 
 class PointFrame:
-    """Lazily computed jet data of a pair at one point and truncation order.
+    """Lazily computed jet data of a pair at a block of points and one
+    truncation order.
 
-    Derivatives consume orders: with the metrics at order m, the Christoffel
-    symbols live at m-1 and the Ricci tensor at m-2.
+    ``points`` is a ``(P, n)`` block, or one point as a block of one.  Every
+    quantity is an array of shape ``(P, *tensor, ncoeffs)`` whose rows have
+    the bits of that point's frame built alone.  Derivatives consume
+    orders: with the metrics at order m, the Christoffel symbols live at m-1
+    and the Ricci tensor at m-2.
     """
 
-    def __init__(self, pair: ProjectivePair, point, order: int):
+    def __init__(self, pair: ProjectivePair, points, order: int):
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
-        self.pair = pair
-        self.point = tuple(float(c) for c in point)
+        # the metrics, not the pair: the pair holds its frame, and a cycle
+        # would keep every frame alive until the cyclic collector runs
+        self.metrics = (pair.g, pair.gbar)
+        self.points = np.array(points, dtype=float, ndmin=2)
         self.order = order
         self.dim = pair.dim
         self.integral_fields = {}  # filled by operators.integral_field
 
     @cached_property
     def g(self) -> JetTensor:
-        return self.pair.g.evaluate(self.point, self.order)
+        return self.metrics[0].evaluate(self.points, self.order)
 
     @cached_property
     def gbar(self) -> JetTensor:
-        return self.pair.gbar.evaluate(self.point, self.order)
+        return self.metrics[1].evaluate(self.points, self.order)
 
     @cached_property
     def g_inv(self) -> JetTensor:
@@ -298,15 +309,16 @@ class PointFrame:
         ric = self.ricci_tensor
         return matmul(self.g_inv.truncated(ric.order), ric)
 
-    def S_of_t(self, t: float) -> JetTensor:
-        """S(t) assembled from its polynomial coefficients."""
+    def S_of_t(self, t) -> JetTensor:
+        """S(t) assembled from its polynomial coefficients, one t per row
+        (a number stands for every row)."""
         return _polynomial(self.benenti.S_coeffs, t)
 
-    def K_of_t(self, t: float) -> JetTensor:
+    def K_of_t(self, t) -> JetTensor:
         return _polynomial(self.benenti.K_coeffs, t)
 
     def L_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.L.value())
+        return np.linalg.eigvals(self.L.value())  # [row, eigenvalue]
 
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -320,47 +332,50 @@ def t_grid(pair: ProjectivePair, point) -> tuple:
     diagnostics; the polynomial family itself is fine there, so the filter
     is purely cosmetic for reports.
     """
-    eigs = pair.frame(point, 0).L_eigenvalues()
+    eigs = pair.frame(point, 0).L_eigenvalues()[0]
     return tuple(
         t for t in DEFAULT_T_GRID if np.min(np.abs(eigs - t)) > 1e-6
     )
 
 
-def check_projective_equivalence(pair: ProjectivePair, point, order: int = 2) -> float:
-    """Residual of nabla_k L_ij = lam_i g_jk + lam_j g_ik at the point.
+def _peak(values: np.ndarray, rank: int) -> np.ndarray:
+    """max |values| over the last ``rank`` axes: one number per row."""
+    return np.max(np.abs(values), axis=tuple(range(-rank, 0)))
+
+
+def check_projective_equivalence(pair: ProjectivePair, points, order: int = 2):
+    """Residual of nabla_k L_ij = lam_i g_jk + lam_j g_ik at each point.
 
     Zero (to rounding) iff the pair is projectively equivalent there; the
     value is normalized by max(1, |nabla L|) so it is scale-free.
     """
-    frame = pair.frame(point, order)
+    frame = pair.frame(points, order)
     bd = frame.benenti
     # lowered form a_ij = g_is L^s_j
     a = matmul(frame.g, bd.L)
-    nav = covariant_derivative(a, frame.gamma).value()  # [k, i, j]
-    lam_v = bd.lam_form.value()
-    g_v = frame.g.value()
-    model = (lam_v[None, :, None] * g_v.T[:, None, :]
-             + lam_v[None, None, :] * g_v.T[:, :, None])
-    defect = np.max(np.abs(nav - model))
-    return float(defect / max(1.0, np.max(np.abs(nav))))
+    nav = covariant_derivative(a, frame.gamma).value()  # [row, k, i, j]
+    lam_v = bd.lam_form.value()[:, None]
+    g_v = np.swapaxes(frame.g.value(), -1, -2)
+    model = (lam_v[..., :, None] * g_v[:, :, None, :]
+             + lam_v[..., None, :] * g_v[:, :, :, None])
+    return _peak(nav - model, 3) / np.fmax(1.0, _peak(nav, 3))
 
 
-def check_connection_difference(pair: ProjectivePair, point, order: int = 2) -> float:
+def check_connection_difference(pair: ProjectivePair, points, order: int = 2):
     """Residual of gammabar - gamma = delta^i_k phi_j + delta^i_j phi_k."""
-    frame = pair.frame(point, order)
+    frame = pair.frame(points, order)
     phi_v = frame.benenti.phi_form.value()
     diff = frame.gamma_bar.value() - frame.gamma.value()
     d = frame.dim
     model = np.zeros_like(diff)
     for i in range(d):
         for j in range(d):
-            model[i, j, i] += phi_v[j]  # delta^i_k phi_j at k = i
-            model[i, i, j] += phi_v[j]  # delta^i_j phi_k at j = i, k = j
-    defect = np.max(np.abs(diff - model))
-    return float(defect / max(1.0, np.max(np.abs(diff))))
+            model[:, i, j, i] += phi_v[:, j]  # delta^i_k phi_j at k = i
+            model[:, i, i, j] += phi_v[:, j]  # delta^i_j phi_k at j = i, k = j
+    return _peak(diff - model, 3) / np.fmax(1.0, _peak(diff, 3))
 
 
-def check_phi_identity(pair: ProjectivePair, point, order: int = 2) -> float:
+def check_phi_identity(pair: ProjectivePair, points, order: int = 2):
     """Residual between the two routes to the 1-form phi.
 
     Tracing the connection difference over its upper and first lower index
@@ -368,55 +383,53 @@ def check_phi_identity(pair: ProjectivePair, point, order: int = 2) -> float:
     is phi_i = -(L^{-1})^s_i lam_s.  Both agree exactly when the pair is
     projectively equivalent and generically disagree otherwise.
     """
-    frame = pair.frame(point, order)
+    frame = pair.frame(points, order)
     d = frame.dim
     phi_alg = frame.benenti.phi_form.value()
     gamma_bar, gamma = frame.gamma_bar.value(), frame.gamma.value()
-    trace_bar = sum(gamma_bar[s, s] for s in range(d))
-    trace = sum(gamma[s, s] for s in range(d))
+    trace_bar = sum(gamma_bar[:, s, s] for s in range(d))
+    trace = sum(gamma[:, s, s] for s in range(d))
     phi_conn = (trace_bar - trace) / (d + 1)
-    defect = np.max(np.abs(phi_conn - phi_alg))
-    return float(defect / max(1.0, np.max(np.abs(phi_conn))))
+    return _peak(phi_conn - phi_alg, 1) / np.fmax(1.0, _peak(phi_conn, 1))
 
 
-def check_killing(K: JetTensor, gamma: JetTensor) -> float:
+def check_killing(K: JetTensor, gamma: JetTensor):
     """Residual of the Killing equation nabla_(i K_jk) = 0.
 
     The symmetrization averages over all six permutations of (i, j, k);
     for symmetric K this equals the cyclic average.  Normalized by
-    max(1, |nabla K|).
+    max(1, |nabla K|), one residual per row of a batch.
     """
     if K.rank != (0, 2):
         raise ValueError(f"check_killing needs a (0,2) tensor, got {K.rank}")
-    nabla = covariant_derivative(K, gamma).value()  # [k, i, j]
-    d = nabla.shape[0]
+    nabla = covariant_derivative(K, gamma).value()  # [..., k, i, j]
+    lead = tuple(range(nabla.ndim - 3))
     sym = np.zeros_like(nabla)
     for perm in permutations(range(3)):
-        sym += nabla.transpose(perm)
+        sym += nabla.transpose(*lead, *(len(lead) + p for p in perm))
     sym /= 6.0
-    return float(np.max(np.abs(sym)) / max(1.0, np.max(np.abs(nabla))))
+    return _peak(sym, 3) / np.fmax(1.0, _peak(nabla, 3))
 
 
-def check_killing_tensor(pair: ProjectivePair, t: float, point, order: int = 2) -> float:
-    """check_killing applied to the pair's K^(t) at a point."""
-    frame = pair.frame(point, order)
+def check_killing_tensor(pair: ProjectivePair, t, points, order: int = 2):
+    """check_killing applied to the pair's K^(t) at each point, with one t
+    per row (a number stands for every row)."""
+    frame = pair.frame(points, order)
     return check_killing(frame.K_of_t(t), frame.gamma)
 
 
-def check_ricci_commutation(pair: ProjectivePair, point, order: int = 3) -> float:
+def check_ricci_commutation(pair: ProjectivePair, points, order: int = 3):
     """Residual of [R_endo, L] = 0, normalized by max(1, |R| |L|)."""
-    frame = pair.frame(point, order)
+    frame = pair.frame(points, order)
     r = frame.ricci_endo.value()
     l = frame.L.value()
     comm = r @ l - l @ r
-    scale = max(1.0, float(np.max(np.abs(r)) * np.max(np.abs(l))))
-    return float(np.max(np.abs(comm)) / scale)
+    return _peak(comm, 2) / np.fmax(1.0, _peak(r, 2) * _peak(l, 2))
 
 
-def check_carter_condition(
-    pair: ProjectivePair, t: float, point, order: int = 4
-) -> float:
-    """Residual of nabla_i B^i_j = 0 for B = R_endo S(t) - S(t) R_endo.
+def check_carter_condition(pair: ProjectivePair, t, points, order: int = 4):
+    """Residual of nabla_i B^i_j = 0 for B = R_endo S(t) - S(t) R_endo, with
+    one t per row (a number stands for every row).
 
     The divergence is computed as d_i B^i_j + gamma^i_is B^s_j
     - gamma^s_ij B^i_s.  Needs order >= 3 (two orders for Ricci, one for
@@ -424,13 +437,12 @@ def check_carter_condition(
     """
     if order < 3:
         raise ValueError(f"carter check needs order >= 3, got {order}")
-    frame = pair.frame(point, order)
+    frame = pair.frame(points, order)
     r = frame.ricci_endo  # order m-2
     s_t = frame.S_of_t(t).truncated(r.order)
     B = matmul(r, s_t) - matmul(s_t, r)
     div = contract(covariant_derivative(B, frame.gamma), 0, 0)
-    b_vals = np.abs(B.value())
-    db_max = float(np.max(np.abs(B.coeffs[..., 1 : 1 + frame.dim])))
-    gamma_max = float(np.max(np.abs(frame.gamma.value())))
-    scale = max(1.0, db_max, gamma_max * float(np.max(b_vals)))
-    return float(np.max(np.abs(div.value())) / scale)
+    db_max = _peak(B.coeffs[..., 1 : 1 + frame.dim], 3)
+    gamma_max = _peak(frame.gamma.value(), 3)
+    scale = np.fmax(np.fmax(1.0, db_max), gamma_max * _peak(B.value(), 2))
+    return _peak(div.value(), 1) / scale

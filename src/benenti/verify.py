@@ -15,9 +15,11 @@ Checks are identified by short ids:
 
 Each check produces one record per sampled point (per trajectory for
 drift) carrying the worst residual seen there and the parameters that
-produced it.  Reports are deterministic functions of the configuration:
-identical seeds give byte-identical documents apart from the timing
-block.
+produced it.  The checks other than drift run on blocks of points, once
+per block, on one frame of jets over the block; every record has the bits
+of its point checked alone.  Reports are deterministic functions of the
+configuration: identical seeds give byte-identical documents apart from
+the timing block.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,8 +50,13 @@ SCHEMA_VERSION = 4
 
 # Jet order of the frame checks.  The commutator and decompose checks apply
 # two second-order operators to order-4 jets; no other residual depends on
-# the order, so every frame check reads the same order-4 frame of a point.
+# the order, so every frame check reads the same order-4 frame of a block.
 FRAME_ORDER = 4
+
+# Points per block: every check other than drift runs once per block of
+# this many sampled points, which bounds the memory of a block's frame as
+# the number of points grows.
+BLOCK_POINTS = 20
 
 CHECK_IDS = (
     "basic",
@@ -176,6 +184,7 @@ class VerificationReport:
     records: list = field(default_factory=list)
     expected_equivalent: Optional[bool] = None
     elapsed_seconds: float = 0.0
+    check_seconds: dict = field(default_factory=dict)  # by check id
 
     @property
     def passed(self) -> bool:
@@ -228,7 +237,9 @@ class VerificationReport:
                 },
             },
             "records": [r.to_mapping() for r in self.records],
-            "timing": {"elapsed_seconds": round(self.elapsed_seconds, 3)},
+            "timing": {"elapsed_seconds": round(self.elapsed_seconds, 3),
+                       "check_seconds": {k: round(v, 3)
+                                         for k, v in self.check_seconds.items()}},
         })
         return doc
 
@@ -264,12 +275,6 @@ def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
     return points, grids
 
 
-def _unordered_pairs(values: Sequence[float]):
-    for i, t in enumerate(values):
-        for s in values[i:]:
-            yield t, s
-
-
 def _rank(residual):
     """Sort key of a residual: a NaN ranks above every number."""
     return (math.isnan(residual), residual)
@@ -284,61 +289,58 @@ def _worst(candidates):
     return max(candidates, key=lambda c: _rank(c[0]))
 
 
-def _commutator_candidates(pair, point, grid):
-    suite = function_suite(pair.coordinates)
-    for f, B in zip(suite, ops.killing_commutator_grid(pair, suite, point)):
-        for t, s in _unordered_pairs(grid):
-            value, scale = ops.commutator_from_grid(B, t, s)
-            params = (
-                ("function", f),
-                ("s", float(s)),
-                ("scale", float(scale)),
-                ("t", float(t)),
-            )
-            yield abs(value) / scale, params
+def _block_records(pair, check, points, grids, momenta):
+    """(residual, params) of one check other than drift at each row of a
+    block of points.
 
-
-def _record_at(pair, check, point, grid, momentum):
-    """(residual, params) of one check other than drift at one point."""
+    Row r keeps its own t grid: column c of ``cols`` holds every row's c-th
+    t, a short grid padded with its last value.  A candidate is evaluated
+    at columns (i, j) for every row at once, and each row takes the worst
+    of the candidates on its own grid, in the order of that grid.
+    """
+    width = max(map(len, grids))
+    cols = np.array([g + g[-1:] * (width - len(g)) for g in grids]).T
     if check in ("basic", "connection", "phi", "ricci-comm"):
         frame_check = {"basic": check_projective_equivalence,
                        "connection": check_connection_difference,
                        "phi": check_phi_identity,
                        "ricci-comm": check_ricci_commutation}[check]
-        return frame_check(pair, point, FRAME_ORDER), ()
+        return [(r, ()) for r in frame_check(pair, points, FRAME_ORDER)]
     if check == "decompose":
-        t, s = grid[0], grid[-1]
+        t, s = cols[0], np.array([g[-1] for g in grids])
         dec = ops.commutator_decompose(
-            ops.killing_operator(pair, t), ops.killing_operator(pair, s), point
+            ops.killing_operator(pair, t), ops.killing_operator(pair, s), points
         )
-        params = (
-            ("cubic_residual", float(dec.cubic_residual)),
-            ("q_norm", float(dec.q_norm)),
-            ("s", float(s)),
-            ("t", float(t)),
-            ("v_norm", float(dec.v_norm)),
-        )
-        return max(dec.q_norm, dec.v_norm), params
+        return [(max(q, v), (("cubic_residual", float(c)), ("q_norm", float(q)),
+                             ("s", float(b)), ("t", float(a)), ("v_norm", float(v))))
+                for q, v, c, a, b in zip(dec.q_norm, dec.v_norm,
+                                         dec.cubic_residual, t, s)]
+    ij = list(combinations_with_replacement(range(width), 2))  # i <= j
+    # (i, j, residual per row, params(t, s, row)) of every candidate
     if check in ("killing", "carter"):
         family_check = (check_killing_tensor if check == "killing"
                         else check_carter_condition)
-        return _worst(
-            (family_check(pair, t, point, FRAME_ORDER), (("t", float(t)),))
-            for t in grid
-        )
-    if check == "poisson":
-        phi = ops.PhaseSpacePoint(point, tuple(momentum))
-        m = [float(c) for c in momentum]
-        return _worst(
-            (
-                ops.poisson_residual(pair, t, s, phi),
-                (("momentum", m), ("s", float(s)), ("t", float(t))),
-            )
-            for t, s in _unordered_pairs(grid)
-        )
-    if check == "commutator":
-        return _worst(_commutator_candidates(pair, point, grid))
-    raise ValueError(f"unknown check: {check}")
+        found = [(c, c, family_check(pair, cols[c], points, FRAME_ORDER),
+                  lambda t, s, r: (("t", t),)) for c in range(width)]
+    elif check == "poisson":
+        phi = ops.PhaseSpacePoint(points, momenta)
+        m = [[float(c) for c in row] for row in momenta]
+        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], phi),
+                  lambda t, s, r: (("momentum", m[r]), ("s", s), ("t", t)))
+                 for i, j in ij]
+    elif check == "commutator":
+        suite = function_suite(pair.coordinates)
+        B = ops.killing_commutator_grid(pair, suite, points)  # [f, row, l, k]
+        value, scale = ops.commutator_from_grid(B[:, None], *cols[np.array(ij).T])
+        found = [(i, j, np.abs(value[n, k]) / scale[n, k],
+                  lambda t, s, r, f=f, sc=scale[n, k]: (
+                      ("function", f), ("s", s), ("scale", float(sc[r])), ("t", t)))
+                 for n, f in enumerate(suite) for k, (i, j) in enumerate(ij)]
+    else:
+        raise ValueError(f"unknown check: {check}")
+    return [_worst((res[r], params(float(cols[i, r]), float(cols[j, r]), r))
+                   for i, j, res, params in found if j < len(grid))
+            for r, grid in enumerate(grids)]
 
 
 def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):
@@ -391,14 +393,22 @@ def verify_pair(
         -0.7, 0.7, size=(cfg.points, pair.dim)
     )
 
-    # Every check runs at a point before the next point replaces the pair's
+    # Every check runs on a block before the next block replaces the pair's
     # frame; the records still come out check by check.
-    outcomes = {check: [] for check in cfg.checks if check != "drift"}
-    for point, grid, momentum in zip(points, grids, momenta):
-        for check, found in outcomes.items():
-            found.append((point, *_record_at(pair, check, point, grid, momentum)))
+    outcomes = {check: [] for check in cfg.checks}
+    seconds = dict.fromkeys(cfg.checks, 0.0)
+    for start in range(0, cfg.points, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        for check in [c for c in cfg.checks if c != "drift"]:
+            clock = time.perf_counter()
+            found = _block_records(pair, check, np.array(points[block]),
+                                   grids[block], momenta[block])
+            outcomes[check] += [(p, *rec) for p, rec in zip(points[block], found)]
+            seconds[check] += time.perf_counter() - clock
     if "drift" in cfg.checks:
+        clock = time.perf_counter()
         outcomes["drift"] = _drift_records(pair, points, grids, velocities, cfg)
+        seconds["drift"] = time.perf_counter() - clock
     records = [
         CheckRecord(
             check=check,
@@ -418,6 +428,7 @@ def verify_pair(
         records=records,
         expected_equivalent=expected_equivalent,
         elapsed_seconds=time.perf_counter() - started,
+        check_seconds=seconds,
     )
 
 

@@ -277,8 +277,9 @@ class TestCommutator:
 
 
 class TestStackedApplication:
-    """The stacked applications against one application at a time
-    (tests/jet_reference.py), bit for bit, at two sampled points per pair."""
+    """The stacked applications on a block of two sampled points per pair
+    against one application at a time at one point at a time
+    (tests/jet_reference.py), bit for bit."""
 
     @staticmethod
     def sampled(pair):
@@ -289,24 +290,26 @@ class TestStackedApplication:
     def test_commutator_grids_match_per_function_loops(self, name):
         pair = stacked_pair(name)
         suite = verify.function_suite(pair.coordinates)
-        for point in self.sampled(pair)[0]:
-            grids = ops.killing_commutator_grid(pair, suite, point)
-            assert same_bits(grids, ref.commutator_grids(pair, suite, point))
-            one = ops.killing_commutator_grid(pair, suite[0], point)  # a str
-            assert same_bits(one, grids[0]) and one.flags.c_contiguous
-            assert all(B.flags.c_contiguous for B in grids)
+        points = self.sampled(pair)[0]
+        grids = ops.killing_commutator_grid(pair, suite, points)  # [f, row, l, k]
+        one = ops.killing_commutator_grid(pair, suite[0], points)  # a str
+        assert same_bits(one, grids[0]) and one.flags.c_contiguous
+        assert all(B.flags.c_contiguous for B in grids[:, 0])
+        for row, point in enumerate(points):
+            assert same_bits(grids[:, row], ref.commutator_grids(pair, suite, point))
 
     @pytest.mark.parametrize("name", STACKED_PAIRS)
     def test_decomposition_matches_per_probe_loops(self, name):
         pair = stacked_pair(name)
-        for point, grid in zip(*self.sampled(pair)):
-            t, s = grid[0], grid[-1]
-            dec = ops.commutator_decompose(
-                ops.killing_operator(pair, t), ops.killing_operator(pair, s), point)
-            Q, V, cubic = ref.decompose(
-                ops.killing_operator(pair, t), ops.killing_operator(pair, s), point)
-            assert same_bits(dec.Q, Q) and same_bits(dec.V, V)
-            assert same_bits(dec.cubic_residual, cubic)
+        points, grids = self.sampled(pair)
+        t, s = (np.array([grid[k] for grid in grids]) for k in (0, -1))  # per row
+        dec = ops.commutator_decompose(
+            ops.killing_operator(pair, t), ops.killing_operator(pair, s), points)
+        for row, point in enumerate(points):
+            Q, V, cubic = ref.decompose(ops.killing_operator(pair, t[row]),
+                                        ops.killing_operator(pair, s[row]), point)
+            assert same_bits(dec.Q[row], Q) and same_bits(dec.V[row], V)
+            assert same_bits(dec.cubic_residual[row], cubic)
 
     def test_commutator_record_computes_n_coefficient_fields(self, monkeypatch):
         pair = stacked_pair("lc3")
@@ -321,7 +324,7 @@ class TestStackedApplication:
         report = verify.verify_pair(
             pair, verify.VerifyConfig(points=2, checks=("commutator",)))
         assert len(report.records) == 2
-        assert len(fields) == 2 * pair.dim
+        assert len(fields) == pair.dim  # once for the block of both points
 
 
 class TestDecompose:
@@ -468,14 +471,14 @@ class TestPoisson:
             for (t, s) in ((0.0, 3.0), (-2.0, 0.5), (1.0, 2.0)):
                 assert ops.poisson_residual(pair, t, s, phi) < 1e-8
 
-    def test_integral_fields_are_built_once_per_point_and_t(self, monkeypatch):
+    def test_integral_fields_are_built_once_per_block_and_t(self, monkeypatch):
         # the check brackets every unordered (t, s) pair of the grid, 36 of
-        # them on 8 values, but needs only the 8 fields I_t
+        # them on 8 values, but needs only the 8 fields I_t of the block
         original = PointFrame.A_coeffs
         reads = []
 
         def counting(frame):
-            reads.append(frame.point)
+            reads.append(len(frame.points))
             return original.func(frame)
 
         monkeypatch.setattr(PointFrame, "A_coeffs", property(counting))
@@ -483,7 +486,7 @@ class TestPoisson:
         report = verify.verify_pair(dini(), verify.VerifyConfig(
             points=2, checks=("poisson",), t_grid=grid))
         assert len(report.records) == 2
-        assert len(reads) == 2 * len(grid)
+        assert reads == [2] * len(grid)  # both points in one block
 
     def test_hand_value_for_flat_control(self):
         # g = 1, gbar = diag(1 + x^2, 1): L = diag(b^-2, b) with b = (1+x^2)^(1/3),

@@ -68,14 +68,14 @@ class TestConfig:
 
 def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
     # sampling builds an order-0 frame per point and takes its t grid there;
-    # the walk over the points then builds one order-4 frame per point, which
-    # every check at that point reads
+    # the walk over the blocks of points then builds one order-4 frame per
+    # block, which every check on that block reads
     built, grid_points = [], []
     build, grid = PointFrame.__init__, verify.t_grid
 
     def counting(frame, pair, point, order):
-        built.append(order)
         build(frame, pair, point, order)
+        built.append((order, len(frame.points)))
 
     def counting_grid(pair, point):
         grid_points.append(point)
@@ -88,7 +88,9 @@ def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
     rep = verify.verify_pair(
         pair, verify.VerifyConfig(points=points, checks=checks)
     )
-    assert built == [0] * points + [4] * points
+    full, rest = divmod(points, verify.BLOCK_POINTS)
+    blocks = [verify.BLOCK_POINTS] * full + [rest] * (rest > 0)
+    assert built == [(0, 1)] * points + [(4, rows) for rows in blocks]
     assert grid_points == [r.point for r in rep.records if r.check == checks[0]]
 
 
@@ -152,10 +154,12 @@ class TestReports:
     def test_nan_residual_counts_as_the_worst(self, monkeypatch):
         calls = []
 
-        def killing(pair, t, point, order):
+        def killing(pair, t, points, order):
             calls.append(t)
             # NaN at t = 1 on the second point, 0 everywhere else
-            return float("nan") if len(calls) == 5 else 0.0
+            out = np.zeros(len(points))
+            out[1] = float("nan") if np.all(t == 1.0) else 0.0
+            return out
 
         monkeypatch.setattr(verify, "check_killing_tensor", killing)
         rep = quick_report("dini", checks=("killing",), t_grid=(0.0, 1.0, 2.0))
@@ -166,6 +170,7 @@ class TestReports:
         assert dict(second.params)["t"] == 1.0
         assert not rep.passed
         assert math.isnan(rep.max_residuals()["killing"])
+        assert len(calls) == 3  # one call per grid value, for the whole block
         doc = yaml.safe_load(rep.render())
         assert math.isnan(doc["summary"]["max_residual"]["killing"])
 
