@@ -65,12 +65,17 @@ def multi_indices(nvars: int, order: int) -> list[MultiIndex]:
     return out
 
 
+# Products of more table terms than this run in blocks of rows, which bounds
+# the temporary terms and the output slots that batch_bins keeps.
+BLOCK_TERMS = 2**14
+
+
 class _Space:
     """Cached index tables for jets of a fixed (nvars, order)."""
 
     __slots__ = (
         "nvars", "order", "indices", "position", "ncoeffs",
-        "_mul", "_diff", "_bins", "factorials",
+        "_mul", "_diff", "_bins", "block_rows", "factorials",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -93,6 +98,7 @@ class _Space:
         self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
         self._diff = None
         self._bins = np.empty(0, dtype=np.intp)
+        self.block_rows = max(1, BLOCK_TERMS // len(ii))  # jets per product block
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in a) for a in self.indices]
         )
@@ -124,11 +130,6 @@ class _Space:
         return self._bins[:size]
 
 
-# Products of more table terms than this run in blocks of rows, which bounds
-# the temporary terms and the output slots that batch_bins keeps.
-BLOCK_TERMS = 2**15
-
-
 def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated products of two arrays of jets of one space, broadcast
     over their leading axes.
@@ -140,21 +141,28 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     no bits.
     """
     ii, jj, kk = sp._mul
-    if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
-        return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
-    lead = np.broadcast(a[..., 0], b[..., 0]).shape
-    rows, step = math.prod(lead), max(1, BLOCK_TERMS // len(ii))
-    if rows > step:  # gather each block's rows, never the whole broadcast
-        a, b = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b))
-        out = np.empty((rows, sp.ncoeffs))
-        for start in range(0, rows, step):
-            block = np.unravel_index(np.arange(start, min(start + step, rows)), lead)
-            out[start : start + step] = product_coeffs(sp, a[block], b[block])
-        return out.reshape(lead + (sp.ncoeffs,))
+    if a.size == b.size == sp.ncoeffs:  # one jet each: no batch bookkeeping
+        out = np.bincount(kk, a.ravel()[ii] * b.ravel()[jj], minlength=sp.ncoeffs)
+        return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
+    step = sp.block_rows
+    if a.size // a.shape[-1] * (b.size // b.shape[-1]) > step:  # may not fit
+        lead = np.broadcast(a[..., 0], b[..., 0]).shape
+        rows = math.prod(lead)
+        if rows > step:  # gather each block's rows, never the whole broadcast
+            (a, ra), (b, rb) = (
+                (x.reshape(-1, x.shape[-1]), np.broadcast_to(  # row of x per row
+                    np.arange(x.size // x.shape[-1]).reshape(x.shape[:-1]), lead).ravel())
+                for x in (a, b))
+            out = np.empty((rows, sp.ncoeffs))
+            for start in range(0, rows, step):
+                block = slice(start, start + step)
+                out[block] = product_coeffs(sp, a[ra[block]], b[rb[block]])
+            return out.reshape(lead + (sp.ncoeffs,))
     terms = a[..., ii] * b[..., jj]
+    rows = terms.size // len(ii)
     return np.bincount(
         sp.batch_bins(rows), terms.ravel(), minlength=rows * sp.ncoeffs,
-    ).reshape(lead + (sp.ncoeffs,))
+    ).reshape(terms.shape[:-1] + (sp.ncoeffs,))
 
 
 def gradient_coeffs(sp: _Space, c: np.ndarray) -> np.ndarray:
@@ -411,9 +419,9 @@ def _constant_terms(f: Jet) -> list[float]:
 
 def _series(f: Jet, outer) -> np.ndarray:
     """Taylor coefficients of an outer function about each row's constant
-    term: ``outer(c0)`` per row, stacked for a batch."""
-    if f.coeffs.ndim == 1:
-        return outer(float(f.coeffs[0]))
+    term: ``outer(c0)`` per row, stacked for a batch of several rows."""
+    if f.coeffs.size == f.space.ncoeffs:  # one jet, perhaps a batch of one
+        return outer(float(f.coeffs.flat[0]))
     return np.array([outer(c0) for c0 in _constant_terms(f)])
 
 

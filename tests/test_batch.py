@@ -116,6 +116,20 @@ class TestBatchedJets:
         with pytest.raises(ValueError):
             a * single
 
+    def test_products_of_many_blocks(self):
+        # 495 table terms at order 4 in 4 variables: the 7 x 40 broadcast
+        # rows span several blocks of BLOCK_TERMS, the last one partly full
+        sp = jets._space(4, 4)
+        rng = np.random.default_rng(9)
+        a = rng.uniform(-1.5, 1.5, size=(7, 1, sp.ncoeffs))
+        b = rng.uniform(-1.5, 1.5, size=(40, sp.ncoeffs))
+        rows = jets.BLOCK_TERMS // len(sp._mul[0])
+        assert 7 * 40 > 2 * rows and 7 * 40 % rows
+        singles = [[(jets.Jet(4, 4, x) * jets.Jet(4, 4, y)).coeffs for y in b]
+                   for x in a[:, 0]]
+        assert same_bits(jets.product_coeffs(sp, a, b), singles)
+        assert 0 < len(sp._bins) <= jets.BLOCK_TERMS  # the slots of one block
+
     def test_seed_coordinates(self):
         pts = np.random.default_rng(8).uniform(-2, 2, size=(ROWS, 3))
         batched = jets.seed_coordinates(pts, 2)

@@ -1,11 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from benenti import catalog, operators as ops, verify
+from benenti import catalog, operators as ops, pairfile, verify
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
 from benenti.projective import PointFrame, ProjectivePair
@@ -182,6 +183,14 @@ class TestReports:
             r.to_mapping() for r in only.records
         ]
 
+    def test_check_seconds_are_keyed_by_the_configured_checks(self):
+        for checks in (verify.CHECK_IDS, ("poisson", "drift", "basic")):
+            doc = yaml.safe_load(quick_report("dini", checks=checks).render())
+            assert list(doc)[-1] == "timing"  # the block digests cut off
+            seconds = doc["timing"]["check_seconds"]
+            assert list(seconds) == list(checks)
+            assert all(s >= 0.0 for s in seconds.values())
+
     def test_t_grid_override_recorded(self):
         rep = quick_report("dini", t_grid=(0.0, 5.0), checks=("killing", "poisson"))
         for rec in rep.records:
@@ -234,6 +243,33 @@ class TestReports:
         )
         with pytest.raises(DegenerateMetricError):
             verify.verify_pair(pair, verify.quick_config(checks=("basic",)))
+
+
+NON_DRIFT = tuple(c for c in verify.CHECK_IDS if c != "drift")
+FIXTURES = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4"])
+def test_records_do_not_depend_on_how_points_are_batched(name):
+    # 23 points fill a block and start the next; their first 3 are checked
+    # in a block of 20 rows, and alone they are a block of 3.  Points,
+    # grids and momenta of a smaller run are a prefix of a larger run's, so
+    # each record must come out byte for byte the same.  The golden corpus
+    # runs 2 points, one block, and cannot see a dependence on its width.
+    assert 3 < verify.BLOCK_POINTS < 23
+    if name in ("lc3", "lc4"):
+        pair = pairfile.load_pair(FIXTURES / f"{name}.yaml")
+    else:
+        pair = catalog.get_entry(name).pair
+    few, many = (
+        verify.verify_pair(pair, verify.VerifyConfig(points=n, checks=NON_DRIFT))
+        for n in (3, 23)
+    )
+    for check in NON_DRIFT:
+        a = [r.to_mapping() for r in few.records if r.check == check]
+        b = [r.to_mapping() for r in many.records if r.check == check]
+        assert len(a) == 3 and len(b) == 23
+        assert yaml.safe_dump(a) == yaml.safe_dump(b[:3]), check
 
 
 class TestCatalogSweep:
