@@ -122,7 +122,7 @@ class _Space:
         """Output slots of the convolution table for ``rows`` stacked jets,
         row after row, so one ``bincount`` multiplies every row at once.  The
         slots of fewer rows are a prefix of those of more, so one array, grown
-        to the most rows asked for, serves every row count."""
+        to the most rows asked for (one block at most), serves every count."""
         size = rows * len(self._mul[2])
         if len(self._bins) < size:
             kk = self._mul[2]
@@ -141,11 +141,13 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     no bits.
     """
     ii, jj, kk = sp._mul
-    if a.size == b.size == sp.ncoeffs:  # one jet each: no batch bookkeeping
-        out = np.bincount(kk, a.ravel()[ii] * b.ravel()[jj], minlength=sp.ncoeffs)
+    if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
+        return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
+    if a.size == b.size == sp.ncoeffs:  # a batch of one each: the same kernel
+        out = product_coeffs(sp, a.ravel(), b.ravel())
         return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
     step = sp.block_rows
-    if a.size // a.shape[-1] * (b.size // b.shape[-1]) > step:  # may not fit
+    if a.size * b.size > step * sp.ncoeffs**2:  # more rows than a block, maybe
         lead = np.broadcast(a[..., 0], b[..., 0]).shape
         rows = math.prod(lead)
         if rows > step:  # gather each block's rows, never the whole broadcast

@@ -7,7 +7,8 @@ nested application (a commutator) of two second-order operators needs a
 working order of exactly 4 and produces a plain number.  No symbolic
 coefficient expansion ever happens.  The checks work on a block of points
 at once, through the pair's frame of that block, and give one value per
-row; a single point is a block of one.
+row; a single point is a block of one.  A parameter t or s is a number or
+one value per row.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
@@ -109,8 +110,7 @@ def laplacian(geometry) -> QuantizedOperator:
 
 
 def killing_operator(pair: ProjectivePair, t) -> QuantizedOperator:
-    """Carter operator of the pair's Killing tensor K^(t): A = S(t) g^{-1},
-    with one t per row of a block of points (a number stands for every row)."""
+    """Carter operator of the pair's Killing tensor K^(t): A = S(t) g^{-1}."""
 
     return QuantizedOperator(
         pair, lambda frame: matmul(frame.S_of_t(t), frame.g_inv), name=f"K_hat(t={t})"
@@ -405,8 +405,8 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
 
 def integral_field(pair: ProjectivePair, t, x):
     """(A(t) values, d_s A(t) values) at each row of the points x for the
-    family's integral I_t, with one t per row (a number stands for every
-    row), from the values and first x-derivatives of every A_l = S_l g^{-1}.
+    family's integral I_t, from the values and first x-derivatives of every
+    A_l = S_l g^{-1}.
     Computed once per frame and t, and kept with the frame."""
     frame = pair.frame(x, 1)
     t = np.broadcast_to(np.asarray(t, dtype=float), frame.points.shape[:1])
@@ -457,8 +457,7 @@ def poisson_bracket(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
 
 def poisson_residual(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
     """|{I_t, I_s}| over max(1, size of either term), cancellation-proof,
-    one value per row of the phase points, with one t and s per row (a
-    number stands for every row)."""
+    one value per row of the phase points."""
     dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
     value = _dot(dIt_dp, dIs_dx) - _dot(dIt_dx, dIs_dp)
     scale = np.fmax(np.fmax(1.0, np.sum(np.abs(dIt_dp * dIs_dx), axis=-1)),

@@ -26,8 +26,9 @@ the pair satisfies the identities that characterize projective equivalence:
 
 All residuals are max-norms normalized by the scale of the terms entering
 them, so they are dimensionless and comparable across metrics.  A check
-returns one residual per row, each with the bits of its point checked
-alone; a single point is a block of one.
+returns one residual per row of its block of points, each with the bits of
+its point checked alone; a single point is a block of one.  Wherever a
+parameter t enters, it is a number or one value per row.
 
 On phi: the 1-form that makes the connection-difference identity hold is
 phi_i = -(L^{-1})^s_i lam_s, equivalently phi = -(1/2) d ln|det L|.  The
@@ -184,7 +185,7 @@ def adjugate_family(L: JetTensor):
     M[..., diag, diag, 0] = 1.0
     S = [None] * d  # S[l] = coefficient of t^l
     char = [None] * (d + 1)
-    char[d] = jets.Jet._new(sp, M[..., 0, 0, :].copy())
+    char[d] = jets.Jet._new(sp, M[..., 0, 0, :].copy())  # 1, in every row
     S[d - 1] = M
     for k in range(1, d):
         M = _contract(sp, "is,sj->ij", L.coeffs, M)
@@ -199,8 +200,7 @@ def adjugate_family(L: JetTensor):
 
 
 def _polynomial(coeffs, t) -> JetTensor:
-    """sum_l t^l coeffs[l] over a block, with one t per row (a number
-    stands for every row) and the powers built up by repeated products."""
+    """sum_l t^l coeffs[l], the powers built up by repeated products."""
     acc = coeffs[0].coeffs
     power = np.ones(len(acc))
     for c in coeffs[1:]:
@@ -310,8 +310,7 @@ class PointFrame:
         return matmul(self.g_inv.truncated(ric.order), ric)
 
     def S_of_t(self, t) -> JetTensor:
-        """S(t) assembled from its polynomial coefficients, one t per row
-        (a number stands for every row)."""
+        """S(t) assembled from its polynomial coefficients."""
         return _polynomial(self.benenti.S_coeffs, t)
 
     def K_of_t(self, t) -> JetTensor:
@@ -398,7 +397,7 @@ def check_killing(K: JetTensor, gamma: JetTensor):
 
     The symmetrization averages over all six permutations of (i, j, k);
     for symmetric K this equals the cyclic average.  Normalized by
-    max(1, |nabla K|), one residual per row of a batch.
+    max(1, |nabla K|).
     """
     if K.rank != (0, 2):
         raise ValueError(f"check_killing needs a (0,2) tensor, got {K.rank}")
@@ -412,8 +411,7 @@ def check_killing(K: JetTensor, gamma: JetTensor):
 
 
 def check_killing_tensor(pair: ProjectivePair, t, points, order: int = 2):
-    """check_killing applied to the pair's K^(t) at each point, with one t
-    per row (a number stands for every row)."""
+    """check_killing applied to the pair's K^(t) at each point."""
     frame = pair.frame(points, order)
     return check_killing(frame.K_of_t(t), frame.gamma)
 
@@ -428,8 +426,7 @@ def check_ricci_commutation(pair: ProjectivePair, points, order: int = 3):
 
 
 def check_carter_condition(pair: ProjectivePair, t, points, order: int = 4):
-    """Residual of nabla_i B^i_j = 0 for B = R_endo S(t) - S(t) R_endo, with
-    one t per row (a number stands for every row).
+    """Residual of nabla_i B^i_j = 0 for B = R_endo S(t) - S(t) R_endo.
 
     The divergence is computed as d_i B^i_j + gamma^i_is B^s_j
     - gamma^s_ij B^i_s.  Needs order >= 3 (two orders for Ricci, one for

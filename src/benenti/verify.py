@@ -307,7 +307,7 @@ def _block_records(pair, check, points, grids, momenta):
                        "ricci-comm": check_ricci_commutation}[check]
         return [(r, ()) for r in frame_check(pair, points, FRAME_ORDER)]
     if check == "decompose":
-        t, s = cols[0], np.array([g[-1] for g in grids])
+        t, s = cols[0], cols[-1]  # each row's first and last t
         dec = ops.commutator_decompose(
             ops.killing_operator(pair, t), ops.killing_operator(pair, s), points
         )
