@@ -22,30 +22,29 @@ print("coordinates:", pair.coordinates)
 print("domain:", pair.domain)
 
 # The structure tensor of this classical pair is diag(x, y), so its
-# eigenvalues at a point are just the coordinates.  A frame holds a block of
-# points, one row each; a single point is a block of one.
+# eigenvalues at a point are just the coordinates.
 point = (2.0, 0.5)
 frame = pair.frame(point, 2)
-L = frame.L.value()[0]
+L = frame.L.value()
 print("\nL at", point, "=")
 print(np.array_str(L, precision=6, suppress_small=True))
 print("eigenvalues:", np.linalg.eigvals(L))
 
 # First-order identity linking nabla L to the trace gradient.
 print("\nprojective equivalence residual:",
-      f"{check_projective_equivalence(pair, point)[0]:.3e}")
+      f"{check_projective_equivalence(pair, point):.3e}")
 
 # Every member of the comatrix family is a Killing tensor for g.
 print("\nKilling residuals over the eigenvalue-filtered t grid:")
 for t in t_grid(pair, point):
-    print(f"  t = {t:+.2f}: {check_killing_tensor(pair, t, point)[0]:.3e}")
+    print(f"  t = {t:+.2f}: {check_killing_tensor(pair, t, point):.3e}")
 
 # Quadratic integrals Poisson-commute...
 phi = PhaseSpacePoint(point, (0.8, -0.4))
 print("\nintegral values and brackets at", point, "p =", phi.p)
 for t in (-1.0, 0.0, 2.0):
     print(f"  I_{t:+.1f} = {integral_value(pair, t, phi):+.6f}")
-print("  {I_0, I_2} =", f"{poisson_bracket(pair, 0.0, 2.0, phi)[0]:.3e}")
+print("  {I_0, I_2} =", f"{poisson_bracket(pair, 0.0, 2.0, phi):.3e}")
 
 # ... and are conserved along geodesics.  The integrator controls its own
 # step to a local error tolerance: a tighter tolerance takes more steps, and

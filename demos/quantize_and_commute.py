@@ -51,14 +51,14 @@ print("x^2 sits in the kernel of d^3/dx^3; x^3 gives exactly 2 * 3! = 12")
 worse = QuantizedOperator.from_expressions(
     flat, [["x^2", "0"], ["0", "0"]], name="quadratic-non-killing"
 )
-dec = commutator_decompose(lap, worse, (1.0, 0.5))  # one row: the point
+dec = commutator_decompose(lap, worse, (1.0, 0.5))
 print("\ndecomposition of [Laplacian, K_hat] for K = diag(x^2, 0):")
-print("  Q =", np.array_str(dec.Q[0], precision=4, suppress_small=True).replace("\n", " "))
-print("  V =", dec.V[0])
-print("  cubic residual:", f"{dec.cubic_residual[0]:.3f}  (the 4x d^3/dx^3 part)")
+print("  Q =", np.array_str(dec.Q, precision=4, suppress_small=True).replace("\n", " "))
+print("  V =", dec.V)
+print("  cubic residual:", f"{dec.cubic_residual:.3f}  (the 4x d^3/dx^3 part)")
 
 # On the genuine family the same decomposition collapses to zero.
 dec0 = commutator_decompose(op_a, op_b, point)
 print("\nsame decomposition for the Dini family operators:")
-print(f"  |Q| = {dec0.q_norm[0]:.3e}  |V| = {dec0.v_norm[0]:.3e}  "
-      f"cubic = {dec0.cubic_residual[0]:.3e}")
+print(f"  |Q| = {dec0.q_norm:.3e}  |V| = {dec0.v_norm:.3e}  "
+      f"cubic = {dec0.cubic_residual:.3e}")

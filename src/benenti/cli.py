@@ -134,8 +134,8 @@ def cmd_describe(args) -> int:
     print("sampled points:")
     for _ in range(args.samples):
         p = pair.sample_point(rng)
-        frame = pair.frame(p, 0)  # a block of one point
-        Lv = frame.L.value()[0]
+        frame = pair.frame(p, 0)
+        Lv = frame.L.value()
         eigs = np.sort_complex(np.linalg.eigvals(Lv))
         eig_text = ", ".join(
             f"{e.real:.6g}" if abs(e.imag) < 1e-12 else f"{e:.6g}"
@@ -143,8 +143,8 @@ def cmd_describe(args) -> int:
         )
         coords = ", ".join(f"{c:.4f}" for c in p)
         print(f"  point ({coords}):")
-        print(f"    g signature: {_signature_text(frame.g.value()[0])}")
-        print(f"    gbar signature: {_signature_text(frame.gbar.value()[0])}")
+        print(f"    g signature: {_signature_text(frame.g.value())}")
+        print(f"    gbar signature: {_signature_text(frame.gbar.value())}")
         print(f"    L eigenvalues: {eig_text}")
         print(f"    L is {_diagonalizability(Lv)}")
     return 0

@@ -143,9 +143,6 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ii, jj, kk = sp._mul
     if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
         return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
-    if a.size == b.size == sp.ncoeffs:  # a batch of one each: the same kernel
-        out = product_coeffs(sp, a.ravel(), b.ravel())
-        return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
     step = sp.block_rows
     if a.size * b.size > step * sp.ncoeffs**2:  # more rows than a block, maybe
         lead = np.broadcast(a[..., 0], b[..., 0]).shape
@@ -421,9 +418,9 @@ def _constant_terms(f: Jet) -> list[float]:
 
 def _series(f: Jet, outer) -> np.ndarray:
     """Taylor coefficients of an outer function about each row's constant
-    term: ``outer(c0)`` per row, stacked for a batch of several rows."""
-    if f.coeffs.size == f.space.ncoeffs:  # one jet, perhaps a batch of one
-        return outer(float(f.coeffs.flat[0]))
+    term: ``outer(c0)`` per row, stacked for a batch."""
+    if f.coeffs.ndim == 1:
+        return outer(float(f.coeffs[0]))
     return np.array([outer(c0) for c0 in _constant_terms(f)])
 
 

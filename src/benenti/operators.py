@@ -5,10 +5,9 @@ The quantum side works pointwise through jets: applying an operator to an
 order-m jet of a function yields the order-(m-2) jet of the result, so a
 nested application (a commutator) of two second-order operators needs a
 working order of exactly 4 and produces a plain number.  No symbolic
-coefficient expansion ever happens.  The checks work on a block of points
-at once, through the pair's frame of that block, and give one value per
-row; a single point is a block of one.  A parameter t or s is a number or
-one value per row.
+coefficient expansion ever happens.  The checks take a point, or a block
+of points and t or s values with one result per row, each row with the
+bits of its point checked alone.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
@@ -72,7 +71,7 @@ class QuantizedOperator:
         self.name = name
 
     def coefficient_tensor(self, points, order: int) -> JetTensor:
-        """A^{ij} as jets at (points, order), symmetrized, one row per point."""
+        """A^{ij} as jets at (points, order), symmetrized."""
         raw = self._coefficients(self.pair.frame(points, order))
         if not isinstance(raw, JetTensor):
             raw = JetTensor(raw, 2, 0)
@@ -180,12 +179,11 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
 
 def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
                   form: str = "christoffel") -> jets.Jet:
-    """Core application to one jet at one point, through the frame of that
-    point as a block of one; consumes two jet orders."""
+    """Core application to one jet; consumes two jet orders."""
     m = f_jet.order
     A = op.coefficient_tensor(point, m).coeffs
     out = _apply(op.pair.frame(point, m), A, f_jet.space, f_jet.coeffs, form)
-    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out[0])
+    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out)
 
 
 def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
@@ -226,26 +224,25 @@ def commutator_apply(op_t: QuantizedOperator, op_s: QuantizedOperator,
     """[op_t, op_s] f at the point, as a plain number (working order 4)."""
     f_jet = _function_jet(op_t.coordinates, f, point, 4)
     ts, st = _nested_values(op_t, op_s, f_jet.coeffs, point)
-    return float(ts[0] - st[0])
+    return float(ts - st)
 
 
 def commutator_residual(op_t: QuantizedOperator, op_s: QuantizedOperator,
                         f: FunctionLike, point) -> float:
     """|[op_t, op_s] f| / max(1, |op_t op_s f|, |op_s op_t f|) at the point."""
     f_jet = _function_jet(op_t.coordinates, f, point, 4)
-    ts, st = (float(v[0]) for v in _nested_values(op_t, op_s, f_jet.coeffs, point))
+    ts, st = (float(v) for v in _nested_values(op_t, op_s, f_jet.coeffs, point))
     return abs(ts - st) / max(1.0, abs(ts), abs(st))
 
 
 def killing_commutator_grid(pair: ProjectivePair, f, points) -> np.ndarray:
-    """B[p, l, k] = (K_hat[l] K_hat[k] f)(p) over the family's coefficients,
-    at each row p of the points.
+    """B[l, k] = (K_hat[l] K_hat[k] f)(p) over the family's coefficients at
+    the point, or B[p, l, k] at each row p of a block of points.
 
     Since K_hat(t) = sum_l t^l K_hat[l], any [K_hat(t), K_hat(s)] f follows
     from this grid by polynomial combination; see commutator_from_grid.
-    A list or tuple of functions gives the stack B[f, p, l, k] of their
-    grids, from two applications of the n stacked fields to the stacked
-    functions.
+    A list or tuple of functions gives the stack B[f, ...] of their grids,
+    from two applications of the n stacked fields to the stacked functions.
     """
     d = pair.dim
     functions = f if isinstance(f, (list, tuple)) else [f]
@@ -258,7 +255,7 @@ def killing_commutator_grid(pair: ProjectivePair, f, points) -> np.ndarray:
     inner = _apply(frame, A, sp, fs[:, None])  # [f, k, p], order 2
     nested = _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0]
     # [f, p, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs
-    B = np.ascontiguousarray(np.moveaxis(nested, -1, 1))
+    B = np.ascontiguousarray(np.moveaxis(nested, (1, 2), (-2, -1)))
     return B if isinstance(f, (list, tuple)) else B[0]
 
 
@@ -280,27 +277,29 @@ def commutator_from_grid(B: np.ndarray, t, s):
 
 @dataclass(frozen=True)
 class CommutatorDecomposition:
-    """First-order form of a commutator at each row of a block of points.
+    """First-order form of a commutator at a point, or at each row of a
+    block of points.
 
     If the commutator acts as nabla_i Q^{ij} nabla_j + V^l nabla_l (plus
     nothing of third order), probing with centered monomials recovers Q and
     V exactly: linear probes see only V, quadratic probes only 2Q (their
     first derivatives vanish at the center).  cubic_residual measures the
     scaled action on centered cubics, which any such operator annihilates
-    at the center.  Q, V and cubic_residual have one row per point.
+    at the center.  On a block of points, Q, V and cubic_residual have one
+    row per point.
     """
 
     points: np.ndarray
     Q: np.ndarray
     V: np.ndarray
-    cubic_residual: np.ndarray
+    cubic_residual: float | np.ndarray
 
     @property
-    def q_norm(self) -> np.ndarray:
+    def q_norm(self):
         return np.max(np.abs(self.Q), axis=(-2, -1))
 
     @property
-    def v_norm(self) -> np.ndarray:
+    def v_norm(self):
         return np.max(np.abs(self.V), axis=-1)
 
 
@@ -314,42 +313,43 @@ def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
     quadratic ones (halved: d^2 of u_a u_b hits both index orders).
     """
     d = op_t.dim
-    points = np.array(points, dtype=float, ndmin=2)
+    points = np.array(points, dtype=float)
     u = jets.seed_coordinates(np.zeros(d), 4)  # centered: the seeds at 0
     quadratic = list(combinations_with_replacement(range(d), 2))
     probes = (u + [u[a] * u[b] for a, b in quadratic]
               + [u[a] * u[b] * u[c]
                  for a, b, c in combinations_with_replacement(range(d), 3)])
-    stacked = np.array([p.coeffs for p in probes])[:, None]  # [probe, row]
+    rows = points.shape[:-1]
+    stacked = np.array([p.coeffs for p in probes]).reshape(  # [probe, *rows]
+        (len(probes),) + (1,) * len(rows) + (-1,))
     ts, st = _nested_values(op_t, op_s, stacked, points)
     values = ts - st
-    Q = np.empty((len(points), d, d))
+    Q = np.empty(rows + (d, d))
     for (a, b), value in zip(quadratic, values[d:]):
-        Q[:, a, b] = Q[:, b, a] = 0.5 * value
-    cubic = np.zeros(len(points))
+        Q[..., a, b] = Q[..., b, a] = 0.5 * value
+    cubic = np.zeros(rows)
     for k in range(d + len(quadratic), len(probes)):
         scale = np.fmax(np.fmax(1.0, np.abs(ts[k])), np.abs(st[k]))
         cubic = np.fmax(cubic, np.abs(values[k]) / scale)
-    return CommutatorDecomposition(points=points, Q=Q, V=values[:d].T,
-                                   cubic_residual=cubic)
+    V = np.moveaxis(values[:d], 0, -1)
+    return CommutatorDecomposition(points=points, Q=Q, V=V, cubic_residual=cubic)
 
 
 @dataclass(frozen=True)
 class PhaseSpacePoint:
-    """A chart point x with a momentum covector p, or a block of them with
-    one point and one momentum per row."""
+    """A chart point x with a momentum covector p."""
 
     x: tuple
     p: tuple
 
     def __post_init__(self):
-        x, p = (np.asarray(v, dtype=float) for v in (self.x, self.p))
-        if x.shape != p.shape or x.ndim not in (1, 2):
-            raise ValueError(f"x has shape {x.shape} but p has shape {p.shape}")
-        for name, v in (("x", x), ("p", p)):
-            object.__setattr__(self, name, tuple(map(tuple, v.tolist()))
-                               if v.ndim == 2 else tuple(v.tolist()))
-        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
+        object.__setattr__(self, "p", tuple(float(c) for c in self.p))
+        if len(self.x) != len(self.p):
+            raise ValueError(
+                f"x has {len(self.x)} components but p has {len(self.p)}"
+            )
+        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.p)):
             raise ValueError(f"non-finite phase-space point {self}")
 
 
@@ -404,64 +404,61 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
 
 
 def integral_field(pair: ProjectivePair, t, x):
-    """(A(t) values, d_s A(t) values) at each row of the points x for the
-    family's integral I_t, from the values and first x-derivatives of every
-    A_l = S_l g^{-1}.
+    """(A(t) values, d_s A(t) values) at x, or at each row of a block x,
+    for the family's integral I_t, from the values and first x-derivatives
+    of every A_l = S_l g^{-1}.
     Computed once per frame and t, and kept with the frame."""
     frame = pair.frame(x, 1)
-    t = np.broadcast_to(np.asarray(t, dtype=float), frame.points.shape[:1])
+    t = np.broadcast_to(np.asarray(t, dtype=float), frame.points.shape[:-1])
     key = t.tobytes()  # tells -0.0 from 0.0
     if key not in frame.integral_fields:
         A = frame.A_coeffs
         vals = np.array([a.value() for a in A])
-        # [l, p, s, i, j] = d_s A_l^{ij} at row p
+        # [l, ..., s, i, j] = d_s A_l^{ij}
         derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, -3)
                            for a in A])
-        tp = t[:, None] ** np.arange(pair.dim)
+        tp = t[..., None] ** np.arange(pair.dim)
         frame.integral_fields[key] = (
-            np.einsum("pl,lpij->pij", tp, vals),
-            np.einsum("pl,lpsij->psij", tp, derivs),
+            np.einsum("...l,l...ij->...ij", tp, vals),
+            np.einsum("...l,l...sij->...sij", tp, derivs),
         )
     return frame.integral_fields[key]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products of two (P, n) arrays, each with the bits of
-    ``a[r] @ b[r]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _bracket_terms(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
-    """dI_t/dp, dI_t/dx, dI_s/dp and dI_s/dx at the phase points, one row
-    each."""
-    At, dAt = integral_field(pair, t, phi.x)
-    As, dAs = integral_field(pair, s, phi.x)
-    p = np.array(phi.p, ndmin=2)
+def _bracket(pair: ProjectivePair, t, s, phi):
+    """{I_t, I_s} and max(1, size of either of its terms) at a phase point,
+    or at each row of a block ``(points, momenta)`` of them."""
+    x, p = (phi.x, phi.p) if isinstance(phi, PhaseSpacePoint) else phi
+    At, dAt = integral_field(pair, t, x)
+    As, dAs = integral_field(pair, s, x)
+    p = np.asarray(p, dtype=float)
     dIt_dp = (2.0 * At @ p[..., None])[..., 0]
     dIs_dp = (2.0 * As @ p[..., None])[..., 0]
-    dIt_dx = np.einsum("psij,pi,pj->ps", dAt, p, p)
-    dIs_dx = np.einsum("psij,pi,pj->ps", dAs, p, p)
-    return dIt_dp, dIt_dx, dIs_dp, dIs_dx
+    dIt_dx = np.einsum("...sij,...i,...j->...s", dAt, p, p)
+    dIs_dx = np.einsum("...sij,...i,...j->...s", dAs, p, p)
+    # stacked row-by-column products: the bits of dIt_dp @ dIs_dx per row
+    value = (dIt_dp[..., None, :] @ dIs_dx[..., :, None]
+             - dIt_dx[..., None, :] @ dIs_dp[..., :, None])[..., 0, 0]
+    scale = np.fmax(np.fmax(1.0, np.sum(np.abs(dIt_dp * dIs_dx), axis=-1)),
+                    np.sum(np.abs(dIt_dx * dIs_dp), axis=-1))
+    return value, scale
 
 
-def poisson_bracket(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
-    """{I_t, I_s} = sum_i dI_t/dp_i dI_s/dx^i - dI_t/dx^i dI_s/dp_i, one
-    value per row of the phase points.
+def poisson_bracket(pair: ProjectivePair, t, s, phi):
+    """{I_t, I_s} = sum_i dI_t/dp_i dI_s/dx^i - dI_t/dx^i dI_s/dp_i at a
+    PhaseSpacePoint, or one value per row of a block ``(points, momenta)``.
 
     The x-derivatives come from order-1 jets of the coefficient fields; the
     p-derivatives are analytic (I is an explicit quadratic in p).
     """
-    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
-    return _dot(dIt_dp, dIs_dx) - _dot(dIt_dx, dIs_dp)
+    return _bracket(pair, t, s, phi)[0]
 
 
-def poisson_residual(pair: ProjectivePair, t, s, phi: PhaseSpacePoint):
+def poisson_residual(pair: ProjectivePair, t, s, phi):
     """|{I_t, I_s}| over max(1, size of either term), cancellation-proof,
-    one value per row of the phase points."""
-    dIt_dp, dIt_dx, dIs_dp, dIs_dx = _bracket_terms(pair, t, s, phi)
-    value = _dot(dIt_dp, dIs_dx) - _dot(dIt_dx, dIs_dp)
-    scale = np.fmax(np.fmax(1.0, np.sum(np.abs(dIt_dp * dIs_dx), axis=-1)),
-                    np.sum(np.abs(dIt_dx * dIs_dp), axis=-1))
+    at a PhaseSpacePoint or one value per row of a block ``(points,
+    momenta)``."""
+    value, scale = _bracket(pair, t, s, phi)
     return np.abs(value) / scale
 
 

@@ -13,8 +13,9 @@ Killing-candidate tensors
 as explicit polynomial coefficients in t (degree n-1), obtained by the
 Faddeev-LeVerrier recursion in jet arithmetic rather than by sampling t.
 
-The residual checks quantify, at each row of a block of points, how well
-the pair satisfies the identities that characterize projective equivalence:
+The residual checks quantify, at a point or at each row of a block of
+points, how well the pair satisfies the identities that characterize
+projective equivalence:
 
   * check_projective_equivalence:  nabla_k L_ij = lam_i g_jk + lam_j g_ik
   * check_connection_difference:   gammabar - gamma = delta^i_k phi_j
@@ -25,10 +26,10 @@ the pair satisfies the identities that characterize projective equivalence:
   * check_carter_condition:        div [Ric_endo, S(t)] = 0
 
 All residuals are max-norms normalized by the scale of the terms entering
-them, so they are dimensionless and comparable across metrics.  A check
-returns one residual per row of its block of points, each with the bits of
-its point checked alone; a single point is a block of one.  Wherever a
-parameter t enters, it is a number or one value per row.
+them, so they are dimensionless and comparable across metrics.  At one
+point a check returns one number; on a block of points it returns one
+residual per row, each with the bits of its point checked alone.  Wherever
+a parameter t enters, it is a number or one value per row.
 
 On phi: the 1-form that makes the connection-difference identity hold is
 phi_i = -(L^{-1})^s_i lam_s, equivalently phi = -(1/2) d ln|det L|.  The
@@ -116,11 +117,11 @@ class ProjectivePair:
         it.  Callers therefore finish with one block before the next, as
         ``verify_pair`` does.
         """
-        key = np.array(points, dtype=float, ndmin=2)
+        points = np.array(points, dtype=float)
         fr = self._frame
-        if (fr is None or not np.array_equal(fr.points, key)
+        if (fr is None or fr.points.tolist() != points.tolist()
                 or not 0 <= order <= fr.order):
-            fr = self._frame = PointFrame(self, key, order)  # rejects order < 0
+            fr = self._frame = PointFrame(self, points, order)  # rejects order < 0
         return fr
 
     def sample_point(self, rng: np.random.Generator, shrink: float = 0.0):
@@ -200,24 +201,25 @@ def adjugate_family(L: JetTensor):
 
 
 def _polynomial(coeffs, t) -> JetTensor:
-    """sum_l t^l coeffs[l], the powers built up by repeated products."""
+    """sum_l t^l coeffs[l], the powers built up by repeated products; ``t``
+    is a number or one value per row."""
     acc = coeffs[0].coeffs
-    power = np.ones(len(acc))
+    power = np.ones(np.shape(t))
     for c in coeffs[1:]:
         power = power * t
-        acc = acc + c.coeffs * power.reshape((-1,) + (1,) * (acc.ndim - 1))
+        acc = acc + c.coeffs * power.reshape(power.shape + (1,) * (acc.ndim - power.ndim))
     return coeffs[0]._like(acc)
 
 
 class PointFrame:
-    """Lazily computed jet data of a pair at a block of points and one
-    truncation order.
+    """Lazily computed jet data of a pair at one truncation order, at one
+    point of shape ``(n,)`` or at a ``(P, n)`` block of points.
 
-    ``points`` is a ``(P, n)`` block, or one point as a block of one.  Every
-    quantity is an array of shape ``(P, *tensor, ncoeffs)`` whose rows have
-    the bits of that point's frame built alone.  Derivatives consume
-    orders: with the metrics at order m, the Christoffel symbols live at m-1
-    and the Ricci tensor at m-2.
+    Every quantity is an array of shape ``(*tensor, ncoeffs)`` at a point
+    and ``(P, *tensor, ncoeffs)`` on a block, whose rows have the bits of
+    that point's frame built alone: the same code serves both.  Derivatives
+    consume orders: with the metrics at order m, the Christoffel symbols
+    live at m-1 and the Ricci tensor at m-2.
     """
 
     def __init__(self, pair: ProjectivePair, points, order: int):
@@ -226,7 +228,7 @@ class PointFrame:
         # the metrics, not the pair: the pair holds its frame, and a cycle
         # would keep every frame alive until the cyclic collector runs
         self.metrics = (pair.g, pair.gbar)
-        self.points = np.array(points, dtype=float, ndmin=2)
+        self.points = np.array(points, dtype=float)
         self.order = order
         self.dim = pair.dim
         self.integral_fields = {}  # filled by operators.integral_field
@@ -317,7 +319,7 @@ class PointFrame:
         return _polynomial(self.benenti.K_coeffs, t)
 
     def L_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.L.value())  # [row, eigenvalue]
+        return np.linalg.eigvals(self.L.value())
 
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -331,7 +333,7 @@ def t_grid(pair: ProjectivePair, point) -> tuple:
     diagnostics; the polynomial family itself is fine there, so the filter
     is purely cosmetic for reports.
     """
-    eigs = pair.frame(point, 0).L_eigenvalues()[0]
+    eigs = pair.frame(point, 0).L_eigenvalues()
     return tuple(
         t for t in DEFAULT_T_GRID if np.min(np.abs(eigs - t)) > 1e-6
     )
@@ -352,11 +354,11 @@ def check_projective_equivalence(pair: ProjectivePair, points, order: int = 2):
     bd = frame.benenti
     # lowered form a_ij = g_is L^s_j
     a = matmul(frame.g, bd.L)
-    nav = covariant_derivative(a, frame.gamma).value()  # [row, k, i, j]
-    lam_v = bd.lam_form.value()[:, None]
+    nav = covariant_derivative(a, frame.gamma).value()  # [..., k, i, j]
+    lam_v = bd.lam_form.value()[..., None, :]
     g_v = np.swapaxes(frame.g.value(), -1, -2)
-    model = (lam_v[..., :, None] * g_v[:, :, None, :]
-             + lam_v[..., None, :] * g_v[:, :, :, None])
+    model = (lam_v[..., :, None] * g_v[..., :, None, :]
+             + lam_v[..., None, :] * g_v[..., :, :, None])
     return _peak(nav - model, 3) / np.fmax(1.0, _peak(nav, 3))
 
 
@@ -369,8 +371,8 @@ def check_connection_difference(pair: ProjectivePair, points, order: int = 2):
     model = np.zeros_like(diff)
     for i in range(d):
         for j in range(d):
-            model[:, i, j, i] += phi_v[:, j]  # delta^i_k phi_j at k = i
-            model[:, i, i, j] += phi_v[:, j]  # delta^i_j phi_k at j = i, k = j
+            model[..., i, j, i] += phi_v[..., j]  # delta^i_k phi_j at k = i
+            model[..., i, i, j] += phi_v[..., j]  # delta^i_j phi_k at j = i, k = j
     return _peak(diff - model, 3) / np.fmax(1.0, _peak(diff, 3))
 
 
@@ -386,8 +388,8 @@ def check_phi_identity(pair: ProjectivePair, points, order: int = 2):
     d = frame.dim
     phi_alg = frame.benenti.phi_form.value()
     gamma_bar, gamma = frame.gamma_bar.value(), frame.gamma.value()
-    trace_bar = sum(gamma_bar[:, s, s] for s in range(d))
-    trace = sum(gamma[:, s, s] for s in range(d))
+    trace_bar = sum(gamma_bar[..., s, s, :] for s in range(d))
+    trace = sum(gamma[..., s, s, :] for s in range(d))
     phi_conn = (trace_bar - trace) / (d + 1)
     return _peak(phi_conn - phi_alg, 1) / np.fmax(1.0, _peak(phi_conn, 1))
 

@@ -53,9 +53,8 @@ SCHEMA_VERSION = 4
 # the order, so every frame check reads the same order-4 frame of a block.
 FRAME_ORDER = 4
 
-# Points per block: every check other than drift runs once per block of
-# this many sampled points, which bounds the memory of a block's frame as
-# the number of points grows.
+# Every check other than drift runs once per block of this many sampled
+# points, which bounds a block's frame as the number of points grows.
 BLOCK_POINTS = 20
 
 CHECK_IDS = (
@@ -323,9 +322,8 @@ def _block_records(pair, check, points, grids, momenta):
         found = [(c, c, family_check(pair, cols[c], points, FRAME_ORDER),
                   lambda t, s, r: (("t", t),)) for c in range(width)]
     elif check == "poisson":
-        phi = ops.PhaseSpacePoint(points, momenta)
         m = [[float(c) for c in row] for row in momenta]
-        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], phi),
+        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], (points, momenta)),
                   lambda t, s, r: (("momentum", m[r]), ("s", s), ("t", t)))
                  for i, j in ij]
     elif check == "commutator":

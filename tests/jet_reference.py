@@ -6,9 +6,8 @@ in the order of operations the dense kernels of ``benenti.geometry``,
 results must equal these bit for bit.  Tensors are read through
 ``t[i, j, ...]``; results are dicts from index tuples to jets.
 
-The operator references apply one operator to one jet at a time, at one
-point (a frame's block of one), with the per-function, per-probe and
-per-point loops the stacked applications replace.
+The operator references apply one operator to one jet at a time, with the
+per-function and per-probe loops the stacked applications replace.
 """
 
 import itertools
@@ -152,8 +151,8 @@ def benenti(frame):
     sub = lam.order - 1
     phi = [-first_term_sum(jets.truncate(adj[s, i] * inv_det, sub) * lam_form[s]
                            for s in range(d)) for i in range(d)]
-    one = jets.Jet.constant(1.0, lam.nvars, lam.order, lam.batch)
-    zero = jets.Jet.constant(0.0, lam.nvars, lam.order, lam.batch)
+    one = jets.Jet.constant(1.0, lam.nvars, lam.order)
+    zero = jets.Jet.constant(0.0, lam.nvars, lam.order)
     M = {(i, j): one if i == j else zero for i in range(d) for j in range(d)}
     S = [None] * d
     char = [None] * (d + 1)
@@ -194,7 +193,7 @@ def apply_operator(frame, A, f):
 
 
 def function_jet(pair, f, point):
-    seeds = jets.seed_coordinates(np.array(point, ndmin=2), 4)  # a batch of one
+    seeds = jets.seed_coordinates(point, 4)
     return expr.evaluate(expr.parse(f, pair.coordinates),
                          dict(zip(pair.coordinates, seeds)))
 
@@ -212,7 +211,7 @@ def commutator_grids(pair, functions, point):
         inner = [apply_operator(frame, fields[k], f_jet) for k in range(d)]
         for l in range(d):
             for k in range(d):
-                out[n, l, k] = apply_operator(frame, fields[l], inner[k]).value[0]
+                out[n, l, k] = apply_operator(frame, fields[l], inner[k]).value
     return out
 
 
@@ -222,15 +221,15 @@ def nested_values(op_t, op_s, f_jet, point):
     A_t, A_s = op_t.coefficient_tensor(point, 4), op_s.coefficient_tensor(point, 4)
     inner_s = apply_operator(frame_s, A_s, f_jet)
     inner_t = apply_operator(frame_t, A_t, f_jet)
-    return (apply_operator(frame_t, A_t, inner_s).value[0],
-            apply_operator(frame_s, A_s, inner_t).value[0])
+    return (apply_operator(frame_t, A_t, inner_s).value,
+            apply_operator(frame_s, A_s, inner_t).value)
 
 
 def decompose(op_t, op_s, point):
     """(Q, V, cubic_residual) of [op_t, op_s] at the point, one centred
     monomial probe at a time."""
     d = op_t.dim
-    u = [s - s.value[0] for s in jets.seed_coordinates(np.array(point, ndmin=2), 4)]
+    u = [s - s.value for s in jets.seed_coordinates(point, 4)]
 
     def commutator_on(probe):
         ts, st = nested_values(op_t, op_s, probe, point)

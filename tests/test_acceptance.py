@@ -79,7 +79,7 @@ def test_criterion_1_operator_commutation():
             n_pairs = len(pairs)
             fewest_pairs = n_pairs if fewest_pairs is None else min(fewest_pairs, n_pairs)
             for f in suite:
-                B = ops.killing_commutator_grid(pair, f, point)[0]  # one row
+                B = ops.killing_commutator_grid(pair, f, point)
                 for t, s in pairs:
                     value, scale = ops.commutator_from_grid(B, t, s)
                     r = abs(value) / scale
@@ -112,7 +112,7 @@ def test_criterion_2_killing_equation():
         pair = catalog.get_entry(name).pair
         for point in _points(pair):
             for t in t_grid(pair, point):
-                worst = max(worst, check_killing_tensor(pair, t, point, order=2)[0])
+                worst = max(worst, check_killing_tensor(pair, t, point, order=2))
 
     # non-Killing control: K = diag(x, 0) against the flat metric
     flat = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
@@ -152,7 +152,7 @@ def test_criterion_3_classical_integrals():
             grid = t_grid(pair, point)
             for t, s in _grid_pairs(grid)[:: max(1, len(_grid_pairs(grid)) // 6)]:
                 worst_poisson = max(
-                    worst_poisson, ops.poisson_residual(pair, t, s, phi)[0]
+                    worst_poisson, ops.poisson_residual(pair, t, s, phi)
                 )
 
     # conservation along geodesics at the drift check's tolerance
@@ -208,10 +208,10 @@ def test_criterion_4_curvature_compatibility():
     for name in catalog.equivalent_entries():
         pair = catalog.get_entry(name).pair
         for point in _points(pair):
-            worst_ricci = max(worst_ricci, check_ricci_commutation(pair, point)[0])
+            worst_ricci = max(worst_ricci, check_ricci_commutation(pair, point))
             for t in t_grid(pair, point):
                 worst_carter = max(
-                    worst_carter, check_carter_condition(pair, t, point)[0]
+                    worst_carter, check_carter_condition(pair, t, point)
                 )
     ok = worst_ricci <= 1e-8 and worst_carter <= 1e-7
     _report(
@@ -236,8 +236,8 @@ def test_criterion_5_commutator_decomposition():
                 ops.killing_operator(pair, grid[-1]),
                 point,
             )
-            worst_q = max(worst_q, dec.q_norm[0])
-            worst_v = max(worst_v, dec.v_norm[0])
+            worst_q = max(worst_q, dec.q_norm)
+            worst_v = max(worst_v, dec.v_norm)
 
     # flat non-Killing control K = diag(x^2, 0): nonzero second-order part
     flat = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
@@ -300,9 +300,9 @@ def test_criterion_6_structure_identities():
     for name in catalog.equivalent_entries():
         pair = catalog.get_entry(name).pair
         for point in _points(pair):
-            worst = max(worst, check_projective_equivalence(pair, point)[0])
-            worst = max(worst, check_connection_difference(pair, point)[0])
-            worst = max(worst, check_phi_identity(pair, point)[0])
+            worst = max(worst, check_projective_equivalence(pair, point))
+            worst = max(worst, check_connection_difference(pair, point))
+            worst = max(worst, check_phi_identity(pair, point))
 
     control = catalog.get_entry("control_nonequiv").pair
     points = _points(control)

@@ -35,8 +35,7 @@ def tensor_values(t):
 
 
 def jet_matrix_values(t):
-    """Component values of a frame tensor at its one point."""
-    return np.array([[t[i, j].value[0] for j in range(t.dim)]
+    return np.array([[t[i, j].value for j in range(t.dim)]
                      for i in range(t.dim)])
 
 
@@ -53,28 +52,28 @@ class TestStructureTensor:
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = pair.sample_point(rng)
-            L = pair.frame(p, 2).L.value()[0]  # the frame's one row
+            L = pair.frame(p, 2).L.value()
             assert np.allclose(L, np.diag(p), atol=1e-12)
 
     def test_lorentz_dini_L_closed_form(self):
         # same formulas continued to y < 0 flip the sign: L = -diag(x, y)
         pair = catalog.get_entry("lorentz_dini").pair
         p = (2.0, -0.5)
-        L = pair.frame(p, 2).L.value()[0]
+        L = pair.frame(p, 2).L.value()
         assert np.allclose(L, np.diag([-2.0, 0.5]), atol=1e-12)
 
     def test_beltrami_L_closed_form(self):
         # flat g, sphere-projection gbar: L = Id + x x^T
         pair = catalog.get_entry("beltrami").pair
         p = (0.4, -0.7)
-        L = pair.frame(p, 2).L.value()[0]
+        L = pair.frame(p, 2).L.value()
         x = np.array(p)
         assert np.allclose(L, np.eye(2) + np.outer(x, x), atol=1e-12)
 
     def test_scaled_pair_constant_L(self):
         # gbar = 4 g gives L = 4^(-1/(n+1)) Id in any dimension; here n = 2
         pair = catalog.get_entry("scaled").pair
-        L = pair.frame((1.0, 0.5), 2).L.value()[0]
+        L = pair.frame((1.0, 0.5), 2).L.value()
         assert np.allclose(L, 4.0 ** (-1.0 / 3.0) * np.eye(2), atol=1e-14)
 
     def test_L_gradient_matches_finite_differences(self):
@@ -87,9 +86,9 @@ class TestStructureTensor:
             plus[s] += h
             minus[s] -= h
             fd = (
-                pair.frame(plus, 0).L.value()[0] - pair.frame(minus, 0).L.value()[0]
+                pair.frame(plus, 0).L.value() - pair.frame(minus, 0).L.value()
             ) / (2 * h)
-            grad = np.array([[L[i, j].coeffs[0, 1 + s] for j in range(2)]
+            grad = np.array([[L[i, j].coeffs[1 + s] for j in range(2)]
                              for i in range(2)])
             assert np.allclose(grad, fd, rtol=1e-7, atol=1e-9)
 
@@ -100,16 +99,16 @@ class TestStructureTensor:
             rng = np.random.default_rng(11)
             p = pair.sample_point(rng, shrink=0.1)
             frame = pair.frame(p, 2)
-            a = np.einsum("is,sj->ij", frame.g.value()[0], frame.L.value()[0])
+            a = np.einsum("is,sj->ij", frame.g.value(), frame.L.value())
             assert np.max(np.abs(a - a.T)) < 1e-10 * max(1.0, np.max(np.abs(a)))
 
     def test_eigenvalues_match_char_coeffs(self):
         pair = catalog.get_entry("trivial3").pair
         p = (1.1, 0.8, 2.0)
         bd = pair.frame(p, 2).benenti
-        coeffs = [c.value[0] for c in bd.char_coeffs]  # ascending in t
+        coeffs = [c.value for c in bd.char_coeffs]  # ascending in t
         roots = np.sort(np.roots(coeffs[::-1]))
-        eigs = np.sort(pair.frame(p, 2).L_eigenvalues()[0].real)
+        eigs = np.sort(pair.frame(p, 2).L_eigenvalues().real)
         assert np.allclose(roots, eigs, atol=1e-10)
 
 
@@ -118,10 +117,10 @@ class TestBenentiData:
         # at (2, 1): L = diag(2, 1), lam = 3/2, dlam = (1/2, 1/2),
         # phi = (-1/4, -1/2), char poly t^2 - 3 t + 2
         bd = dini().frame(DINI_POINT, 3).benenti
-        assert bd.lam.value[0] == pytest.approx(1.5, abs=1e-14)
+        assert bd.lam.value == pytest.approx(1.5, abs=1e-14)
         assert np.allclose(bd.lam_form.value(), [0.5, 0.5], atol=1e-14)
         assert np.allclose(bd.phi_form.value(), [-0.25, -0.5], atol=1e-14)
-        assert np.allclose([c.value[0] for c in bd.char_coeffs], [2.0, -3.0, 1.0],
+        assert np.allclose([c.value for c in bd.char_coeffs], [2.0, -3.0, 1.0],
                            atol=1e-13)
 
     def test_dini_S0_K0(self):
@@ -138,7 +137,7 @@ class TestBenentiData:
             p = pair.sample_point(np.random.default_rng(5), shrink=0.1)
             bd = pair.frame(p, 2).benenti
             for K in bd.K_coeffs:
-                v = K.value()[0]
+                v = K.value()
                 assert np.max(np.abs(v - v.T)) < 1e-10 * max(1.0, np.max(np.abs(v)))
 
     def test_top_K_coefficient_is_metric(self):
@@ -161,8 +160,8 @@ class TestBenentiData:
                 plus, minus = p.copy(), p.copy()
                 plus[s] += h
                 minus[s] -= h
-                lp = math.log(abs(np.linalg.det(pair.frame(plus, 0).L.value()[0])))
-                lm = math.log(abs(np.linalg.det(pair.frame(minus, 0).L.value()[0])))
+                lp = math.log(abs(np.linalg.det(pair.frame(plus, 0).L.value())))
+                lm = math.log(abs(np.linalg.det(pair.frame(minus, 0).L.value())))
                 fd[s] = (lp - lm) / (2 * h)
             assert np.allclose(phi, -0.5 * fd, rtol=1e-6, atol=1e-9)
 
@@ -172,8 +171,8 @@ class TestBenentiData:
             pair = catalog.get_entry(name).pair
             p = pair.sample_point(np.random.default_rng(4), shrink=0.1)
             bd = pair.frame(p, 2).benenti
-            lam = bd.lam_form.value()[0]
-            recon = -np.einsum("si,s->i", bd.L.value()[0], bd.phi_form.value()[0])
+            lam = bd.lam_form.value()
+            recon = -np.einsum("si,s->i", bd.L.value(), bd.phi_form.value())
             assert np.allclose(lam, recon, atol=1e-12 * max(1.0, np.max(np.abs(lam))))
 
     def test_lam_gradient_matches_finite_differences(self):
@@ -187,9 +186,9 @@ class TestBenentiData:
             plus, minus = p.copy(), p.copy()
             plus[s] += h
             minus[s] -= h
-            lp = 0.5 * np.trace(pair.frame(plus, 0).L.value()[0])
-            lm = 0.5 * np.trace(pair.frame(minus, 0).L.value()[0])
-            assert bd.lam_form.value()[0, s] == pytest.approx((lp - lm) / (2 * h),
+            lp = 0.5 * np.trace(pair.frame(plus, 0).L.value())
+            lm = 0.5 * np.trace(pair.frame(minus, 0).L.value())
+            assert bd.lam_form.value()[s] == pytest.approx((lp - lm) / (2 * h),
                                                            rel=1e-7, abs=1e-9)
 
 
@@ -342,7 +341,7 @@ class TestAdjugateFamily:
         d = pair.dim
         frame = pair.frame(point, 2)
         S_coeffs = frame.benenti.S_coeffs
-        Lv = frame.L.value()[0]
+        Lv = frame.L.value()
         ts = np.linspace(0.7, 2.3, d)
         vander = np.vander(ts, d, increasing=True)
         samples = np.empty((d, d, d))
@@ -362,7 +361,7 @@ class TestAdjugateFamily:
         frame = pair.frame((1.9, 0.6), 2)
         S0 = jet_matrix_values(frame.benenti.S_coeffs[0])
         S1 = jet_matrix_values(frame.benenti.S_coeffs[1])
-        Lv = frame.L.value()[0]
+        Lv = frame.L.value()
         assert np.allclose(S1, np.eye(2), atol=1e-14)
         assert np.allclose(S0, Lv - np.trace(Lv) * np.eye(2), atol=1e-13)
 
@@ -381,8 +380,8 @@ def _identity_times(frame, t):
     sample = frame.L[0, 0]
     for i in range(d):
         for j in range(d):
-            comps[i, j] = jets.Jet.constant(t if i == j else 0.0, sample.nvars,
-                                            sample.order, sample.batch)
+            comps[i, j] = jets.Jet.constant(t if i == j else 0.0,
+                                            sample.nvars, sample.order)
     return JetTensor(comps, 1, 1)
 
 
@@ -431,7 +430,7 @@ class TestEquivalenceChecks:
         # at (2, 1) the 111 component of gammabar - gamma equals 2 phi_1 = -1/2
         pair = dini()
         frame = pair.frame(DINI_POINT, 2)
-        diff = frame.gamma_bar.value()[0] - frame.gamma.value()[0]
+        diff = frame.gamma_bar.value() - frame.gamma.value()
         assert diff[0, 0, 0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_killing_flat_control(self):

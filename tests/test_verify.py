@@ -68,15 +68,15 @@ class TestConfig:
 
 
 def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
-    # sampling builds an order-0 frame per point and takes its t grid there;
-    # the walk over the blocks of points then builds one order-4 frame per
-    # block, which every check on that block reads
+    # sampling builds an order-0 frame at each point alone and takes its t
+    # grid there; the walk over the blocks of points then builds one order-4
+    # frame per block, which every check on that block reads
     built, grid_points = [], []
     build, grid = PointFrame.__init__, verify.t_grid
 
     def counting(frame, pair, point, order):
         build(frame, pair, point, order)
-        built.append((order, len(frame.points)))
+        built.append((order, frame.points.shape[:-1]))
 
     def counting_grid(pair, point):
         grid_points.append(point)
@@ -91,7 +91,7 @@ def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
     )
     full, rest = divmod(points, verify.BLOCK_POINTS)
     blocks = [verify.BLOCK_POINTS] * full + [rest] * (rest > 0)
-    assert built == [(0, 1)] * points + [(4, rows) for rows in blocks]
+    assert built == [(0, ())] * points + [(4, (rows,)) for rows in blocks]
     assert grid_points == [r.point for r in rep.records if r.check == checks[0]]
 
 
