@@ -327,10 +327,9 @@ def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
     Q = np.empty(rows + (d, d))
     for (a, b), value in zip(quadratic, values[d:]):
         Q[..., a, b] = Q[..., b, a] = 0.5 * value
-    cubic = np.zeros(rows)
-    for k in range(d + len(quadratic), len(probes)):
-        scale = np.fmax(np.fmax(1.0, np.abs(ts[k])), np.abs(st[k]))
-        cubic = np.fmax(cubic, np.abs(values[k]) / scale)
+    k = slice(d + len(quadratic), None)  # the cubic probes
+    scale = np.fmax(np.fmax(1.0, np.abs(ts[k])), np.abs(st[k]))
+    cubic = np.fmax.reduce(np.abs(values[k]) / scale, axis=0, initial=0.0)
     V = np.moveaxis(values[:d], 0, -1)
     return CommutatorDecomposition(points=points, Q=Q, V=V, cubic_residual=cubic)
 
@@ -409,7 +408,7 @@ def integral_field(pair: ProjectivePair, t, x):
     of every A_l = S_l g^{-1}.
     Computed once per frame and t, and kept with the frame."""
     frame = pair.frame(x, 1)
-    t = np.broadcast_to(np.asarray(t, dtype=float), frame.points.shape[:-1])
+    t = np.asarray(t, dtype=float)  # a number, or one value per row
     key = t.tobytes()  # tells -0.0 from 0.0
     if key not in frame.integral_fields:
         A = frame.A_coeffs
@@ -439,8 +438,8 @@ def _bracket(pair: ProjectivePair, t, s, phi):
     # stacked row-by-column products: the bits of dIt_dp @ dIs_dx per row
     value = (dIt_dp[..., None, :] @ dIs_dx[..., :, None]
              - dIt_dx[..., None, :] @ dIs_dp[..., :, None])[..., 0, 0]
-    scale = np.fmax(np.fmax(1.0, np.sum(np.abs(dIt_dp * dIs_dx), axis=-1)),
-                    np.sum(np.abs(dIt_dx * dIs_dp), axis=-1))
+    scale = np.fmax(np.fmax(1.0, np.abs(dIt_dp * dIs_dx).sum(axis=-1)),
+                    np.abs(dIt_dx * dIs_dp).sum(axis=-1))
     return value, scale
 
 
