@@ -322,8 +322,8 @@ def _block_records(pair, check, points, grids, momenta):
         found = [(c, c, family_check(pair, cols[c], points, FRAME_ORDER),
                   lambda t, s, r: (("t", t),)) for c in range(width)]
     elif check == "poisson":
-        m = [[float(c) for c in row] for row in momenta]
-        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], (points, momenta)),
+        phase, m = (points, momenta), [[float(c) for c in row] for row in momenta]
+        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], phase),
                   lambda t, s, r: (("momentum", m[r]), ("s", s), ("t", t)))
                  for i, j in ij]
     elif check == "commutator":
