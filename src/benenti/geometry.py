@@ -225,7 +225,7 @@ class MetricField:
     finite and comfortably nondegenerate at the point: |det g| must exceed
     ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.  ``evaluate`` and ``values``
     also take a ``(B, dim)`` batch of points and then fail if the metric is
-    degenerate at any of them.
+    degenerate at any of them; ``nondegenerate`` says at which.
     """
 
     def __init__(
@@ -267,33 +267,47 @@ class MetricField:
 
     def values(self, point) -> np.ndarray:
         """Plain float components at the point (symmetrized, checked)."""
+        sym = self._float_values(point)
+        self._check_nondegenerate(sym, point)
+        return sym
+
+    def nondegenerate(self, points) -> np.ndarray:
+        """Whether the metric passes the check of ``values`` at a point, or
+        at each row of a ``(B, dim)`` batch, without raising."""
+        return self._nondegenerate_rows(self._float_values(points))
+
+    def _float_values(self, point) -> np.ndarray:
         pts = np.asarray(point, dtype=float)
         if pts.ndim == 1:
             assignment = dict(zip(self.coordinates, map(float, pts)))
         else:
             assignment = dict(zip(self.coordinates, pts.T))
         raw = np.empty(pts.shape[:-1] + (self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                raw[..., i, j] = expr.evaluate(self.components[i][j], assignment)
-        sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        self._check_nondegenerate(sym, pts)
-        return sym
+        # an overflow shows as a non-finite component, which is degenerate
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    raw[..., i, j] = expr.evaluate(self.components[i][j], assignment)
+            return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+    def _nondegenerate_rows(self, values: np.ndarray) -> np.ndarray:
+        """The mask of ``nondegenerate`` from the component values; a
+        non-finite row never reaches the determinant."""
+        scales = np.abs(values).max(axis=(-2, -1))  # NaN or inf where a component is
+        finite = np.isfinite(scales)
+        with np.errstate(over="ignore"):
+            dets = np.linalg.det(np.where(finite[..., None, None], values, 1.0))
+            return finite & (np.abs(dets) > DEGENERACY_FACTOR * scales**self.dim)
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
-        """Raise unless the metric is finite and nondegenerate at the point,
-        or at every point of a batch."""
-        if values.ndim == 2:
-            values, point = values[None], [point]
-        scales = np.abs(values).max(axis=(1, 2))  # NaN or inf where a component is
-        finite = np.isfinite(scales)
-        if not finite.all():  # before the determinant: a NaN passes its test
-            raise self._degenerate(point[int(np.argmin(finite))],
-                                   "a component is not finite")
-        dets = np.linalg.det(values)
-        for det, scale, pt in zip(dets.tolist(), scales, point):
-            if abs(det) <= DEGENERACY_FACTOR * scale**self.dim:
-                raise self._degenerate(pt, f"|det| = {abs(det):.3e}")
+        """Raise at the first point where the metric is not nondegenerate."""
+        ok = self._nondegenerate_rows(values).ravel()
+        if not ok.all():
+            row = int(np.argmin(ok))
+            value = values.reshape(-1, self.dim, self.dim)[row]
+            detail = (f"|det| = {abs(np.linalg.det(value)):.3e}"
+                      if np.isfinite(value).all() else "a component is not finite")
+            raise self._degenerate(np.reshape(point, (-1, self.dim))[row], detail)
 
     def _degenerate(self, point, detail: str) -> DegenerateMetricError:
         return DegenerateMetricError(

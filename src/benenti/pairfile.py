@@ -275,7 +275,7 @@ def _probe_metrics(src: _Source, pair: ProjectivePair) -> None:
         (lo + hi) / 2 for lo, hi in (pair.domain[c] for c in pair.coordinates)
     )
     rng = np.random.default_rng(0)
-    points = [center] + [pair.sample_point(rng) for _ in range(4)]
+    points = [center, *pair.sample_point(rng, rows=4)]
     for key, metric in (("g", pair.g), ("gbar", pair.gbar)):
         last = None
         for p in points:

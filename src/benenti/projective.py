@@ -124,16 +124,17 @@ class ProjectivePair:
             fr = self._frame = PointFrame(self, points, order)  # rejects order < 0
         return fr
 
-    def sample_point(self, rng: np.random.Generator, shrink: float = 0.0):
-        """Uniform point in the domain box, optionally shrunk toward center."""
+    def sample_point(self, rng: np.random.Generator, shrink: float = 0.0,
+                     rows: int | None = None):
+        """Uniform point in the domain box, optionally shrunk toward center;
+        with ``rows``, a ``(rows, n)`` array with the bits of as many calls."""
         if self.domain is None:
             raise ValueError("pair has no sampling domain")
-        out = []
-        for c in self.coordinates:
-            lo, hi = self.domain[c]
-            pad = shrink * (hi - lo) / 2
-            out.append(rng.uniform(lo + pad, hi - pad))
-        return tuple(out)
+        lo, hi = np.array([self.domain[c] for c in self.coordinates]).T
+        pad = shrink * (hi - lo) / 2
+        if rows is None:
+            return tuple(rng.uniform(lo + pad, hi - pad).tolist())
+        return rng.uniform(lo + pad, hi - pad, size=(rows, self.dim))
 
     def contains(self, point) -> bool:
         if self.domain is None:
@@ -325,18 +326,20 @@ class PointFrame:
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
-def t_grid(pair: ProjectivePair, point) -> tuple:
+def t_grid(pair: ProjectivePair, points):
     """The default t sample grid, minus values within 1e-6 of an eigenvalue
-    of L at the point.
+    of L: a tuple at a point, and a list of one tuple per row of a
+    ``(P, n)`` block of points.
 
     Proximity to the spectrum only degrades the conditioning of eigenvalue
     diagnostics; the polynomial family itself is fine there, so the filter
     is purely cosmetic for reports.
     """
-    eigs = pair.frame(point, 0).L_eigenvalues()
-    return tuple(
-        t for t in DEFAULT_T_GRID if np.min(np.abs(eigs - t)) > 1e-6
-    )
+    eigs = pair.frame(points, 0).L_eigenvalues()
+    near = np.abs(eigs[..., :, None] - np.array(DEFAULT_T_GRID)).min(axis=-2)
+    grids = [tuple(t for t, keep in zip(DEFAULT_T_GRID, row) if keep)
+             for row in (near > 1e-6).reshape(-1, len(DEFAULT_T_GRID)).tolist()]
+    return grids if eigs.ndim > 1 else grids[0]
 
 
 def _peak(values: np.ndarray, rank: int) -> np.ndarray:

@@ -15,11 +15,13 @@ Checks are identified by short ids:
 
 Each check produces one record per sampled point (per trajectory for
 drift) carrying the worst residual seen there and the parameters that
-produced it.  The checks other than drift run on blocks of points, once
-per block, on one frame of jets over the block; every record has the bits
-of its point checked alone.  Reports are deterministic functions of the
-configuration: identical seeds give byte-identical documents apart from
-the timing block.
+produced it.  Points are sampled a block of draws at a time, keeping the
+draws a draw-by-draw loop would keep, and take their t grids from one
+order-0 frame over all of them.  The checks other than drift run on blocks
+of points sized by the jet, once per block, on one frame of jets over the
+block; every record has the bits of its point checked alone.  Reports are
+deterministic functions of the configuration: identical seeds give
+byte-identical documents apart from the timing block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 import yaml
 
-from . import operators as ops
+from . import jets, operators as ops
 from .errors import DegenerateMetricError
 from .projective import (
     ProjectivePair,
@@ -53,9 +55,16 @@ SCHEMA_VERSION = 4
 # the order, so every frame check reads the same order-4 frame of a block.
 FRAME_ORDER = 4
 
-# Every check other than drift runs once per block of this many sampled
-# points, which bounds a block's frame as the number of points grows.
-BLOCK_POINTS = 20
+# Every check other than drift runs once per block of sampled points.  A
+# block's frame grows with its rows times the size of a jet, so a block has
+# the rows of a fixed budget of jet coefficients: 34 in 2 variables, 7 in 4.
+BLOCK_COEFFS = 2**9
+
+
+def block_points(dim: int) -> int:
+    """Rows of a check block for a pair of dimension ``dim``."""
+    return max(1, BLOCK_COEFFS // jets._space(dim, FRAME_ORDER).ncoeffs)
+
 
 CHECK_IDS = (
     "basic",
@@ -251,26 +260,26 @@ class VerificationReport:
 
 def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
                    rng: np.random.Generator):
-    """(points, t grids): cfg.points domain points, resampling degenerate
-    draws up to 100 times each, and the t grid of each point, taken while
-    its order-0 frame is still the pair's frame."""
-    points, grids = [], []
-    for _ in range(cfg.points):
-        for _attempt in range(100):
-            p = pair.sample_point(rng)
-            try:
-                pair.frame(p, 0).L  # forces both metrics to evaluate
-            except DegenerateMetricError:
-                continue
-            points.append(p)
-            grids.append(t_grid(pair, p) if cfg.t_grid is None
-                         else tuple(cfg.t_grid))
-            break
-        else:
-            raise DegenerateMetricError(
-                f"could not sample a non-degenerate point in "
-                f"{pair.name or 'pair'} after 100 tries"
-            )
+    """(points, t grids): the first cfg.points domain draws at which both
+    metrics are nondegenerate, in draw order, and their t grids, taken on
+    one order-0 frame over them.  Draws come as many at a time as points
+    are missing (the stream is this function's own); 100 rejected draws in
+    a row raise."""
+    points, misses = [], 0
+    while len(points) < cfg.points:
+        block = pair.sample_point(rng, rows=cfg.points - len(points))
+        ok = pair.g.nondegenerate(block) & pair.gbar.nondegenerate(block)
+        for row, good in zip(block.tolist(), ok.tolist()):
+            misses = 0 if good else misses + 1
+            if misses == 100:
+                raise DegenerateMetricError(
+                    f"could not sample a non-degenerate point in "
+                    f"{pair.name or 'pair'} after 100 tries"
+                )
+            if good:
+                points.append(tuple(row))
+    grids = (t_grid(pair, np.array(points)) if cfg.t_grid is None
+             else [tuple(cfg.t_grid)] * cfg.points)
     return points, grids
 
 
@@ -395,8 +404,9 @@ def verify_pair(
     # frame; the records still come out check by check.
     outcomes = {check: [] for check in cfg.checks}
     seconds = dict.fromkeys(cfg.checks, 0.0)
-    for start in range(0, cfg.points, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
+    rows = block_points(pair.dim)
+    for start in range(0, cfg.points, rows):
+        block = slice(start, start + rows)
         for check in [c for c in cfg.checks if c != "drift"]:
             clock = time.perf_counter()
             found = _block_records(pair, check, np.array(points[block]),

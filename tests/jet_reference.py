@@ -7,7 +7,8 @@ results must equal these bit for bit.  Tensors are read through
 ``t[i, j, ...]``; results are dicts from index tuples to jets.
 
 The operator references apply one operator to one jet at a time, with the
-per-function and per-probe loops the stacked applications replace.
+per-function and per-probe loops the stacked applications replace, and the
+sampler reference draws one point at a time.
 """
 
 import itertools
@@ -15,6 +16,8 @@ import itertools
 import numpy as np
 
 from benenti import expr, jets, operators
+from benenti.errors import DegenerateMetricError
+from benenti.projective import DEFAULT_T_GRID
 
 
 def assert_same_bits(tensor, expected):
@@ -248,3 +251,38 @@ def decompose(op_t, op_s, point):
         value, scale = commutator_on(u[a] * u[b] * u[c])
         cubic = max(cubic, abs(value) / scale)
     return Q, V, cubic
+
+
+def draw(pair, rng, shrink=0.0):
+    """One uniform point of the domain box, one coordinate at a time."""
+    out = []
+    for c in pair.coordinates:
+        lo, hi = pair.domain[c]
+        pad = shrink * (hi - lo) / 2
+        out.append(rng.uniform(lo + pad, hi - pad))
+    return tuple(out)
+
+
+def sample_points(pair, cfg, rng):
+    """(points, t grids) draw by draw: each draw is tested on its own
+    order-0 frame, redrawn up to 100 times, and its t grid is taken from
+    that frame's eigenvalues of L."""
+    points, grids = [], []
+    for _ in range(cfg.points):
+        for _attempt in range(100):
+            p = draw(pair, rng)
+            try:
+                eigs = pair.frame(p, 0).L_eigenvalues()
+            except DegenerateMetricError:
+                continue
+            points.append(p)
+            grids.append(tuple(t for t in DEFAULT_T_GRID
+                               if np.min(np.abs(eigs - t)) > 1e-6)
+                         if cfg.t_grid is None else tuple(cfg.t_grid))
+            break
+        else:
+            raise DegenerateMetricError(
+                f"could not sample a non-degenerate point in "
+                f"{pair.name or 'pair'} after 100 tries"
+            )
+    return points, grids

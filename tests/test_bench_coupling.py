@@ -55,6 +55,9 @@ def test_tracer_installs_and_restores_every_original(tracing):
     assert tracer.calls["projective.check_projective_equivalence"] == 1
     assert tracer.calls["operators.poisson_residual"] > 0
     assert tracer.calls["projective.PointFrame.benenti"] > 0
+    # and the default grid samples through the names it wraps
+    assert tracer.calls["projective.t_grid"] > 0
+    assert tracer.calls["projective.ProjectivePair.sample_point"] > 0
 
 
 def test_config_without_checks_stays_valid():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from benenti import catalog, operators as ops, pairfile, verify
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
 from benenti.projective import PointFrame, ProjectivePair
+
+import jet_reference
 
 
 def strip_timing(text: str) -> str:
@@ -68,9 +71,10 @@ class TestConfig:
 
 
 def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
-    # sampling builds an order-0 frame at each point alone and takes its t
-    # grid there; the walk over the blocks of points then builds one order-4
-    # frame per block, which every check on that block reads
+    # sampling builds one order-0 frame over all sampled points and takes
+    # their t grids there in one call; the walk over the blocks of points
+    # then builds one order-4 frame per block, which every check on that
+    # block reads
     built, grid_points = [], []
     build, grid = PointFrame.__init__, verify.t_grid
 
@@ -78,9 +82,9 @@ def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
         build(frame, pair, point, order)
         built.append((order, frame.points.shape[:-1]))
 
-    def counting_grid(pair, point):
-        grid_points.append(point)
-        return grid(pair, point)
+    def counting_grid(pair, points):
+        grid_points.append(points)
+        return grid(pair, points)
 
     monkeypatch.setattr(PointFrame, "__init__", counting)
     monkeypatch.setattr(verify, "t_grid", counting_grid)
@@ -89,10 +93,13 @@ def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
     rep = verify.verify_pair(
         pair, verify.VerifyConfig(points=points, checks=checks)
     )
-    full, rest = divmod(points, verify.BLOCK_POINTS)
-    blocks = [verify.BLOCK_POINTS] * full + [rest] * (rest > 0)
-    assert built == [(0, ())] * points + [(4, (rows,)) for rows in blocks]
-    assert grid_points == [r.point for r in rep.records if r.check == checks[0]]
+    rows = verify.block_points(pair.dim)
+    full, rest = divmod(points, rows)
+    blocks = [rows] * full + [rest] * (rest > 0)
+    assert built == [(0, (points,))] + [(4, (size,)) for size in blocks]
+    assert len(grid_points) == 1
+    assert [tuple(p) for p in grid_points[0].tolist()] == [
+        r.point for r in rep.records if r.check == checks[0]]
 
 
 class TestReports:
@@ -241,35 +248,115 @@ class TestReports:
         pair = ProjectivePair(
             g, gbar, domain={"x": (0.0, 1.0), "y": (0.0, 1.0)}, name="broken"
         )
-        with pytest.raises(DegenerateMetricError):
-            verify.verify_pair(pair, verify.quick_config(checks=("basic",)))
+        message = "could not sample a non-degenerate point in broken after 100 tries"
+        for points in (1, 5, 150):
+            config = verify.quick_config(points=points, checks=("basic",))
+            with pytest.raises(DegenerateMetricError, match=message):
+                verify.verify_pair(pair, config)
+            with pytest.raises(DegenerateMetricError, match=message):
+                jet_reference.sample_points(pair, config, np.random.default_rng(0))
 
 
 NON_DRIFT = tuple(c for c in verify.CHECK_IDS if c != "drift")
 FIXTURES = Path(__file__).resolve().parent / "golden"
 
 
+def load(name):
+    if name in ("lc3", "lc4"):
+        return pairfile.load_pair(FIXTURES / f"{name}.yaml")
+    return catalog.get_entry(name).pair
+
+
 @pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4"])
 def test_records_do_not_depend_on_how_points_are_batched(name):
-    # 23 points fill a block and start the next; their first 3 are checked
-    # in a block of 20 rows, and alone they are a block of 3.  Points,
+    # rows + 3 points fill a block and start the next; their first 3 are
+    # checked in a full block, and alone they are a block of 3.  Points,
     # grids and momenta of a smaller run are a prefix of a larger run's, so
     # each record must come out byte for byte the same.  The golden corpus
     # runs 2 points, one block, and cannot see a dependence on its width.
-    assert 3 < verify.BLOCK_POINTS < 23
-    if name in ("lc3", "lc4"):
-        pair = pairfile.load_pair(FIXTURES / f"{name}.yaml")
-    else:
-        pair = catalog.get_entry(name).pair
+    pair = load(name)
+    count = verify.block_points(pair.dim) + 3
     few, many = (
         verify.verify_pair(pair, verify.VerifyConfig(points=n, checks=NON_DRIFT))
-        for n in (3, 23)
+        for n in (3, count)
     )
     for check in NON_DRIFT:
         a = [r.to_mapping() for r in few.records if r.check == check]
         b = [r.to_mapping() for r in many.records if r.check == check]
-        assert len(a) == 3 and len(b) == 23
+        assert len(a) == 3 and len(b) == count
         assert yaml.safe_dump(a) == yaml.safe_dump(b[:3]), check
+
+
+def test_blocks_are_sized_by_the_jet():
+    # a benchmark pass samples 4 or 5 points: one block up to 4 variables
+    assert [verify.block_points(n) for n in (2, 3, 4)] == [34, 14, 7]
+    assert verify.block_points(12) == 1
+
+
+def half_degenerate():
+    # g_11 is 0 (or rounding noise) for x < 0.5: half the draws are rejected
+    g = MetricField(("x", "y"), [["abs(x - 0.5) + x - 0.5", "0"], ["0", "1"]])
+    gbar = MetricField(("x", "y"), [["2", "0"], ["0", "3 + x"]])
+    return ProjectivePair(g, gbar, {"x": (0.0, 1.0), "y": (0.0, 1.0)}, name="half")
+
+
+def partly_non_finite():
+    # g_11 is NaN for x > 1.797..., where 1e308 * x overflows, and g_22
+    # vanishes for y < 0.5: three draws in four are rejected
+    g = MetricField(("x", "y"), [["1 + 0 * (1e308 * x)", "0"],
+                                 ["0", "abs(y - 0.5) + y - 0.5"]])
+    gbar = MetricField(("x", "y"), [["2 + y", "0"], ["0", "3"]])
+    return ProjectivePair(g, gbar, {"x": (1.0, 2.6), "y": (0.0, 1.0)}, name="nan")
+
+
+def same_sample(pair, config, seed):
+    rng = np.random.default_rng(seed)
+    points, grids = verify._sample_points(pair, config, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # the jets of a NaN row
+        want_points, want_grids = jet_reference.sample_points(
+            pair, config, np.random.default_rng(seed))
+    assert [[c.hex() for c in p] for p in points] == [
+        [c.hex() for c in p] for p in want_points]
+    assert grids == want_grids
+
+
+@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4", "half"])
+def test_sampler_keeps_the_draw_by_draw_points_and_grids(name):
+    pair = half_degenerate() if name == "half" else load(name)
+    for seed in range(10):
+        same_sample(pair, verify.VerifyConfig(points=7, seed=seed), seed)
+    same_sample(pair, verify.VerifyConfig(points=3, t_grid=(0.5, 7.0)), 11)
+
+
+def test_only_misses_in_a_row_exhaust_the_sampler():
+    # about 150 of some 300 draws are rejected, never 100 in a row
+    same_sample(half_degenerate(), verify.VerifyConfig(points=150), 12)
+
+
+def test_sample_point_block_has_the_bits_of_single_calls():
+    for name in catalog.list_entries():
+        pair = catalog.get_entry(name).pair
+        for shrink in (0.0, 0.1):
+            rngs = [np.random.default_rng(3) for _ in range(3)]
+            block = pair.sample_point(rngs[0], shrink, rows=6)
+            singles = [pair.sample_point(rngs[1], shrink) for _ in range(6)]
+            drawn = [jet_reference.draw(pair, rngs[2], shrink) for _ in range(6)]
+            assert block.shape == (6, pair.dim)
+            hexes = [[c.hex() for c in p] for p in block.tolist()]
+            assert hexes == [[c.hex() for c in p] for p in singles], name
+            assert hexes == [[c.hex() for c in p] for p in drawn], name
+
+
+def test_bad_rows_in_a_sampled_block_warn_nothing():
+    pair = partly_non_finite()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify.verify_pair(pair, verify.VerifyConfig(points=8, checks=()))
+        assert report.records == []
+        mask = pair.g.nondegenerate([[1.5, 0.75], [2.0, 0.75], [1.5, 0.25]])
+    assert mask.tolist() == [True, False, False]
+    for seed in range(3):
+        same_sample(pair, verify.VerifyConfig(points=8, seed=seed), seed)
 
 
 class TestCatalogSweep:
