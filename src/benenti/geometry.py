@@ -257,11 +257,13 @@ class MetricField:
         """Metric components as jets at the point, symmetrized and checked."""
         coords = jets.seed_coordinates(point, order)
         assignment = dict(zip(self.coordinates, coords))
-        raw = np.array([[expr.evaluate(c, assignment).coeffs for c in row]
-                        for row in self.components])
-        if raw.ndim == 4:  # [i, j, point, coeff] -> [point, i, j, coeff]
-            raw = raw.transpose(2, 0, 1, 3)
-        g = symmetrized(JetTensor._dense(coords[0].space, raw, 0, 2))
+        # an overflow shows as a non-finite coefficient, as in _float_values
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.array([[expr.evaluate(c, assignment).coeffs for c in row]
+                            for row in self.components])
+            if raw.ndim == 4:  # [i, j, point, coeff] -> [point, i, j, coeff]
+                raw = raw.transpose(2, 0, 1, 3)
+            g = symmetrized(JetTensor._dense(coords[0].space, raw, 0, 2))
         self._check_nondegenerate(g.value(), point)
         return g
 

@@ -33,9 +33,8 @@ from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
-from . import jets, operators as ops
+from . import jets, operators as ops, yamltext
 from .errors import DegenerateMetricError
 from .projective import (
     ProjectivePair,
@@ -203,7 +202,7 @@ class VerificationReport:
         return sum(not r.passed for r in self.records)
 
     def max_residuals(self) -> dict:
-        """Worst residual per check, by the rule of ``_worst``."""
+        """Worst residual per check, by the rule of ``_rank``."""
         out = {}
         for check in CHECK_IDS:
             residuals = [r.residual for r in self.records if r.check == check]
@@ -252,10 +251,8 @@ class VerificationReport:
         return doc
 
     def render(self) -> str:
-        # libyaml's emitter writes the text of PyYAML's own, several times faster
-        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-        return yaml.dump(self.to_mapping(), Dumper=dumper, sort_keys=False,
-                         default_flow_style=False)
+        """The report as block YAML, in the text of PyYAML's SafeDumper."""
+        return yamltext.dump(self.to_mapping())
 
 
 def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
@@ -284,17 +281,10 @@ def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
 
 
 def _rank(residual):
-    """Sort key of a residual: a NaN ranks above every number."""
+    """Sort key of a residual: a NaN ranks above every number, so a check
+    that produces one fails instead of being skipped.  ``max`` with this key
+    takes the first of equal maxima."""
     return (math.isnan(residual), residual)
-
-
-def _worst(candidates):
-    """The (residual, params) candidate with the largest residual.
-
-    The first of equal maxima wins, and a NaN residual counts as the worst,
-    so a check that produces one fails instead of being skipped.
-    """
-    return max(candidates, key=lambda c: _rank(c[0]))
 
 
 def _block_records(pair, check, points, grids, momenta):
@@ -345,9 +335,18 @@ def _block_records(pair, check, points, grids, momenta):
                  for n, f in enumerate(suite) for k, (i, j) in enumerate(ij)]
     else:
         raise ValueError(f"unknown check: {check}")
-    return [_worst((res[r], params(float(cols[i, r]), float(cols[j, r]), r))
-                   for i, j, res, params in found if j < len(grid))
-            for r, grid in enumerate(grids)]
+    # each row's worst candidate on its grid, by the rule of _rank: argmax
+    # takes the first of equal maxima, and the first NaN over any number
+    residuals = np.array([res for _, _, res, _ in found])  # [candidate, row]
+    last = np.array([j for _, j, _, _ in found])
+    out = []
+    for r, grid in enumerate(grids):
+        on_grid = np.flatnonzero(last < len(grid))
+        k = on_grid[np.argmax(residuals[on_grid, r])]
+        i, j, _, params = found[k]
+        out.append((residuals[k, r],
+                    params(float(cols[i, r]), float(cols[j, r]), r)))
+    return out
 
 
 def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):

@@ -7,6 +7,8 @@ the same largest error estimate.  Every row keeps its own step size, so an
 exit is placed by its own step control: within 1e-3 of the crossing.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,23 @@ def test_a_bug_in_a_stage_is_not_a_domain_exit(monkeypatch):
     with pytest.raises(TypeError):
         ops.geodesic_drift(pair, 0.0, PhaseSpacePoint((1.6, 0.75), (0.3, -0.2)),
                            0.1, TOL)
+
+
+def test_an_overflowing_component_warns_nothing():
+    # 1e308 * x overflows beyond x = 1.797, where a drift stage meets
+    # non-finite jet coefficients of g; sampling keeps to the finite side
+    g = MetricField(("x", "y"), [["1 + 0 * (1e308 * x)", "0"], ["0", "1"]], name="g")
+    pair = ProjectivePair(g, g, domain={"x": (1.0, 2.6), "y": (0.0, 1.0)})
+    cfg = VerifyConfig(points=5, drift_trajectories=5, drift_horizon=2.0,
+                       checks=("drift",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = verify_pair(pair, cfg).records
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = verify_pair(pair, cfg).records
+    assert any(dict(r.params)["exited"] for r in quiet)
+    assert repr(strict) == repr(quiet)  # NaN residuals compare by their text
 
 
 def test_form_is_evaluated_on_a_batch_of_points():

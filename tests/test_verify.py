@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benenti import catalog, operators as ops, pairfile, verify
 from benenti.errors import DegenerateMetricError
@@ -13,6 +15,26 @@ from benenti.geometry import MetricField
 from benenti.projective import PointFrame, ProjectivePair
 
 import jet_reference
+
+
+# strings PyYAML must quote, escape or wrap: YAML keywords and numbers,
+# indicators, quotes, non-ASCII text, line breaks and long text with spaces
+AWKWARD = st.sampled_from([
+    "yes", "no", "null", "~", "1e3", "0x1f", "-", "- x", "*x", "&x", "!x",
+    "x: y", "x #y", "# x", "it's", '"x"', "", " x", "x ", "é", "ψ_1 ∂x",
+    "x\ny", "x\n", "\u2028", "\t", "@x", "%x", "x,y", "[x]", "{x}",
+]) | st.lists(st.sampled_from(["coordinate", "x", ":", "#", "'", "-", "é",
+                               "\n", " "]), min_size=10, max_size=60).map(
+    " ".join) | st.text(max_size=100)
+RESIDUALS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e17, 5e-324, 1.5, -2.0,
+]) | st.floats()
+
+
+def pyyaml_text(doc) -> str:
+    """The oracle of ``VerificationReport.render``: PyYAML's own writer."""
+    return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=False)
 
 
 def strip_timing(text: str) -> str:
@@ -136,23 +158,47 @@ class TestReports:
         assert strip_timing(a) == strip_timing(b)
         assert a != b or "elapsed" in a  # timing block present
 
-    @pytest.mark.skipif(not yaml.__with_libyaml__,
-                        reason="PyYAML is built without libyaml")
-    def test_libyaml_renders_the_text_of_the_python_emitter(self):
-        # every catalog report, controls included, with all ten checks
+    def test_render_is_the_text_of_pyyaml(self):
+        # every catalog report, controls included, and the fixture pairs in
+        # 3 and 4 dimensions, with all ten checks
         cfg = verify.VerifyConfig(points=2, drift_trajectories=1,
                                   drift_horizon=0.05)
-        for name in catalog.list_entries():
-            entry = catalog.get_entry(name)
-            rep = verify.verify_pair(entry.pair, cfg, source="catalog",
-                                     expected_equivalent=entry.expected_equivalent)
-            texts = [
-                yaml.dump(rep.to_mapping(), Dumper=dumper, sort_keys=False,
-                          default_flow_style=False)
-                for dumper in (yaml.SafeDumper, yaml.CSafeDumper)
-            ]
-            assert texts[1] == texts[0], name
-            assert rep.render() == texts[0], name
+        for name in [*catalog.list_entries(), "lc3", "lc4"]:
+            expected = (catalog.get_entry(name).expected_equivalent
+                        if name in catalog.list_entries() else True)
+            rep = verify.verify_pair(load(name), cfg, source="catalog",
+                                     expected_equivalent=expected)
+            assert rep.render() == pyyaml_text(rep.to_mapping()), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=AWKWARD, source=AWKWARD,
+           coordinates=st.lists(AWKWARD, min_size=1, max_size=3, unique=True),
+           residuals=st.lists(RESIDUALS, min_size=1, max_size=6),
+           t_grid=st.none() | st.lists(RESIDUALS.filter(math.isfinite),
+                                       min_size=1, max_size=3).map(tuple),
+           tol=st.none() | RESIDUALS.filter(lambda x: math.isfinite(x) and x > 0),
+           expected=st.sampled_from([None, True, False]))
+    def test_render_of_awkward_values(self, name, source, coordinates,
+                                      residuals, t_grid, tol, expected):
+        suite = verify.function_suite(coordinates)
+        params = [
+            (),
+            (("function", suite[0]), ("s", residuals[0]), ("t", -0.0)),
+            (("momentum", list(residuals)), ("t", 1e16)),
+            (("exited", True), ("exit_time", 5e-324), ("function", suite[-1]),
+             ("steps", 7), ("velocity", [])),
+        ]
+        records = [
+            verify.CheckRecord(check=check, point=(r, -r), residual=r,
+                               threshold=1e-8, params=params[k % len(params)])
+            for k, (check, r) in enumerate(zip(verify.CHECK_IDS * 2, residuals))
+        ]
+        rep = verify.VerificationReport(
+            pair_name=name, source=source, dimension=len(coordinates),
+            config=verify.VerifyConfig(tol=tol, t_grid=t_grid), records=records,
+            expected_equivalent=expected, elapsed_seconds=1.5,
+            check_seconds={"basic": 0.25, "drift": 1e-7})
+        assert rep.render() == pyyaml_text(rep.to_mapping())
 
     def test_seed_changes_sampled_points(self):
         a = quick_report("dini", seed=1)
