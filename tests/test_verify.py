@@ -170,6 +170,25 @@ class TestReports:
                                      expected_equivalent=expected)
             assert rep.render() == pyyaml_text(rep.to_mapping()), name
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="PyYAML is built without libyaml")
+    def test_libyaml_renders_the_text_of_the_python_emitter(self):
+        # reports once written through CSafeDumper where libyaml was present
+        # read the same as the writer's: every catalog report, all ten checks
+        cfg = verify.VerifyConfig(points=2, drift_trajectories=1,
+                                  drift_horizon=0.05)
+        for name in catalog.list_entries():
+            entry = catalog.get_entry(name)
+            rep = verify.verify_pair(entry.pair, cfg, source="catalog",
+                                     expected_equivalent=entry.expected_equivalent)
+            texts = [
+                yaml.dump(rep.to_mapping(), Dumper=dumper, sort_keys=False,
+                          default_flow_style=False)
+                for dumper in (yaml.SafeDumper, yaml.CSafeDumper)
+            ]
+            assert texts[1] == texts[0], name
+            assert rep.render() == texts[0], name
+
     @settings(max_examples=150, deadline=None)
     @given(name=AWKWARD, source=AWKWARD,
            coordinates=st.lists(AWKWARD, min_size=1, max_size=3, unique=True),
