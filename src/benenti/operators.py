@@ -6,8 +6,8 @@ order-m jet of a function yields the order-(m-2) jet of the result, so a
 nested application (a commutator) of two second-order operators needs a
 working order of exactly 4 and produces a plain number.  No symbolic
 coefficient expansion ever happens.  The checks take a point, or a block
-of points and t or s values with one result per row, each row with the
-bits of its point checked alone.
+of points and t or s values per row or in ``[candidate, row]`` stacks, each
+row with the bits of its point checked alone.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
@@ -405,28 +405,22 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
 def integral_field(pair: ProjectivePair, t, x):
     """(A(t) values, d_s A(t) values) at x, or at each row of a block x,
     for the family's integral I_t, from the values and first x-derivatives
-    of every A_l = S_l g^{-1}.
-    Computed once per frame and t, and kept with the frame."""
-    frame = pair.frame(x, 1)
-    t = np.asarray(t, dtype=float)  # a number, or one value per row
-    key = t.tobytes()  # tells -0.0 from 0.0
-    if key not in frame.integral_fields:
-        A = frame.A_coeffs
-        vals = np.array([a.value() for a in A])
-        # [l, ..., s, i, j] = d_s A_l^{ij}
-        derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, -3)
-                           for a in A])
-        tp = t[..., None] ** np.arange(pair.dim)
-        frame.integral_fields[key] = (
-            np.einsum("...l,l...ij->...ij", tp, vals),
-            np.einsum("...l,l...sij->...sij", tp, derivs),
-        )
-    return frame.integral_fields[key]
+    of every A_l = S_l g^{-1}.  ``t`` is a number, one value per row or a
+    ``[candidate, row]`` stack, whose axes lead the results."""
+    A = pair.frame(x, 1).A_coeffs
+    vals = np.array([a.value() for a in A])
+    # [l, ..., s, i, j] = d_s A_l^{ij}
+    derivs = np.array([np.moveaxis(a.coeffs[..., 1 : 1 + pair.dim], -1, -3)
+                       for a in A])
+    tp = np.asarray(t, dtype=float)[..., None] ** np.arange(pair.dim)
+    return (np.einsum("...l,l...ij->...ij", tp, vals),
+            np.einsum("...l,l...sij->...sij", tp, derivs))
 
 
 def _bracket(pair: ProjectivePair, t, s, phi):
     """{I_t, I_s} and max(1, size of either of its terms) at a phase point,
-    or at each row of a block ``(points, momenta)`` of them."""
+    or at each row of a block ``(points, momenta)`` of them; ``t`` and ``s``
+    may be ``[candidate, row]`` stacks, one bracket each."""
     x, p = (phi.x, phi.p) if isinstance(phi, PhaseSpacePoint) else phi
     At, dAt = integral_field(pair, t, x)
     As, dAs = integral_field(pair, s, x)

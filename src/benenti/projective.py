@@ -29,7 +29,9 @@ All residuals are max-norms normalized by the scale of the terms entering
 them, so they are dimensionless and comparable across metrics.  At one
 point a check returns one number; on a block of points it returns one
 residual per row, each with the bits of its point checked alone.  Wherever
-a parameter t enters, it is a number or one value per row.
+a parameter t enters, it is a number, one value per row or a ``[candidate,
+row]`` stack, one residual each.  A check reads its frame at the lowest
+order its residual needs.
 
 On phi: the 1-form that makes the connection-difference identity hold is
 phi_i = -(L^{-1})^s_i lam_s, equivalently phi = -(1/2) d ln|det L|.  The
@@ -202,13 +204,14 @@ def adjugate_family(L: JetTensor):
 
 
 def _polynomial(coeffs, t) -> JetTensor:
-    """sum_l t^l coeffs[l], the powers built up by repeated products; ``t``
-    is a number or one value per row."""
-    acc = coeffs[0].coeffs
-    power = np.ones(np.shape(t))
+    """sum_l t^l coeffs[l], the powers built up by repeated products; the
+    axes of ``t`` go before the tensor axes, against the rows of a block."""
+    t = np.reshape(t, np.shape(t) + (1,) * (sum(coeffs[0].rank) + 1))
+    power = np.ones(t.shape)
+    acc = coeffs[0].coeffs * power
     for c in coeffs[1:]:
         power = power * t
-        acc = acc + c.coeffs * power.reshape(power.shape + (1,) * (acc.ndim - power.ndim))
+        acc = acc + c.coeffs * power
     return coeffs[0]._like(acc)
 
 
@@ -232,7 +235,6 @@ class PointFrame:
         self.points = np.array(points, dtype=float)
         self.order = order
         self.dim = pair.dim
-        self.integral_fields = {}  # filled by operators.integral_field
 
     @cached_property
     def g(self) -> JetTensor:
@@ -347,16 +349,16 @@ def _peak(values: np.ndarray, rank: int) -> np.ndarray:
     return np.max(np.abs(values), axis=tuple(range(-rank, 0)))
 
 
-def check_projective_equivalence(pair: ProjectivePair, points, order: int = 2):
+def check_projective_equivalence(pair: ProjectivePair, points):
     """Residual of nabla_k L_ij = lam_i g_jk + lam_j g_ik at each point.
 
     Zero (to rounding) iff the pair is projectively equivalent there; the
     value is normalized by max(1, |nabla L|) so it is scale-free.
     """
-    frame = pair.frame(points, order)
+    frame = pair.frame(points, 1)
     bd = frame.benenti
-    # lowered form a_ij = g_is L^s_j
-    a = matmul(frame.g, bd.L)
+    # lowered form a_ij = g_is L^s_j, to the first order nabla reads
+    a = matmul(frame.g.truncated(1), bd.L.truncated(1))
     nav = covariant_derivative(a, frame.gamma).value()  # [..., k, i, j]
     lam_v = bd.lam_form.value()[..., None, :]
     g_v = np.swapaxes(frame.g.value(), -1, -2)
@@ -365,9 +367,9 @@ def check_projective_equivalence(pair: ProjectivePair, points, order: int = 2):
     return _peak(nav - model, 3) / np.fmax(1.0, _peak(nav, 3))
 
 
-def check_connection_difference(pair: ProjectivePair, points, order: int = 2):
+def check_connection_difference(pair: ProjectivePair, points):
     """Residual of gammabar - gamma = delta^i_k phi_j + delta^i_j phi_k."""
-    frame = pair.frame(points, order)
+    frame = pair.frame(points, 1)
     phi_v = frame.benenti.phi_form.value()
     diff = frame.gamma_bar.value() - frame.gamma.value()
     d = frame.dim
@@ -379,7 +381,7 @@ def check_connection_difference(pair: ProjectivePair, points, order: int = 2):
     return _peak(diff - model, 3) / np.fmax(1.0, _peak(diff, 3))
 
 
-def check_phi_identity(pair: ProjectivePair, points, order: int = 2):
+def check_phi_identity(pair: ProjectivePair, points):
     """Residual between the two routes to the 1-form phi.
 
     Tracing the connection difference over its upper and first lower index
@@ -387,7 +389,7 @@ def check_phi_identity(pair: ProjectivePair, points, order: int = 2):
     is phi_i = -(L^{-1})^s_i lam_s.  Both agree exactly when the pair is
     projectively equivalent and generically disagree otherwise.
     """
-    frame = pair.frame(points, order)
+    frame = pair.frame(points, 1)
     d = frame.dim
     phi_alg = frame.benenti.phi_form.value()
     gamma_bar, gamma = frame.gamma_bar.value(), frame.gamma.value()
@@ -402,11 +404,11 @@ def check_killing(K: JetTensor, gamma: JetTensor):
 
     The symmetrization averages over all six permutations of (i, j, k);
     for symmetric K this equals the cyclic average.  Normalized by
-    max(1, |nabla K|).
+    max(1, |nabla K|), so nabla K is needed at order 0 only.
     """
     if K.rank != (0, 2):
         raise ValueError(f"check_killing needs a (0,2) tensor, got {K.rank}")
-    nabla = covariant_derivative(K, gamma).value()  # [..., k, i, j]
+    nabla = covariant_derivative(K, gamma.truncated(0)).value()  # [..., k, i, j]
     lead = tuple(range(nabla.ndim - 3))
     sym = np.zeros_like(nabla)
     for perm in permutations(range(3)):
@@ -415,33 +417,31 @@ def check_killing(K: JetTensor, gamma: JetTensor):
     return _peak(sym, 3) / np.fmax(1.0, _peak(nabla, 3))
 
 
-def check_killing_tensor(pair: ProjectivePair, t, points, order: int = 2):
+def check_killing_tensor(pair: ProjectivePair, t, points):
     """check_killing applied to the pair's K^(t) at each point."""
-    frame = pair.frame(points, order)
+    frame = pair.frame(points, 1)
     return check_killing(frame.K_of_t(t), frame.gamma)
 
 
-def check_ricci_commutation(pair: ProjectivePair, points, order: int = 3):
+def check_ricci_commutation(pair: ProjectivePair, points):
     """Residual of [R_endo, L] = 0, normalized by max(1, |R| |L|)."""
-    frame = pair.frame(points, order)
+    frame = pair.frame(points, 2)
     r = frame.ricci_endo.value()
     l = frame.L.value()
     comm = r @ l - l @ r
     return _peak(comm, 2) / np.fmax(1.0, _peak(r, 2) * _peak(l, 2))
 
 
-def check_carter_condition(pair: ProjectivePair, t, points, order: int = 4):
+def check_carter_condition(pair: ProjectivePair, t, points):
     """Residual of nabla_i B^i_j = 0 for B = R_endo S(t) - S(t) R_endo.
 
     The divergence is computed as d_i B^i_j + gamma^i_is B^s_j
-    - gamma^s_ij B^i_s.  Needs order >= 3 (two orders for Ricci, one for
-    the divergence).
+    - gamma^s_ij B^i_s.  It reads B to first order, so the metrics to third
+    (two orders for Ricci, one for the divergence).
     """
-    if order < 3:
-        raise ValueError(f"carter check needs order >= 3, got {order}")
-    frame = pair.frame(points, order)
-    r = frame.ricci_endo  # order m-2
-    s_t = frame.S_of_t(t).truncated(r.order)
+    frame = pair.frame(points, 3)
+    r = frame.ricci_endo.truncated(1)
+    s_t = frame.S_of_t(t).truncated(1)
     B = matmul(r, s_t) - matmul(s_t, r)
     div = contract(covariant_derivative(B, frame.gamma), 0, 0)
     db_max = _peak(B.coeffs[..., 1 : 1 + frame.dim], 3)

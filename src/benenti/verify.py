@@ -49,9 +49,9 @@ from .projective import (
 
 SCHEMA_VERSION = 4
 
-# Jet order of the frame checks.  The commutator and decompose checks apply
-# two second-order operators to order-4 jets; no other residual depends on
-# the order, so every frame check reads the same order-4 frame of a block.
+# Jet order of a block's frame.  The commutator and decompose checks apply
+# two second-order operators to order-4 jets; the other checks read lower
+# orders, prefixes of the same jets, so all checks of a block share a frame.
 FRAME_ORDER = 4
 
 # Every check other than drift runs once per block of sampled points.  A
@@ -292,8 +292,8 @@ def _block_records(pair, check, points, grids, momenta):
     block of points.
 
     Row r keeps its own t grid: column c of ``cols`` holds every row's c-th
-    t, a short grid padded with its last value.  A candidate is evaluated
-    at columns (i, j) for every row at once, and each row takes the worst
+    t, a short grid padded with its last value.  One call evaluates every
+    candidate, at columns (i, j), at every row, and each row takes the worst
     of the candidates on its own grid, in the order of that grid.
     """
     width = max(map(len, grids))
@@ -303,7 +303,7 @@ def _block_records(pair, check, points, grids, momenta):
                        "connection": check_connection_difference,
                        "phi": check_phi_identity,
                        "ricci-comm": check_ricci_commutation}[check]
-        return [(r, ()) for r in frame_check(pair, points, FRAME_ORDER)]
+        return [(r, ()) for r in frame_check(pair, points)]
     if check == "decompose":
         t, s = cols[0], cols[-1]  # each row's first and last t
         dec = ops.commutator_decompose(
@@ -313,39 +313,37 @@ def _block_records(pair, check, points, grids, momenta):
                              ("s", float(b)), ("t", float(a)), ("v_norm", float(v))))
                 for q, v, c, a, b in zip(dec.q_norm, dec.v_norm,
                                          dec.cubic_residual, t, s)]
-    ij = list(combinations_with_replacement(range(width), 2))  # i <= j
-    # (i, j, residual per row, params(t, s, row)) of every candidate
+    # residuals [candidate, row] of the candidates at columns (i[k], j[k])
+    i, j = np.array(list(combinations_with_replacement(range(width), 2))).T
     if check in ("killing", "carter"):
+        i = j = np.arange(width)
         family_check = (check_killing_tensor if check == "killing"
                         else check_carter_condition)
-        found = [(c, c, family_check(pair, cols[c], points, FRAME_ORDER),
-                  lambda t, s, r: (("t", t),)) for c in range(width)]
+        residuals = family_check(pair, cols, points)
     elif check == "poisson":
-        phase, m = (points, momenta), [[float(c) for c in row] for row in momenta]
-        found = [(i, j, ops.poisson_residual(pair, cols[i], cols[j], phase),
-                  lambda t, s, r: (("momentum", m[r]), ("s", s), ("t", t)))
-                 for i, j in ij]
-    elif check == "commutator":
+        residuals = ops.poisson_residual(pair, cols[i], cols[j], (points, momenta))
+    else:  # commutator, each function's candidates after the last one's
         suite = function_suite(pair.coordinates)
         B = ops.killing_commutator_grid(pair, suite, points)  # [f, row, l, k]
-        value, scale = ops.commutator_from_grid(B[:, None], *cols[np.array(ij).T])
-        found = [(i, j, np.abs(value[n, k]) / scale[n, k],
-                  lambda t, s, r, f=f, sc=scale[n, k]: (
-                      ("function", f), ("s", s), ("scale", float(sc[r])), ("t", t)))
-                 for n, f in enumerate(suite) for k, (i, j) in enumerate(ij)]
-    else:
-        raise ValueError(f"unknown check: {check}")
+        value, scale = ops.commutator_from_grid(B[:, None], cols[i], cols[j])
+        residuals = (np.abs(value) / scale).reshape(-1, len(grids))
+        scale = scale.reshape(residuals.shape)
+        i, j = np.tile(i, len(suite)), np.tile(j, len(suite))
     # each row's worst candidate on its grid, by the rule of _rank: argmax
     # takes the first of equal maxima, and the first NaN over any number
-    residuals = np.array([res for _, _, res, _ in found])  # [candidate, row]
-    last = np.array([j for _, j, _, _ in found])
+    on_grid = j[:, None] < np.array([len(g) for g in grids])
+    best = np.where(on_grid, residuals, -np.inf).argmax(axis=0)
     out = []
-    for r, grid in enumerate(grids):
-        on_grid = np.flatnonzero(last < len(grid))
-        k = on_grid[np.argmax(residuals[on_grid, r])]
-        i, j, _, params = found[k]
-        out.append((residuals[k, r],
-                    params(float(cols[i, r]), float(cols[j, r]), r)))
+    for r, k in enumerate(best.tolist()):
+        t, s = float(cols[i[k], r]), float(cols[j[k], r])
+        if check == "poisson":
+            params = (("momentum", [float(c) for c in momenta[r]]), ("s", s), ("t", t))
+        elif check == "commutator":
+            params = (("function", suite[k // value.shape[1]]), ("s", s),
+                      ("scale", float(scale[k, r])), ("t", t))
+        else:
+            params = (("t", t),)
+        out.append((residuals[k, r], params))
     return out
 
 
@@ -404,9 +402,12 @@ def verify_pair(
     outcomes = {check: [] for check in cfg.checks}
     seconds = dict.fromkeys(cfg.checks, 0.0)
     rows = block_points(pair.dim)
+    frame_checks = [c for c in cfg.checks if c != "drift"]
     for start in range(0, cfg.points, rows):
         block = slice(start, start + rows)
-        for check in [c for c in cfg.checks if c != "drift"]:
+        if frame_checks:  # the checks read lower orders off this one frame
+            pair.frame(np.array(points[block]), FRAME_ORDER)
+        for check in frame_checks:
             clock = time.perf_counter()
             found = _block_records(pair, check, np.array(points[block]),
                                    grids[block], momenta[block])

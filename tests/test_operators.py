@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from benenti import catalog, jets, operators as ops, pairfile, verify
 from benenti.errors import OrderExhaustedError
 from benenti.geometry import MetricField, matmul
 from benenti.operators import PhaseSpacePoint
-from benenti.projective import PointFrame
+from benenti.projective import PointFrame, check_carter_condition, check_killing_tensor
 
 FLAT = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
 SPHERE = MetricField(("theta", "phi"), [["1", "0"], ["0", "sin(theta)^2"]])
@@ -311,6 +312,21 @@ class TestStackedApplication:
             assert same_bits(dec.Q[row], Q) and same_bits(dec.V[row], V)
             assert same_bits(dec.cubic_residual[row], cubic)
 
+    @pytest.mark.parametrize("name", ["dini", "lc4"])
+    def test_stacked_candidates_match_one_call_per_column(self, name):
+        pair = stacked_pair(name)
+        points = np.array(self.sampled(pair)[0])
+        cols = np.array([[-1.0, 0.5], [0.0, 2.0], [3.0, -0.5]])  # [column, row]
+        for check in (check_killing_tensor, check_carter_condition):
+            assert same_bits(check(pair, cols, points),
+                             [check(pair, c, points) for c in cols])
+        phase = (points, np.array([[0.8, -0.3, 1.1, 0.2][: pair.dim],
+                                   [-1.5, 0.4, 0.9, -0.7][: pair.dim]]))
+        i, j = np.array(list(combinations_with_replacement(range(len(cols)), 2))).T
+        assert same_bits(ops.poisson_residual(pair, cols[i], cols[j], phase),
+                         [ops.poisson_residual(pair, cols[a], cols[b], phase)
+                          for a, b in zip(i, j)])
+
     def test_commutator_record_computes_n_coefficient_fields(self, monkeypatch):
         pair = stacked_pair("lc3")
         original = ops.symmetrized  # called once per field computation
@@ -471,9 +487,9 @@ class TestPoisson:
             for (t, s) in ((0.0, 3.0), (-2.0, 0.5), (1.0, 2.0)):
                 assert ops.poisson_residual(pair, t, s, phi) < 1e-8
 
-    def test_integral_fields_are_built_once_per_block_and_t(self, monkeypatch):
+    def test_integral_fields_are_built_once_per_block_and_side(self, monkeypatch):
         # the check brackets every unordered (t, s) pair of the grid, 36 of
-        # them on 8 values, but needs only the 8 fields I_t of the block
+        # them on 8 values, in one call: one stack of fields I_t per side
         original = PointFrame.A_coeffs
         reads = []
 
@@ -486,7 +502,7 @@ class TestPoisson:
         report = verify.verify_pair(dini(), verify.VerifyConfig(
             points=2, checks=("poisson",), t_grid=grid))
         assert len(report.records) == 2
-        assert reads == [2] * len(grid)  # both points in one block
+        assert reads == [2, 2]  # both points in one block
 
     def test_hand_value_for_flat_control(self):
         # g = 1, gbar = diag(1 + x^2, 1): L = diag(b^-2, b) with b = (1+x^2)^(1/3),

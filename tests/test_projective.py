@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jet_reference as ref
-from benenti import catalog, jets
+from benenti import catalog, jets, pairfile, verify
 from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
 from benenti.projective import (
     PointFrame,
@@ -14,6 +15,7 @@ from benenti.projective import (
     check_connection_difference,
     check_killing,
     check_killing_tensor,
+    check_phi_identity,
     check_projective_equivalence,
     check_ricci_commutation,
 )
@@ -28,6 +30,30 @@ def dini():
 def fresh(pair):
     """A copy of the pair with an empty frame cache."""
     return ProjectivePair(pair.g, pair.gbar, pair.domain)
+
+
+# the catalog, and generated Levi-Civita pairs at n = 3 and n = 4 kept with
+# the golden reports
+FIXTURES = Path(__file__).resolve().parent / "golden"
+NAMED_PAIRS = [*catalog.list_entries(), "lc3", "lc4"]
+
+
+def named_pair(name):
+    """A pair of NAMED_PAIRS with an empty frame cache."""
+    if name in catalog.list_entries():
+        return fresh(catalog.get_entry(name).pair)
+    return pairfile.load_pair(FIXTURES / f"{name}.yaml")
+
+
+def sampled_block(pair, rows=3):
+    """A ``(rows, n)`` block of nondegenerate points, as verify samples them."""
+    cfg = verify.VerifyConfig(points=rows, seed=13)
+    return np.array(verify._sample_points(pair, cfg, np.random.default_rng(13))[0])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tensor_values(t):
@@ -458,9 +484,48 @@ class TestEquivalenceChecks:
         K = JetTensor(np.array([[zero, zero], [zero, k_pp]], dtype=object), 0, 2)
         assert check_killing(K, gamma) < 1e-14
 
-    def test_carter_requires_enough_orders(self):
-        with pytest.raises(ValueError):
-            check_carter_condition(dini(), 1.0, DINI_POINT, order=2)
+
+# [candidate, row] stacks of t for a block of three points
+T_STACK = np.array([[-1.0, 0.5, 2.0], [0.0, 3.0, -0.5]])
+
+
+@pytest.mark.parametrize("name", ["dini", "lc4"])
+def test_an_array_of_t_is_a_stack_of_single_calls(name):
+    """At a point an array of t gives one result per value, and on a block a
+    ``[candidate, row]`` stack one per candidate and row, each with the bits
+    of its own call."""
+    pair = named_pair(name)
+    points = sampled_block(pair)
+    for at, ts in ((points[0], T_STACK[0]), (points, T_STACK)):
+        frame = pair.frame(at, 4)
+        for family in (frame.S_of_t, frame.K_of_t):
+            assert same_bits(family(ts).coeffs, [family(t).coeffs for t in ts])
+        for check in (check_killing_tensor, check_carter_condition):
+            assert same_bits(check(pair, ts, at), [check(pair, t, at) for t in ts])
+
+
+PROJECTIVE_CHECKS = {
+    "basic": lambda pair, points: check_projective_equivalence(pair, points),
+    "connection": lambda pair, points: check_connection_difference(pair, points),
+    "phi": lambda pair, points: check_phi_identity(pair, points),
+    "killing": lambda pair, points: check_killing_tensor(pair, T_STACK, points),
+    "ricci-comm": lambda pair, points: check_ricci_commutation(pair, points),
+    "carter": lambda pair, points: check_carter_condition(pair, T_STACK, points),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_PAIRS)
+def test_checks_give_the_same_bits_on_an_order_4_frame(name):
+    """Each check builds its frame at the lowest order it reads; a cached
+    order-4 frame of the same points serves it, not rebuilt, with the same
+    bits."""
+    points = sampled_block(named_pair(name))
+    for check, run in PROJECTIVE_CHECKS.items():
+        cold = run(named_pair(name), points)
+        pair = named_pair(name)
+        top = pair.frame(points, 4)
+        assert same_bits(run(pair, points), cold), check
+        assert pair.frame(points, 4) is top, check
 
 
 class TestPairBehavior:

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 from benenti import catalog, operators as ops, pairfile, verify
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
-from benenti.projective import PointFrame, ProjectivePair
+from benenti.projective import (
+    PointFrame,
+    ProjectivePair,
+    check_carter_condition,
+    check_killing_tensor,
+)
 
 import jet_reference
 
@@ -227,12 +233,12 @@ class TestReports:
     def test_nan_residual_counts_as_the_worst(self, monkeypatch):
         calls = []
 
-        def killing(pair, t, points, order):
+        def killing(pair, t, points):
             calls.append(t)
             # NaN at t = 1 on the second point, 0 everywhere else
-            out = np.zeros(len(points))
-            out[1] = float("nan") if np.all(t == 1.0) else 0.0
-            return out
+            out = np.zeros(t.shape)
+            out[t[:, 1] == 1.0, 1] = float("nan")
+            return out  # [candidate, row]
 
         monkeypatch.setattr(verify, "check_killing_tensor", killing)
         rep = quick_report("dini", checks=("killing",), t_grid=(0.0, 1.0, 2.0))
@@ -243,7 +249,8 @@ class TestReports:
         assert dict(second.params)["t"] == 1.0
         assert not rep.passed
         assert math.isnan(rep.max_residuals()["killing"])
-        assert len(calls) == 3  # one call per grid value, for the whole block
+        assert len(calls) == 1  # one call for the whole block and grid
+        assert calls[0].shape == (3, 5)  # [candidate, row]
         doc = yaml.safe_load(rep.render())
         assert math.isnan(doc["summary"]["max_residual"]["killing"])
 
@@ -350,6 +357,53 @@ def test_records_do_not_depend_on_how_points_are_batched(name):
         b = [r.to_mapping() for r in many.records if r.check == check]
         assert len(a) == 3 and len(b) == count
         assert yaml.safe_dump(a) == yaml.safe_dump(b[:3]), check
+
+
+def per_row_records(pair, check, points, grids, momenta):
+    """The rule _block_records keeps, one row and one candidate at a time:
+    each row takes the worst candidate on its own grid, in the order of
+    that grid, by _rank; every candidate is evaluated alone at that row."""
+    out = []
+    for point, grid, p in zip(points, grids, momenta):
+        pairs = list(combinations_with_replacement(grid, 2))
+        if check in ("killing", "carter"):
+            family = (check_killing_tensor if check == "killing"
+                      else check_carter_condition)
+            found = [(family(pair, t, point), (("t", t),)) for t in grid]
+        elif check == "poisson":
+            phi = ops.PhaseSpacePoint(point, p)
+            found = [(ops.poisson_residual(pair, t, s, phi),
+                      (("momentum", list(phi.p)), ("s", s), ("t", t)))
+                     for t, s in pairs]
+        else:
+            suite = verify.function_suite(pair.coordinates)
+            found = []
+            for f, B in zip(suite, ops.killing_commutator_grid(pair, suite, point)):
+                for t, s in pairs:
+                    value, scale = ops.commutator_from_grid(B, t, s)
+                    found.append((np.abs(value) / scale, (
+                        ("function", f), ("s", s), ("scale", float(scale)), ("t", t))))
+        out.append(max(found, key=lambda rec: verify._rank(rec[0])))
+    return out
+
+
+@pytest.mark.parametrize("name", ["dini", "lc4"])
+@pytest.mark.parametrize("check", ["killing", "carter", "poisson", "commutator"])
+def test_block_records_pick_each_rows_worst_candidate_on_its_grid(name, check):
+    pair = load(name)
+    points = np.array(verify._sample_points(
+        pair, verify.VerifyConfig(points=3, seed=5), np.random.default_rng(5))[0])
+    # unequal lengths, a repeated value and both zeros
+    grids = [(0.0, 1.0, 2.0, -1.5), (0.5,), (-0.0, 3.0, 3.0)]
+    momenta = np.array([[0.8, -0.3, 1.1, 0.2], [-1.5, 0.4, 0.9, -0.7],
+                        [0.3, 1.7, -0.6, 1.2]])[:, : pair.dim]
+    found = verify._block_records(pair, check, points, grids, momenta)
+    expected = per_row_records(pair, check, points, grids, momenta)
+    assert len(found) == len(expected) == 3
+    for (residual, params), (ref_residual, ref_params) in zip(found, expected):
+        assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+        assert params == ref_params
+        assert all(type(v) is not np.float64 for _, v in params)
 
 
 def test_blocks_are_sized_by_the_jet():
