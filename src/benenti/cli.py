@@ -32,14 +32,13 @@ def _resolve_pair(spec: str):
 
 
 def _build_config(args) -> VerifyConfig:
-    kwargs = dict(points=args.points, seed=args.seed)
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.t_grid is not None:
-        kwargs["t_grid"] = tuple(args.t_grid)
-    if args.checks is not None:
-        kwargs["checks"] = tuple(args.checks)
-    return VerifyConfig(**kwargs)
+    return VerifyConfig(
+        points=args.points,
+        seed=args.seed,
+        tol=args.tol,
+        t_grid=None if args.t_grid is None else tuple(args.t_grid),
+        checks=tuple(args.checks) if args.checks else CHECK_IDS,
+    )
 
 
 def cmd_verify(args) -> int:

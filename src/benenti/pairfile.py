@@ -91,7 +91,7 @@ class _Source:
         raise PairFileError(f"{self.label}: {message}", line, col)
 
 
-def _expand_matrix(src: _Source, key: str, dim: int, coords):
+def _expand_matrix(src: _Source, key: str, dim: int, coords, probes):
     rows = src.data.get(key)
     if not isinstance(rows, list) or len(rows) != dim:
         src.fail(f"{key} must be a list of {dim} rows", (key,))
@@ -126,7 +126,7 @@ def _expand_matrix(src: _Source, key: str, dim: int, coords):
             if upper is None:
                 full[i][j] = lower
             elif lower is not None:
-                _check_duplicates(src, upper, lower, key, i, j)
+                _check_duplicates(src, upper, lower, key, i, j, probes)
     for i in range(dim):
         for j in range(i):
             if full[i][j] is None:
@@ -154,14 +154,14 @@ def _fail_expression(src: _Source, err: ExpressionError, path, where: str):
     raise PairFileError(f"{src.label}: {where}: {err}", line, col)
 
 
-def _check_duplicates(src: _Source, upper, lower, key, i, j):
-    """Off-diagonal duplicates must match as strings or numerically."""
+def _check_duplicates(src: _Source, upper, lower, key, i, j, probes):
+    """Off-diagonal duplicates must match as strings or numerically at the
+    probe points, given as coordinate assignments."""
     text_u, expr_u, path_u = upper
     text_l, expr_l, path_l = lower
     if text_u == text_l or expr_u == expr_l:
         return
-    for point in _probe_points(src):
-        assignment = dict(zip(src.data["coords"], point))
+    for assignment in probes:
         try:
             vu = evaluate(expr_u, assignment)
             vl = evaluate(expr_l, assignment)
@@ -170,27 +170,9 @@ def _check_duplicates(src: _Source, upper, lower, key, i, j):
         if vu != vl:
             src.fail(
                 f"{key}[{i}][{j}] and {key}[{j}][{i}] disagree "
-                f"({vu!r} vs {vl!r} at {tuple(point)})",
+                f"({vu!r} vs {vl!r} at {tuple(assignment.values())})",
                 path_l,
             )
-
-
-def _probe_points(src: _Source):
-    domain = src.data.get("domain")
-    coords = src.data.get("coords", [])
-    if not isinstance(domain, dict):
-        return []
-    boxes = []
-    for c in coords:
-        iv = domain.get(c)
-        if not (isinstance(iv, list) and len(iv) == 2):
-            return []
-        boxes.append((float(iv[0]), float(iv[1])))
-    rng = np.random.default_rng(0)
-    pts = []
-    for _ in range(7):
-        pts.append([rng.uniform(lo, hi) for lo, hi in boxes])
-    return pts
 
 
 def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
@@ -252,8 +234,12 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
     if notes is not None and not isinstance(notes, str):
         src.fail("notes must be a string", ("notes",))
 
-    g_texts = _expand_matrix(src, "g", dim, coords)
-    gbar_texts = _expand_matrix(src, "gbar", dim, coords)
+    # seven points of the box, where unequal duplicates must agree
+    lo, hi = np.array([box[c] for c in coords]).T
+    probes = [dict(zip(coords, row)) for row in
+              np.random.default_rng(0).uniform(lo, hi, size=(7, dim)).tolist()]
+    g_texts = _expand_matrix(src, "g", dim, coords, probes)
+    gbar_texts = _expand_matrix(src, "gbar", dim, coords, probes)
     try:
         g = MetricField(coords, g_texts, name=f"{name or label}:g")
         gbar = MetricField(coords, gbar_texts, name=f"{name or label}:gbar")

@@ -19,9 +19,10 @@ produced it.  Points are sampled a block of draws at a time, keeping the
 draws a draw-by-draw loop would keep, and take their t grids from one
 order-0 frame over all of them.  The checks other than drift run on blocks
 of points sized by the jet, once per block, on one frame of jets over the
-block; every record has the bits of its point checked alone.  Reports are
-deterministic functions of the configuration: identical seeds give
-byte-identical documents apart from the timing block.
+block, built at the highest order they read; every record has the bits of
+its point checked alone.  Reports are deterministic functions of the
+configuration: identical seeds give byte-identical documents apart from
+the timing block.
 """
 
 from __future__ import annotations
@@ -49,48 +50,35 @@ from .projective import (
 
 SCHEMA_VERSION = 4
 
-# Jet order of a block's frame.  The commutator and decompose checks apply
-# two second-order operators to order-4 jets; the other checks read lower
-# orders, prefixes of the same jets, so all checks of a block share a frame.
-FRAME_ORDER = 4
+# Each check's pinned acceptance threshold (--tol overrides all of them
+# uniformly) and the highest jet order its residual reads off a block's
+# frame.  Drift integrates geodesics on float values and reads no frame.
+_CHECKS = {
+    "basic": (1e-8, 1),
+    "connection": (1e-8, 1),
+    "phi": (1e-8, 1),
+    "killing": (1e-9, 1),
+    "ricci-comm": (1e-8, 2),
+    "carter": (1e-7, 3),
+    "poisson": (1e-8, 1),
+    "commutator": (1e-7, 4),
+    "decompose": (1e-7, 4),
+    "drift": (1e-8, None),
+}
+CHECK_IDS = tuple(_CHECKS)
+DEFAULT_THRESHOLDS = {check: threshold for check, (threshold, _) in _CHECKS.items()}
 
 # Every check other than drift runs once per block of sampled points.  A
 # block's frame grows with its rows times the size of a jet, so a block has
-# the rows of a fixed budget of jet coefficients: 34 in 2 variables, 7 in 4.
+# the rows of a fixed budget of jet coefficients: at order 4, 34 in 2
+# variables and 7 in 4.
 BLOCK_COEFFS = 2**9
 
 
-def block_points(dim: int) -> int:
-    """Rows of a check block for a pair of dimension ``dim``."""
-    return max(1, BLOCK_COEFFS // jets._space(dim, FRAME_ORDER).ncoeffs)
-
-
-CHECK_IDS = (
-    "basic",
-    "connection",
-    "phi",
-    "killing",
-    "ricci-comm",
-    "carter",
-    "poisson",
-    "commutator",
-    "decompose",
-    "drift",
-)
-
-# Pinned acceptance thresholds; --tol overrides all of them uniformly.
-DEFAULT_THRESHOLDS = {
-    "basic": 1e-8,
-    "connection": 1e-8,
-    "phi": 1e-8,
-    "killing": 1e-9,
-    "ricci-comm": 1e-8,
-    "carter": 1e-7,
-    "poisson": 1e-8,
-    "commutator": 1e-7,
-    "decompose": 1e-7,
-    "drift": 1e-8,
-}
+def block_points(dim: int, order: int) -> int:
+    """Rows of a check block for a pair of dimension ``dim`` whose frame is
+    built at ``order``."""
+    return max(1, BLOCK_COEFFS // jets._space(dim, order).ncoeffs)
 
 
 def function_suite(coordinates: Sequence[str]) -> tuple:
@@ -163,7 +151,8 @@ class CheckRecord:
     point: tuple
     residual: float
     threshold: float
-    params: tuple = ()  # sorted (key, value) pairs, YAML-safe values
+    # (key, value) pairs, YAML-safe values, in the fixed order of each check
+    params: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -398,15 +387,17 @@ def verify_pair(
     )
 
     # Every check runs on a block before the next block replaces the pair's
-    # frame; the records still come out check by check.
+    # frame, built at the highest order they read (the lower orders are
+    # prefixes of its jets); the records still come out check by check.
+    # Drift alone walks no blocks.
     outcomes = {check: [] for check in cfg.checks}
     seconds = dict.fromkeys(cfg.checks, 0.0)
-    rows = block_points(pair.dim)
-    frame_checks = [c for c in cfg.checks if c != "drift"]
-    for start in range(0, cfg.points, rows):
+    frame_checks = [c for c in cfg.checks if _CHECKS[c][1] is not None]
+    order = max((_CHECKS[c][1] for c in frame_checks), default=0)
+    rows = block_points(pair.dim, order)
+    for start in range(0, cfg.points if frame_checks else 0, rows):
         block = slice(start, start + rows)
-        if frame_checks:  # the checks read lower orders off this one frame
-            pair.frame(np.array(points[block]), FRAME_ORDER)
+        pair.frame(np.array(points[block]), order)
         for check in frame_checks:
             clock = time.perf_counter()
             found = _block_records(pair, check, np.array(points[block]),
@@ -440,13 +431,6 @@ def verify_pair(
     )
 
 
-def quick_config(**overrides) -> VerifyConfig:
-    """Small-sample configuration for smoke runs and tests."""
-    base = dict(points=5, drift_trajectories=1)
-    base.update(overrides)
-    return VerifyConfig(**base)
-
-
 __all__ = [
     "CHECK_IDS",
     "DEFAULT_THRESHOLDS",
@@ -454,7 +438,6 @@ __all__ = [
     "CheckRecord",
     "VerificationReport",
     "VerifyConfig",
-    "quick_config",
     "function_suite",
     "verify_pair",
 ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benenti import jets
+from benenti import jets, verify
 from benenti.errors import EvaluationDomainError, ExpressionSyntaxError
 from benenti.expr import (
     FUNCTIONS,
@@ -218,3 +218,12 @@ def test_readme_lists_the_expression_functions():
     for name in ("tan", "log"):
         with pytest.raises(ExpressionSyntaxError, match="unknown identifier"):
             parse(f"{name}(x)", XY)
+
+
+def test_readme_lists_the_check_ids_and_thresholds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Check ids and default thresholds\n\n")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (\S+) \|$", table, re.MULTILINE)
+    assert len(rows) == len(table.splitlines()) - 2  # below the header
+    assert tuple(check for check, _ in rows) == verify.CHECK_IDS
+    assert {check: float(t) for check, t in rows} == verify.DEFAULT_THRESHOLDS

@@ -49,7 +49,7 @@ def strip_timing(text: str) -> str:
 
 def quick_report(name, **overrides):
     entry = catalog.get_entry(name)
-    cfg = verify.quick_config(**overrides)
+    cfg = verify.VerifyConfig(**{"points": 5, "drift_trajectories": 1, **overrides})
     return verify.verify_pair(
         entry.pair, cfg, source="catalog",
         expected_equivalent=entry.expected_equivalent,
@@ -98,11 +98,12 @@ class TestConfig:
         assert len(set(suite)) == 7
 
 
-def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
+def assert_one_frame_per_order_and_point(monkeypatch, points, checks, order,
+                                         name="dini"):
     # sampling builds one order-0 frame over all sampled points and takes
     # their t grids there in one call; the walk over the blocks of points
-    # then builds one order-4 frame per block, which every check on that
-    # block reads
+    # then builds one frame per block, at the highest order the checks
+    # read, which every check on that block reads
     built, grid_points = [], []
     build, grid = PointFrame.__init__, verify.t_grid
 
@@ -116,15 +117,15 @@ def assert_one_frame_per_order_and_point(monkeypatch, points, checks):
 
     monkeypatch.setattr(PointFrame, "__init__", counting)
     monkeypatch.setattr(verify, "t_grid", counting_grid)
-    dini = catalog.get_entry("dini").pair
-    pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
+    shared = load(name)
+    pair = ProjectivePair(shared.g, shared.gbar, shared.domain)
     rep = verify.verify_pair(
         pair, verify.VerifyConfig(points=points, checks=checks)
     )
-    rows = verify.block_points(pair.dim)
+    rows = verify.block_points(pair.dim, order)
     full, rest = divmod(points, rows)
     blocks = [rows] * full + [rest] * (rest > 0)
-    assert built == [(0, (points,))] + [(4, (size,)) for size in blocks]
+    assert built == [(0, (points,))] + [(order, (size,)) for size in blocks]
     assert len(grid_points) == 1
     assert [tuple(p) for p in grid_points[0].tolist()] == [
         r.point for r in rep.records if r.check == checks[0]]
@@ -306,12 +307,25 @@ class TestReports:
 
     def test_frames_are_built_at_orders_zero_and_four_only(self, monkeypatch):
         checks = tuple(c for c in verify.CHECK_IDS if c != "drift")
-        assert_one_frame_per_order_and_point(monkeypatch, 3, checks)
+        assert_one_frame_per_order_and_point(monkeypatch, 3, checks, 4)
 
     def test_frames_are_built_once_past_128_points(self, monkeypatch):
-        # more points than a pair ever kept frames for
+        # more points than a pair ever kept frames for: one order-1 block
         assert_one_frame_per_order_and_point(
-            monkeypatch, 130, ("basic", "connection")
+            monkeypatch, 130, ("basic", "connection"), 1
+        )
+
+    @pytest.mark.parametrize("name, points, checks, order", [
+        ("dini", 130, ("ricci-comm",), 2),
+        ("dini", 130, ("basic", "carter"), 3),
+        ("dini", 130, ("phi", "drift"), 1),
+        ("lc4", 20, ("basic",), 1),
+    ])
+    def test_frames_are_built_at_the_checks_highest_order(
+            self, monkeypatch, name, points, checks, order):
+        # 130 points make several blocks at orders 2 and 3 in 2 variables
+        assert_one_frame_per_order_and_point(
+            monkeypatch, points, checks, order, name
         )
 
     def test_degenerate_sampling_exhausts_retries(self):
@@ -322,7 +336,7 @@ class TestReports:
         )
         message = "could not sample a non-degenerate point in broken after 100 tries"
         for points in (1, 5, 150):
-            config = verify.quick_config(points=points, checks=("basic",))
+            config = verify.VerifyConfig(points=points, checks=("basic",))
             with pytest.raises(DegenerateMetricError, match=message):
                 verify.verify_pair(pair, config)
             with pytest.raises(DegenerateMetricError, match=message):
@@ -347,7 +361,7 @@ def test_records_do_not_depend_on_how_points_are_batched(name):
     # each record must come out byte for byte the same.  The golden corpus
     # runs 2 points, one block, and cannot see a dependence on its width.
     pair = load(name)
-    count = verify.block_points(pair.dim) + 3
+    count = verify.block_points(pair.dim, 4) + 3
     few, many = (
         verify.verify_pair(pair, verify.VerifyConfig(points=n, checks=NON_DRIFT))
         for n in (3, count)
@@ -408,8 +422,32 @@ def test_block_records_pick_each_rows_worst_candidate_on_its_grid(name, check):
 
 def test_blocks_are_sized_by_the_jet():
     # a benchmark pass samples 4 or 5 points: one block up to 4 variables
-    assert [verify.block_points(n) for n in (2, 3, 4)] == [34, 14, 7]
-    assert verify.block_points(12) == 1
+    assert [verify.block_points(n, 4) for n in (2, 3, 4)] == [34, 14, 7]
+    assert verify.block_points(12, 4) == 1
+    # low orders get more rows from the same budget
+    assert [verify.block_points(n, 1) for n in (2, 3, 4)] == [170, 128, 102]
+    assert [verify.block_points(2, m) for m in (2, 3)] == [85, 51]
+
+
+@pytest.mark.parametrize("check", NON_DRIFT)
+def test_frame_order_of_each_check_is_the_highest_it_requests(monkeypatch, check):
+    # the table repeats a fact of projective and operators: the highest
+    # order each check asks of the pair's frame
+    dini = catalog.get_entry("dini").pair
+    pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
+    points = np.array(verify._sample_points(
+        pair, verify.VerifyConfig(points=2), np.random.default_rng(3))[0])
+    requested = []
+    frame = pair.frame
+
+    def recording(points, order):
+        requested.append(order)
+        return frame(points, order)
+
+    monkeypatch.setattr(pair, "frame", recording)
+    verify._block_records(pair, check, points, [(0.5, 2.0), (1.5,)],
+                          np.array([[0.8, -0.3], [-1.5, 0.4]]))
+    assert max(requested) == verify._CHECKS[check][1]
 
 
 def half_degenerate():
