@@ -189,7 +189,7 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
             src.fail(f"missing required key {key!r}")
 
     dim = src.data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # true and false are ints, as bools
         src.fail("dim must be a positive integer", ("dim",))
 
     coords = src.data["coords"]
@@ -218,7 +218,7 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
         ok = (
             isinstance(iv, list)
             and len(iv) == 2
-            and all(isinstance(v, (int, float)) and np.isfinite(v) for v in iv)
+            and all(type(v) in (int, float) and np.isfinite(v) for v in iv)
             and iv[0] < iv[1]
         )
         if not ok:

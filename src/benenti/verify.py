@@ -16,11 +16,11 @@ Checks are identified by short ids:
 Each check produces one record per sampled point (per trajectory for
 drift) carrying the worst residual seen there and the parameters that
 produced it.  Points are sampled a block of draws at a time, keeping the
-draws a draw-by-draw loop would keep, and take their t grids from one
-order-0 frame over all of them.  The checks other than drift run on blocks
-of points sized by the jet, once per block, on one frame of jets over the
-block, built at the highest order they read; every record has the bits of
-its point checked alone.  Reports are deterministic functions of the
+draws a draw-by-draw loop would keep.  They are walked in blocks sized by
+the jet, with one frame of jets over each block, built at the highest order
+the checks read: the block's t grids are taken off that frame, and every
+check other than drift runs once on the block.  Every record has the bits
+of its point checked alone.  Reports are deterministic functions of the
 configuration: identical seeds give byte-identical documents apart from
 the timing block.
 """
@@ -245,17 +245,16 @@ class VerificationReport:
 
 
 def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
-                   rng: np.random.Generator):
-    """(points, t grids): the first cfg.points domain draws at which both
-    metrics are nondegenerate, in draw order, and their t grids, taken on
-    one order-0 frame over them.  Draws come as many at a time as points
-    are missing (the stream is this function's own); 100 rejected draws in
-    a row raise."""
+                   rng: np.random.Generator) -> np.ndarray:
+    """The first cfg.points domain draws at which both metrics are
+    nondegenerate, in draw order, as a ``(P, n)`` array.  Draws come as many
+    at a time as points are missing (the stream is this function's own);
+    100 rejected draws in a row raise."""
     points, misses = [], 0
     while len(points) < cfg.points:
         block = pair.sample_point(rng, rows=cfg.points - len(points))
         ok = pair.g.nondegenerate(block) & pair.gbar.nondegenerate(block)
-        for row, good in zip(block.tolist(), ok.tolist()):
+        for row, good in zip(block, ok.tolist()):
             misses = 0 if good else misses + 1
             if misses == 100:
                 raise DegenerateMetricError(
@@ -263,10 +262,8 @@ def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
                     f"{pair.name or 'pair'} after 100 tries"
                 )
             if good:
-                points.append(tuple(row))
-    grids = (t_grid(pair, np.array(points)) if cfg.t_grid is None
-             else [tuple(cfg.t_grid)] * cfg.points)
-    return points, grids
+                points.append(row)
+    return np.array(points)
 
 
 def _rank(residual):
@@ -378,7 +375,7 @@ def verify_pair(
 
     ss = np.random.SeedSequence(cfg.seed)
     s_points, s_momenta, s_velocities = ss.spawn(3)
-    points, grids = _sample_points(pair, cfg, np.random.default_rng(s_points))
+    points = _sample_points(pair, cfg, np.random.default_rng(s_points))
     momenta = np.random.default_rng(s_momenta).uniform(
         -2.0, 2.0, size=(cfg.points, pair.dim)
     )
@@ -386,22 +383,25 @@ def verify_pair(
         -0.7, 0.7, size=(cfg.points, pair.dim)
     )
 
-    # Every check runs on a block before the next block replaces the pair's
-    # frame, built at the highest order they read (the lower orders are
-    # prefixes of its jets); the records still come out check by check.
-    # Drift alone walks no blocks.
+    # One frame per block of points, at the highest order the checks read
+    # (lower orders are prefixes of its jets), gives the block's default t
+    # grids and serves every check before the next block replaces it; the
+    # records still come out check by check.  Drift walks only for grids.
     outcomes = {check: [] for check in cfg.checks}
     seconds = dict.fromkeys(cfg.checks, 0.0)
     frame_checks = [c for c in cfg.checks if _CHECKS[c][1] is not None]
     order = max((_CHECKS[c][1] for c in frame_checks), default=0)
     rows = block_points(pair.dim, order)
-    for start in range(0, cfg.points if frame_checks else 0, rows):
+    grids = [] if cfg.t_grid is None else [tuple(cfg.t_grid)] * cfg.points
+    walk = frame_checks or ("drift" in cfg.checks and not grids)
+    for start in range(0, cfg.points if walk else 0, rows):
         block = slice(start, start + rows)
-        pair.frame(np.array(points[block]), order)
+        pair.frame(points[block], order)
+        grids += t_grid(pair, points[block]) if cfg.t_grid is None else []
         for check in frame_checks:
             clock = time.perf_counter()
-            found = _block_records(pair, check, np.array(points[block]),
-                                   grids[block], momenta[block])
+            found = _block_records(pair, check, points[block], grids[block],
+                                   momenta[block])
             outcomes[check] += [(p, *rec) for p, rec in zip(points[block], found)]
             seconds[check] += time.perf_counter() - clock
     if "drift" in cfg.checks:

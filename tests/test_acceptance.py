@@ -55,9 +55,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _points(pair, n=20, seed=SEED):
-    points, _grids = _sample_points(
-        pair, VerifyConfig(points=n), np.random.default_rng(seed))
-    return points
+    return _sample_points(pair, VerifyConfig(points=n), np.random.default_rng(seed))
 
 
 def _grid_pairs(grid):

@@ -249,6 +249,20 @@ class TestVerifyCommand:
         assert "g cannot be evaluated anywhere in the domain" in err
         assert "not finite" in err and "(line 4, column 3)" in err
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("dim: 2", "dim: true", "dim must be a positive integer (line 1, column 6)"),
+        ("u: [0.1, 1.0]", "u: [false, true]", "domain[u] must be [lo, hi]"),
+    ])
+    def test_yaml_booleans_exit_two_with_position(self, tmp_path, capsys,
+                                                  old, new, where):
+        path = tmp_path / "bool.yaml"
+        path.write_text(GOOD_FILE.replace(old, new))
+        rc = main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err and "line" in err
+
     def test_defaults_come_from_the_config(self):
         args = build_parser().parse_args(["verify", "dini"])
         assert (args.points, args.seed) == (VerifyConfig().points, VerifyConfig().seed)

@@ -10,7 +10,12 @@ from benenti import catalog, jets, operators as ops, pairfile, verify
 from benenti.errors import OrderExhaustedError
 from benenti.geometry import MetricField, matmul
 from benenti.operators import PhaseSpacePoint
-from benenti.projective import PointFrame, check_carter_condition, check_killing_tensor
+from benenti.projective import (
+    PointFrame,
+    check_carter_condition,
+    check_killing_tensor,
+    t_grid,
+)
 
 FLAT = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
 SPHERE = MetricField(("theta", "phi"), [["1", "0"], ["0", "sin(theta)^2"]])
@@ -291,7 +296,7 @@ class TestStackedApplication:
     def test_commutator_grids_match_per_function_loops(self, name):
         pair = stacked_pair(name)
         suite = verify.function_suite(pair.coordinates)
-        points = self.sampled(pair)[0]
+        points = self.sampled(pair)
         grids = ops.killing_commutator_grid(pair, suite, points)  # [f, row, l, k]
         one = ops.killing_commutator_grid(pair, suite[0], points)  # a str
         assert same_bits(one, grids[0]) and one.flags.c_contiguous
@@ -302,7 +307,8 @@ class TestStackedApplication:
     @pytest.mark.parametrize("name", STACKED_PAIRS)
     def test_decomposition_matches_per_probe_loops(self, name):
         pair = stacked_pair(name)
-        points, grids = self.sampled(pair)
+        points = self.sampled(pair)
+        grids = t_grid(pair, points)
         t, s = (np.array([grid[k] for grid in grids]) for k in (0, -1))  # per row
         dec = ops.commutator_decompose(
             ops.killing_operator(pair, t), ops.killing_operator(pair, s), points)
@@ -315,7 +321,7 @@ class TestStackedApplication:
     @pytest.mark.parametrize("name", ["dini", "lc4"])
     def test_stacked_candidates_match_one_call_per_column(self, name):
         pair = stacked_pair(name)
-        points = np.array(self.sampled(pair)[0])
+        points = self.sampled(pair)
         cols = np.array([[-1.0, 0.5], [0.0, 2.0], [3.0, -0.5]])  # [column, row]
         for check in (check_killing_tensor, check_carter_condition):
             assert same_bits(check(pair, cols, points),

@@ -118,6 +118,14 @@ class TestDiagnostics:
                      fragment="dim must be a positive integer")
         expect_error(GOOD.replace("dim: 2", "dim: two"), line=1)
 
+    def test_yaml_booleans_are_not_numbers(self):
+        # YAML true and false load as bools, and bool is a subclass of int
+        one_dim = "dim: true\ncoords: [x]\ng: [['1']]\ngbar: [['2']]\n"
+        expect_error(one_dim + "domain: {x: [0.0, 1.0]}\n", line=1, column=6,
+                     fragment="dim must be a positive integer")
+        expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [false, true]"),
+                     line=10, column=6, fragment="domain[x]")
+
     def test_wrong_coord_count(self):
         expect_error(GOOD.replace("coords: [x, y]", "coords: [x]"), line=2,
                      fragment="coords must list 2 names")

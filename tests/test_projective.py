@@ -48,7 +48,7 @@ def named_pair(name):
 def sampled_block(pair, rows=3):
     """A ``(rows, n)`` block of nondegenerate points, as verify samples them."""
     cfg = verify.VerifyConfig(points=rows, seed=13)
-    return np.array(verify._sample_points(pair, cfg, np.random.default_rng(13))[0])
+    return verify._sample_points(pair, cfg, np.random.default_rng(13))
 
 
 def same_bits(a, b) -> bool:

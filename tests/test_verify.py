@@ -98,37 +98,43 @@ class TestConfig:
         assert len(set(suite)) == 7
 
 
-def assert_one_frame_per_order_and_point(monkeypatch, points, checks, order,
-                                         name="dini"):
-    # sampling builds one order-0 frame over all sampled points and takes
-    # their t grids there in one call; the walk over the blocks of points
-    # then builds one frame per block, at the highest order the checks
-    # read, which every check on that block reads
-    built, grid_points = [], []
-    build, grid = PointFrame.__init__, verify.t_grid
+def assert_one_frame_per_block(monkeypatch, points, checks, order,
+                               name="dini", t_grid=None):
+    # sampling builds no frame; the walk over the blocks of points builds
+    # one frame per block, at the highest order the checks read, and takes
+    # the block's default t grids off it in one call.  With order None
+    # nothing walks: no frame is built and no grid is taken.
+    built, sampled, grid_points = [], [], []
+    build, grid, sample = PointFrame.__init__, verify.t_grid, verify._sample_points
 
     def counting(frame, pair, point, order):
         build(frame, pair, point, order)
         built.append((order, frame.points.shape[:-1]))
 
     def counting_grid(pair, points):
-        grid_points.append(points)
+        grid_points.append(points.tolist())
         return grid(pair, points)
+
+    def recording(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
 
     monkeypatch.setattr(PointFrame, "__init__", counting)
     monkeypatch.setattr(verify, "t_grid", counting_grid)
+    monkeypatch.setattr(verify, "_sample_points", recording)
     shared = load(name)
     pair = ProjectivePair(shared.g, shared.gbar, shared.domain)
-    rep = verify.verify_pair(
-        pair, verify.VerifyConfig(points=points, checks=checks)
-    )
+    verify.verify_pair(pair, verify.VerifyConfig(points=points, checks=checks,
+                                                 t_grid=t_grid))
+    assert sampled[0].shape == (points, pair.dim)
+    if order is None:
+        assert built == grid_points == []
+        return
     rows = verify.block_points(pair.dim, order)
-    full, rest = divmod(points, rows)
-    blocks = [rows] * full + [rest] * (rest > 0)
-    assert built == [(0, (points,))] + [(order, (size,)) for size in blocks]
-    assert len(grid_points) == 1
-    assert [tuple(p) for p in grid_points[0].tolist()] == [
-        r.point for r in rep.records if r.check == checks[0]]
+    blocks = [sampled[0][start:start + rows].tolist()
+              for start in range(0, points, rows)]
+    assert built == [(order, (len(block),)) for block in blocks]
+    assert grid_points == (blocks if t_grid is None else [])
 
 
 class TestReports:
@@ -305,15 +311,12 @@ class TestReports:
         rep = quick_report("control_nonequiv", tol=1e6)
         assert rep.passed  # absurd tolerance turns everything green
 
-    def test_frames_are_built_at_orders_zero_and_four_only(self, monkeypatch):
-        checks = tuple(c for c in verify.CHECK_IDS if c != "drift")
-        assert_one_frame_per_order_and_point(monkeypatch, 3, checks, 4)
+    def test_frames_are_built_at_order_four_only(self, monkeypatch):
+        assert_one_frame_per_block(monkeypatch, 3, NON_DRIFT, 4)
 
     def test_frames_are_built_once_past_128_points(self, monkeypatch):
         # more points than a pair ever kept frames for: one order-1 block
-        assert_one_frame_per_order_and_point(
-            monkeypatch, 130, ("basic", "connection"), 1
-        )
+        assert_one_frame_per_block(monkeypatch, 130, ("basic", "connection"), 1)
 
     @pytest.mark.parametrize("name, points, checks, order", [
         ("dini", 130, ("ricci-comm",), 2),
@@ -324,9 +327,23 @@ class TestReports:
     def test_frames_are_built_at_the_checks_highest_order(
             self, monkeypatch, name, points, checks, order):
         # 130 points make several blocks at orders 2 and 3 in 2 variables
-        assert_one_frame_per_order_and_point(
-            monkeypatch, points, checks, order, name
-        )
+        assert_one_frame_per_block(monkeypatch, points, checks, order, name)
+
+    @pytest.mark.parametrize("name, points", [("dini", 600), ("lc4", 20)])
+    def test_drift_alone_builds_order_zero_frames_for_its_grids(
+            self, monkeypatch, name, points):
+        # 600 points make two blocks of order-0 rows in 2 variables
+        assert_one_frame_per_block(monkeypatch, points, ("drift",), 0, name)
+
+    def test_fixed_grids_need_no_frame_for_drift(self, monkeypatch):
+        assert_one_frame_per_block(monkeypatch, 20, ("drift",), None,
+                                   t_grid=(0.5, 2.0))
+        # the frame checks still walk, and take no grid off the frames
+        assert_one_frame_per_block(monkeypatch, 40, ("killing", "drift"), 1,
+                                   t_grid=(0.5, 2.0))
+
+    def test_no_checks_build_no_frame(self, monkeypatch):
+        assert_one_frame_per_block(monkeypatch, 20, (), None)
 
     def test_degenerate_sampling_exhausts_retries(self):
         g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
@@ -405,8 +422,8 @@ def per_row_records(pair, check, points, grids, momenta):
 @pytest.mark.parametrize("check", ["killing", "carter", "poisson", "commutator"])
 def test_block_records_pick_each_rows_worst_candidate_on_its_grid(name, check):
     pair = load(name)
-    points = np.array(verify._sample_points(
-        pair, verify.VerifyConfig(points=3, seed=5), np.random.default_rng(5))[0])
+    points = verify._sample_points(
+        pair, verify.VerifyConfig(points=3, seed=5), np.random.default_rng(5))
     # unequal lengths, a repeated value and both zeros
     grids = [(0.0, 1.0, 2.0, -1.5), (0.5,), (-0.0, 3.0, 3.0)]
     momenta = np.array([[0.8, -0.3, 1.1, 0.2], [-1.5, 0.4, 0.9, -0.7],
@@ -435,8 +452,8 @@ def test_frame_order_of_each_check_is_the_highest_it_requests(monkeypatch, check
     # order each check asks of the pair's frame
     dini = catalog.get_entry("dini").pair
     pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
-    points = np.array(verify._sample_points(
-        pair, verify.VerifyConfig(points=2), np.random.default_rng(3))[0])
+    points = verify._sample_points(
+        pair, verify.VerifyConfig(points=2), np.random.default_rng(3))
     requested = []
     frame = pair.frame
 
@@ -467,14 +484,17 @@ def partly_non_finite():
 
 
 def same_sample(pair, config, seed):
-    rng = np.random.default_rng(seed)
-    points, grids = verify._sample_points(pair, config, rng)
+    # the sampler returns the points alone; the reference's per-point grids
+    # must be the ones the walk takes off a frame over the sampled block
+    points = verify._sample_points(pair, config, np.random.default_rng(seed))
     with np.errstate(over="ignore", invalid="ignore"):  # the jets of a NaN row
         want_points, want_grids = jet_reference.sample_points(
             pair, config, np.random.default_rng(seed))
-    assert [[c.hex() for c in p] for p in points] == [
+    assert points.shape == (config.points, pair.dim)
+    assert [[c.hex() for c in p] for p in points.tolist()] == [
         [c.hex() for c in p] for p in want_points]
-    assert grids == want_grids
+    if config.t_grid is None:
+        assert verify.t_grid(pair, points) == want_grids
 
 
 @pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4", "half"])
