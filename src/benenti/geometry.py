@@ -226,6 +226,10 @@ class MetricField:
     ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.  ``evaluate`` and ``values``
     also take a ``(B, dim)`` batch of points and then fail if the metric is
     degenerate at any of them; ``nondegenerate`` says at which.
+
+    Each distinct component tree is evaluated once per call and written to
+    every slot it fills, and a bare constant is written without evaluation;
+    the results keep the bits of evaluating every component alone.
     """
 
     def __init__(
@@ -251,19 +255,25 @@ class MetricField:
             tuple(expr.parse(text, self.coordinates) for text in row)
             for row in self.component_texts
         )
+        # each distinct component tree once, with the (i, j) slots it fills,
+        # such as the mirrored upper triangle of a lower-triangle file
+        slots = {}
+        for i, row in enumerate(self.components):
+            for j, tree in enumerate(row):
+                slots.setdefault(tree, []).append((i, j))
+        self._groups = tuple(slots.items())
         self.name = name
 
     def evaluate(self, point: Sequence[float], order: int) -> JetTensor:
         """Metric components as jets at the point, symmetrized and checked."""
         coords = jets.seed_coordinates(point, order)
-        assignment = dict(zip(self.coordinates, coords))
+        sp = coords[0].space
+        # [coeff, *batch, i, j]: component (i, j) of every point at raw[..., i, j]
+        raw = np.zeros((sp.ncoeffs,) + np.shape(point)[:-1] + (self.dim, self.dim))
         # an overflow shows as a non-finite coefficient, as in _float_values
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = np.array([[expr.evaluate(c, assignment).coeffs for c in row]
-                            for row in self.components])
-            if raw.ndim == 4:  # [i, j, point, coeff] -> [point, i, j, coeff]
-                raw = raw.transpose(2, 0, 1, 3)
-            g = symmetrized(JetTensor._dense(coords[0].space, raw, 0, 2))
+            self._fill(raw, raw[0], dict(zip(self.coordinates, coords)))
+            g = symmetrized(JetTensor._dense(sp, np.moveaxis(raw, 0, -1), 0, 2))
         self._check_nondegenerate(g.value(), point)
         return g
 
@@ -287,10 +297,23 @@ class MetricField:
         raw = np.empty(pts.shape[:-1] + (self.dim, self.dim))
         # an overflow shows as a non-finite component, which is degenerate
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    raw[..., i, j] = expr.evaluate(self.components[i][j], assignment)
+            self._fill(raw, raw, assignment)
             return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+    def _fill(self, raw: np.ndarray, values: np.ndarray, assignment) -> None:
+        """Write each component into ``raw[..., i, j]``, evaluating each
+        distinct tree once: floats, or jet coefficients on the first axis.
+        A bare constant is written straight into ``values[..., i, j]``, the
+        point values in ``raw``, whose other jet coefficients stay zero."""
+        for tree, slots in self._groups:
+            if isinstance(tree, expr.Const):
+                target, value = values, tree.value
+            else:
+                target, value = raw, expr.evaluate(tree, assignment)
+                if isinstance(value, jets.Jet):
+                    value = value.coeffs.T  # [*batch, coeff] -> [coeff, *batch]
+            for i, j in slots:
+                target[..., i, j] = value
 
     def _nondegenerate_rows(self, values: np.ndarray) -> np.ndarray:
         """The mask of ``nondegenerate`` from the component values; a

@@ -418,9 +418,10 @@ def _constant_terms(f: Jet) -> list[float]:
 
 def _series(f: Jet, outer) -> np.ndarray:
     """Taylor coefficients of an outer function about each row's constant
-    term: ``outer(c0)`` per row, stacked for a batch."""
+    term: the sequence ``outer(c0)`` per row, stacked into one array for a
+    batch."""
     if f.coeffs.ndim == 1:
-        return outer(float(f.coeffs[0]))
+        return np.array(outer(float(f.coeffs[0])))
     return np.array([outer(c0) for c0 in _constant_terms(f)])
 
 
@@ -438,9 +439,11 @@ def reciprocal(f: Jet) -> Jet:
 
 
 def exp(f: Jet) -> Jet:
+    factorials = [math.factorial(k) for k in range(f.order + 1)]
+
     def outer(c0):
         e0 = math.exp(c0)
-        return np.array([e0 / math.factorial(k) for k in range(f.order + 1)])
+        return [e0 / factorial for factorial in factorials]
 
     return _compose(f, _series(f, outer))
 
@@ -451,11 +454,8 @@ def log(f: Jet) -> Jet:
             raise SingularInputError(
                 "ln", f"log of non-positive constant term {c0}"
             )
-        series = np.empty(f.order + 1)
-        series[0] = math.log(c0)
-        for k in range(1, f.order + 1):
-            series[k] = (-1.0) ** (k - 1) / (k * c0**k)
-        return series
+        return [math.log(c0)] + [(-1.0) ** (k - 1) / (k * c0**k)
+                                 for k in range(1, f.order + 1)]
 
     return _compose(f, _series(f, outer))
 
@@ -464,11 +464,10 @@ def _shifted(func, f: Jet) -> Jet:
     """sin or cos of a jet: the k-th derivative of either is the function
     itself shifted by k pi/2."""
 
+    terms = [(k * math.pi / 2, math.factorial(k)) for k in range(f.order + 1)]
+
     def outer(c0):
-        return np.array(
-            [func(c0 + k * math.pi / 2) / math.factorial(k)
-             for k in range(f.order + 1)]
-        )
+        return [func(c0 + shift) / factorial for shift, factorial in terms]
 
     return _compose(f, _series(f, outer))
 
@@ -513,10 +512,9 @@ def power(f: Jet, exponent: float) -> Jet:
             raise SingularInputError(
                 "pow", f"fractional power of non-positive constant term {c0}"
             )
-        series = np.empty(f.order + 1)
-        coeff = 1.0
+        series, coeff = [], 1.0
         for k in range(f.order + 1):
-            series[k] = coeff * c0 ** (e - k)
+            series.append(coeff * c0 ** (e - k))
             coeff *= (e - k) / (k + 1)
         return series
 

@@ -16,19 +16,19 @@ step-controlled Runge-Kutta geodesic integrator measuring how well I_t is
 conserved.
 
 The integrator advances a batch of trajectories together, each row with
-its own step size: every stage evaluates the Christoffel symbols, and every
-round of accepted steps the conserved form, at all points of the batch in
-one call.  A form is therefore a callable from
-a ``(B, n)`` array of chart points to their ``(B, n, n)`` (0,2) component
-matrices.  Each trajectory's result is bit-identical to integrating it
-alone.
+its own step size: every stage evaluates the Christoffel symbols at all
+points of the batch in one call, and after the loop one call evaluates the
+conserved form at every state the trajectories visited.  A form is
+therefore a callable from a ``(B, n)`` array of chart points to their
+``(B, n, n)`` (0,2) component matrices.  Each trajectory's result is
+bit-identical to integrating it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -563,6 +563,11 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
     halved down to _EXIT_STEP before the row exits.  ``form(x, rows)``
     gives the (0,2) forms at the points ``x`` of ``rows``, their indices in
     ``phi0s``.  Start velocities solve g v = p unless given.
+
+    No step decision reads the invariant, so the invariant of every visited
+    state (each start, then each round's accepted rows) is read in one
+    batched form call after the loop, and each row's drift is taken in step
+    order from it, as if read at every accepted step.
     """
     if not tol >= MIN_TOLERANCE:
         raise ValueError(f"tolerance must be at least {MIN_TOLERANCE:.3g}, got {tol}")
@@ -601,13 +606,6 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
                      for r in range(len(y))]
             return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def invariants(y, rows):
-        forms = form(y[:, :d], rows)
-        if np.ndim(forms) == 2:  # one matrix: the same form at every point
-            forms = [forms] * len(rows)
-        # row by row: a batched contraction can round differently
-        return [float(vel @ f @ vel) for vel, f in zip(y[:, d:], forms)]
-
     B = len(phi0s)
     x = np.array([phi.x for phi in phi0s], dtype=float)
     if velocities is None:
@@ -616,11 +614,10 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
     y = np.concatenate([x, np.asarray(velocities, dtype=float)], axis=1)
     k = derivative(y)
     rows = list(range(B))
-    i0 = invariants(y, rows)
-    denom = [max(1.0, abs(i)) for i in i0]
-    drift, max_err, steps = [0.0] * B, [0.0] * B, [0] * B
+    visited, visited_rows = [y.copy()], [rows]  # the states, in step order
+    max_err, steps = [0.0] * B, [0] * B
     tau, grow, h = [0.0] * B, [5.0] * B, [min(horizon, tol ** 0.2)] * B
-    results = [None] * B
+    exit_time = [None] * B
     while rows:
         hs = np.array([min(h[row], horizon - tau[row]) for row in rows])
         z, kz, e = attempt(y[rows], k[rows], hs)
@@ -635,8 +632,7 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
                 if step > _EXIT_STEP:
                     h[row], grow[row] = step / 2, 1.0
                 else:
-                    results[row] = DriftResult(drift[row], True, tau[row],
-                                               steps[row], max_err[row])
+                    exit_time[row] = tau[row]
             elif err > tol:
                 h[row], grow[row] = step * _step_factor(err, tol, 1.0), 1.0
             else:
@@ -647,13 +643,41 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
                 max_err[row] = max(max_err[row], err)
                 h[row], grow[row] = step * _step_factor(err, tol, grow[row]), 5.0
                 accepted.append(row)
-        values = invariants(y[accepted], accepted) if accepted else []
-        for row, value in zip(accepted, values):
-            new = abs(value - i0[row]) / denom[row]
-            if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
-                drift[row] = new
-            if tau[row] == horizon:
-                results[row] = DriftResult(drift[row], False, None, steps[row],
-                                           max_err[row])
-        rows = [row for row in rows if results[row] is None]
-    return results
+        if accepted:
+            visited.append(y[accepted])
+            visited_rows.append(accepted)
+        rows = [row for row in rows
+                if exit_time[row] is None and tau[row] != horizon]
+    values = _invariants(form, d, visited, visited_rows)
+    i0 = values[:B]
+    denom = [max(1.0, abs(i)) for i in i0]
+    drift = [0.0] * B
+    for row, value in zip(chain.from_iterable(visited_rows[1:]), values[B:]):
+        new = abs(value - i0[row]) / denom[row]
+        if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
+            drift[row] = new
+    return [DriftResult(drift[row], exit_time[row] is not None, exit_time[row],
+                        steps[row], max_err[row]) for row in range(B)]
+
+
+def _invariants(form, d: int, states, rows) -> list[float]:
+    """K_ab v^a v^b at every state of the batches ``states`` (positions then
+    velocities per row), whose trajectory indices are ``rows``, in their
+    order.  The form is evaluated on all of them in one call, or batch by
+    batch if that raises a stage error, so the error is that of the first
+    batch whose form raises, as when each batch was read in its round."""
+    y = np.concatenate(states)
+    try:
+        forms = _form_values(form, y[:, :d], list(chain.from_iterable(rows)))
+    except _STAGE_ERRORS:
+        forms = [f for ys, r in zip(states, rows) for f in _form_values(form, ys[:, :d], r)]
+    # row by row: a batched contraction can round differently
+    return [float(v @ f @ v) for v, f in zip(y[:, d:], forms)]
+
+
+def _form_values(form, x, rows):
+    """The (0,2) forms at the points ``x`` of ``rows``, one per row."""
+    forms = form(x, rows)
+    if np.ndim(forms) == 2:  # one matrix: the same form at every point
+        return [forms] * len(rows)
+    return forms

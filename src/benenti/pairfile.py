@@ -16,6 +16,7 @@ column whenever the offending spot in the file can be located.
 from __future__ import annotations
 
 import io
+import math
 import re
 from pathlib import Path
 
@@ -30,6 +31,9 @@ from .projective import ProjectivePair
 _KEYS = {"dim", "coords", "g", "gbar", "domain", "name", "notes"}
 _REQUIRED = ("dim", "coords", "g", "gbar", "domain")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+# A YAML 1.2 float.  PyYAML follows YAML 1.1, which reads an exponent
+# without a dot or without a sign, as in 1e3 or 1.0e3, as a string.
+_NUMBER_RE = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?\Z")
 
 
 def _mark(node):
@@ -134,6 +138,23 @@ def _expand_matrix(src: _Source, key: str, dim: int, coords, probes):
     return [[cell[0] for cell in row] for row in full]
 
 
+def _bound(src: _Source, c: str, k: int, value) -> float:
+    """Bound ``k`` of ``domain[c]`` as a float: a number, or a plain scalar
+    that YAML 1.2 reads as one; an integer too large for a float is
+    infinite."""
+    if type(value) is str and _NUMBER_RE.match(value):
+        node = _node_at(src.root, ("domain", c, k))  # None through a merge key
+        if node is None or node.style is None:  # a plain scalar
+            return float(value)
+    elif type(value) in (int, float):  # not bool, a subclass of int
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    src.fail(f"domain[{c}] must be [lo, hi]: bound {value!r} is not a number",
+             ("domain", c))
+
+
 def _fail_expression(src: _Source, err: ExpressionError, path, where: str):
     """Report an expression error at its exact column within the file.
 
@@ -215,17 +236,15 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
         iv = domain.get(c)
         if iv is None:
             src.fail(f"domain missing coordinate {c!r}", ("domain",))
-        ok = (
-            isinstance(iv, list)
-            and len(iv) == 2
-            and all(type(v) in (int, float) and np.isfinite(v) for v in iv)
-            and iv[0] < iv[1]
-        )
+        ok = isinstance(iv, list) and len(iv) == 2
+        if ok:
+            lo, hi = (_bound(src, c, k, v) for k, v in enumerate(iv))
+            ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
         if not ok:
             src.fail(
                 f"domain[{c}] must be [lo, hi] with lo < hi", ("domain", c)
             )
-        box[c] = (float(iv[0]), float(iv[1]))
+        box[c] = (lo, hi)
 
     name = src.data.get("name")
     if name is not None and not isinstance(name, str):

@@ -7,12 +7,14 @@ the same largest error estimate.  Every row keeps its own step size, so an
 exit is placed by its own step control: within 1e-3 of the crossing.
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from benenti import catalog, operators as ops
+from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
 from benenti.operators import PhaseSpacePoint
 from benenti.projective import ProjectivePair
@@ -155,8 +157,27 @@ def test_form_is_evaluated_on_a_batch_of_points():
 
     phi = start(pair, (1.6, 0.75), (0.55, -0.5))
     r = ops.geodesic_form_drift(pair, energy, phi, 0.2, TOL)
-    assert set(seen) == {(1, 2)}
+    # one call, after the loop, on the start and every accepted state
+    assert seen == [(r.steps + 1, 2)]
     assert not r.exited and r.max_drift <= 1e-8
+
+
+def test_one_form_call_per_batch_of_trajectories(monkeypatch):
+    calls = []
+
+    def counted(pair, x):
+        calls.append(np.shape(x))
+        return structure_values(pair, x)
+
+    structure_values = ops._structure_values
+    monkeypatch.setattr(ops, "_structure_values", counted)
+    pair = catalog.get_entry("dini").pair
+    ts = [0.0, 0.5, 2.0]
+    phis = [start(pair, (1.6, 0.75), (0.55, -0.5)),
+            start(pair, (1.5, 0.8), (0.3, 0.2)),
+            start(pair, (2.0, 0.6), (-0.4, 0.1))]
+    batch = ops.geodesic_drifts(pair, ts, phis, 0.2, TOL)
+    assert calls == [(len(ts) + sum(r.steps for r in batch), 2)]
 
 
 def test_a_nan_drift_sticks():
@@ -166,15 +187,79 @@ def test_a_nan_drift_sticks():
     calls = []
 
     def energy(points):
-        calls.append(None)
+        calls.append(len(points))
         values = pair.g.values(points)
-        return values * np.nan if len(calls) == 3 else values
+        values[3] = np.nan  # the third accepted step
+        return values
 
     phi = start(pair, (1.6, 0.75), (0.55, -0.5))
     r = ops.geodesic_form_drift(pair, energy, phi, 0.2, TOL)
-    # the form is evaluated at the start and at every accepted step
-    assert len(calls) == r.steps + 1 and r.steps > 3 and not r.exited
+    # the form is evaluated once, at the start and at every accepted step
+    assert calls == [r.steps + 1] and r.steps > 3 and not r.exited
     assert np.isnan(r.max_drift)
+
+
+def flat_pair(gbar=None):
+    flat = MetricField(("x", "y"), [["1", "0"], ["0", "1"]], name="flat")
+    return ProjectivePair(flat, flat if gbar is None else gbar)
+
+
+def overflowing(name, shift):
+    """diag(1, 1) with a NaN component, so degenerate, where 1e308 * (x -
+    shift) overflows: beyond x = shift + 1.797."""
+    return MetricField(("x", "y"), [[f"1 + 0 * (1e308 * (x - {shift}))", "0"],
+                                    ["0", "1"]], name=name)
+
+
+def visited_states(pair, phi, horizon):
+    """The states at which the form of a drift from phi is read, in order."""
+    states = []
+
+    def record(points):
+        states.extend(np.array(points))
+        return pair.g.values(points)
+
+    ops.geodesic_form_drift(pair, record, phi, horizon, TOL)
+    return states
+
+
+def error_at(metric, point) -> str:
+    with pytest.raises(DegenerateMetricError) as err:
+        metric.values(point)
+    return str(err.value)
+
+
+def test_a_degenerate_gbar_at_an_accepted_state_raises():
+    # the stages read g only, so the integration runs past the line where
+    # gbar turns degenerate; the form's error names the first state beyond it
+    gbar = overflowing("gbar", 0.2)
+    pair = flat_pair(gbar)
+    phi = start(pair, (1.5, 0.5), (1.0, 0.0))
+    states = visited_states(pair, phi, 2.0)
+    first = next(x for x in states if not gbar.nondegenerate(x))
+    assert first[0] > 1.5  # an accepted state, not the start
+    with pytest.raises(DegenerateMetricError, match=re.escape(error_at(gbar, first))):
+        ops.geodesic_drift(pair, 0.5, phi, 2.0, TOL)
+
+
+def test_a_form_error_is_that_of_the_first_raising_state():
+    # the form checks a on all its points, then b; b turns degenerate first
+    # along the path.  One call on every state would raise a's error at a
+    # later state, so the error comes from the form run state batch by
+    # state batch in step order, as if read at every accepted step.
+    pair = flat_pair()
+    a, b = overflowing("a", 1.1), overflowing("b", -0.1)
+    phi = start(pair, (1.5, 0.5), (1.0, 0.0))
+    states = visited_states(pair, phi, 2.0)
+    first = next(x for x in states if not b.nondegenerate(x))
+    assert a.nondegenerate(first) and not all(a.nondegenerate(x) for x in states)
+
+    def both(points):
+        a.values(points)
+        return b.values(points)
+
+    with pytest.raises(DegenerateMetricError, match=re.escape(error_at(b, first))):
+        ops.geodesic_form_drift(pair, both, phi, 2.0, TOL)
 
 
 def test_lengths_must_agree():

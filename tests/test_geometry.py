@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import jet_reference as ref
-from benenti import jets
+from benenti import catalog, expr, jets
 from benenti.errors import DegenerateMetricError
 from benenti.geometry import (
     JetTensor,
@@ -18,6 +19,7 @@ from benenti.geometry import (
     inverse_metric,
     matmul,
     ricci,
+    symmetrized,
 )
 
 POLAR = MetricField(("r", "phi"), [["1", "0"], ["0", "r^2"]], name="polar")
@@ -97,6 +99,93 @@ class TestMetricField:
     def test_jet_evaluation_matches_values(self):
         g = CURVED.evaluate((0.5, -0.3), order=3)
         assert np.allclose(g.value(), CURVED.values((0.5, -0.3)))
+
+
+def componentwise(metric, point, order=None):
+    """The symmetrized components from one expr.evaluate per component:
+    jet coefficients at ``order``, or float values without it."""
+    pts = np.asarray(point, dtype=float)
+    if order is None:
+        assignment = dict(zip(metric.coordinates, map(float, pts) if pts.ndim == 1
+                              else pts.T))
+    else:
+        assignment = dict(zip(metric.coordinates, jets.seed_coordinates(pts, order)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = [[expr.evaluate(c, assignment) for c in row] for row in metric.components]
+        if order is None:
+            raw = np.moveaxis(np.array(np.broadcast_arrays(*sum(raw, []))), 0, -1)
+            raw = raw.reshape(pts.shape[:-1] + (metric.dim, metric.dim))
+            return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        raw = np.moveaxis(np.array([[c.coeffs for c in row] for row in raw]), (0, 1), (-3, -2))
+        space = jets._space(metric.dim, order)
+        return symmetrized(JetTensor._dense(space, raw, 0, 2)).coeffs
+
+
+GROUPED = {
+    "bare constants": [["2", "0"], ["0", "x^2 + 1"]],
+    # a Neg: its jet has -0.0 slots, so it is evaluated, not written
+    "negated constant": [["-1", "0"], ["0", "1 + y^2"]],
+    # equal values from unequal trees, each evaluated
+    "full matrix": [["2 + x^2", "x*y"], ["y*x", "1 + y^2"]],
+    # 1e308 * x^2 overflows in its first derivatives, not its value
+    "overflowing component": [["1 + 0 * (1e308 * x^2)", "x - x"], ["x - x", "1"]],
+}
+
+
+@pytest.mark.parametrize("name", GROUPED)
+class TestGroupedComponents:
+    """MetricField writes each constant and evaluates each distinct tree
+    once; the results keep the bits of evaluating every component alone."""
+
+    POINTS = [(1.1, 0.4), [(1.1, 0.4), (1.25, -0.3), (1.0, 0.9)]]
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_evaluate(self, name, order):
+        metric = MetricField(("x", "y"), GROUPED[name])
+        for point in self.POINTS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = metric.evaluate(point, order).coeffs
+            want = componentwise(metric, point, order)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_values(self, name):
+        metric = MetricField(("x", "y"), GROUPED[name])
+        for point in self.POINTS:
+            got, want = metric.values(point), componentwise(metric, point)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_grouping_keeps_signed_zeros_and_overflow():
+    negated = MetricField(("x", "y"), GROUPED["negated constant"])
+    assert np.signbit(negated.evaluate((1.1, 0.4), 2).coeffs[0, 0, 1:]).all()
+    overflowing = MetricField(("x", "y"), GROUPED["overflowing component"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(overflowing.evaluate((1.1, 0.4), 1).coeffs[0, 0, 1])  # d/dx
+
+
+def test_each_distinct_component_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counted(e, assignment):
+        calls.append(e)
+        return evaluate(e, assignment)
+
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", counted)
+    # x - y twice and 0 twice: one call, where every component once made four
+    dini = catalog.get_entry("dini").pair.g
+    for point in [(1.6, 0.75), [(1.6, 0.75), (2.0, 0.5)]]:
+        for order in (0, 1, 4):
+            calls.clear()
+            dini.evaluate(point, order)
+            assert len(calls) == 1
+        calls.clear()
+        dini.values(point)
+        assert len(calls) == 1
+        calls.clear()
+        christoffel_values(dini, point)  # one drift stage
+        assert len(calls) == 1
 
 
 class TestInverseAndDeterminant:

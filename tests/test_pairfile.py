@@ -190,6 +190,15 @@ class TestDiagnostics:
         expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [.nan, 1.0]"),
                      line=10, fragment="domain[x]")
 
+    def test_domain_bounds_in_exponent_form(self):
+        # YAML 1.1 reads 1e3 and 1.0e3 as strings; plain ones are numbers
+        pair = parse_pair(GOOD.replace("x: [0.0, 1.0]", "x: [-1.0e-1, 1e3]"))
+        assert pair.domain["x"] == (-0.1, 1000.0)
+        expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [0, '1e3']"), line=10,
+                     column=6, fragment="bound '1e3' is not a number")
+        expect_error(GOOD.replace("x: [0.0, 1.0]", f"x: [0, 1{'0' * 400}]"),
+                     line=10, column=6, fragment="domain[x] must be")
+
     def test_domain_missing_coordinate(self):
         expect_error(GOOD.replace("  y: [-1.0, 1.0]\n", ""),
                      fragment="domain missing coordinate 'y'")
