@@ -2,12 +2,13 @@
 classical (phase-space) counterparts.
 
 The quantum side works pointwise through jets: applying an operator to an
-order-m jet of a function yields the order-(m-2) jet of the result, so a
-nested application (a commutator) of two second-order operators needs a
-working order of exactly 4 and produces a plain number.  No symbolic
-coefficient expansion ever happens.  The checks take a point, or a block
-of points and t or s values per row or in ``[candidate, row]`` stacks, each
-row with the bits of its point checked alone.
+order-m jet of a function yields the order-(m-2) jet of the result and
+reads the metrics and coefficient fields to order m-1, so a nested
+application (a commutator) of two second-order operators needs a working
+order of exactly 4, reads frames at order 3 and produces a plain number.
+No symbolic coefficient expansion ever happens.  The checks take a point,
+or a block of points and t or s values per row or in ``[candidate, row]``
+stacks, each row with the bits of its point checked alone.
 
 The classical side treats the same coefficient families as quadratic
 integrals I_t(x, p) = A_t^{ij}(x) p_i p_j on phase space, with Poisson
@@ -160,29 +161,42 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
         )
     sp1, sp2 = jets._space(sp.nvars, m - 1), jets._space(sp.nvars, m - 2)
     df = jets.gradient_coeffs(sp, f)  # order m-1
-    V = _contract(sp1, "ij,j->i", A[..., : sp1.ncoeffs], df)
+    V = _contract(sp1, "ij,j->i", _leading(A, sp1, "coefficient field"), df)
     if form == "christoffel":
         # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
-        weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
+        weight = _leading(frame.gamma_trace.coeffs, sp2, "connection trace")
         terms = (_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
                  + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
         return _accumulate(terms)
     if form == "density":
         # (1/w) d_i (w V^i) with w = sqrt |det g|
         w = frame.sqrt_abs_det_g
-        wV = jets.product_coeffs(sp1, w.coeffs[..., None, : sp1.ncoeffs], V)
+        wV = jets.product_coeffs(
+            sp1, _leading(w.coeffs, sp1, "volume density")[..., None, :], V)
         acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
         return jets.product_coeffs(
             sp2, jets.reciprocal(jets.truncate(w, m - 2)).coeffs, acc)
     raise ValueError(f"unknown divergence form {form!r}")
 
 
+def _leading(coeffs: np.ndarray, sp, what: str) -> np.ndarray:
+    """The coefficients of ``coeffs`` up to the order of ``sp``, which an
+    application reads; jets of a lower order raise OrderExhaustedError."""
+    if coeffs.shape[-1] < sp.ncoeffs:
+        raise OrderExhaustedError(
+            f"applying a second-order operator reads the {what} to order "
+            f"{sp.order}, which its jets do not reach"
+        )
+    return coeffs[..., : sp.ncoeffs]
+
+
 def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
                   form: str = "christoffel") -> jets.Jet:
     """Core application to one jet; consumes two jet orders."""
     m = f_jet.order
-    A = op.coefficient_tensor(point, m).coeffs
-    out = _apply(op.pair.frame(point, m), A, f_jet.space, f_jet.coeffs, form)
+    order = max(m - 1, 0)  # what the field is read to; _apply rejects m < 2
+    A = op.coefficient_tensor(point, order).coeffs
+    out = _apply(op.pair.frame(point, order), A, f_jet.space, f_jet.coeffs, form)
     return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out)
 
 
@@ -208,12 +222,14 @@ def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
                    f: np.ndarray, points):
     """(op_t op_s f)(p) and (op_s op_t f)(p) at each row of the points, from
     order-4 jet coefficients ``f`` whose leading axes broadcast against the
-    rows: four applications in all."""
+    rows: four applications in all.  The first application reads the fields
+    to order 3 and the weights to order 2, so the frames are read at order
+    3."""
     if op_t.coordinates != op_s.coordinates:
         raise ValueError("operators live on different charts")
     sp, sp2 = (jets._space(op_t.dim, m) for m in (4, 2))
-    A_t, A_s = (op.coefficient_tensor(points, 4).coeffs for op in (op_t, op_s))
-    frame_t, frame_s = op_t.pair.frame(points, 4), op_s.pair.frame(points, 4)
+    A_t, A_s = (op.coefficient_tensor(points, 3).coeffs for op in (op_t, op_s))
+    frame_t, frame_s = op_t.pair.frame(points, 3), op_s.pair.frame(points, 3)
     ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
     st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]
     return ts, st
@@ -247,11 +263,11 @@ def killing_commutator_grid(pair: ProjectivePair, f, points) -> np.ndarray:
     d = pair.dim
     functions = f if isinstance(f, (list, tuple)) else [f]
     sp = jets._space(d, 4)
-    frame = pair.frame(points, 4)
+    frame = pair.frame(points, 3)  # an order-4 application reads order 3
     fs = np.array([_function_jet(pair.coordinates, g, frame.points, 4).coeffs
                    for g in functions])  # [f, p, coeff]
     # the fields of killing_coefficient_operator, symmetrized like an operator's
-    A = np.array([symmetrized(a).coeffs[..., : sp.ncoeffs] for a in frame.A_coeffs])
+    A = np.array([symmetrized(a).coeffs for a in frame.A_coeffs])
     inner = _apply(frame, A, sp, fs[:, None])  # [f, k, p], order 2
     nested = _apply(frame, A[:, None], jets._space(d, 2), inner[:, None])[..., 0]
     # [f, p, l, k]; each grid C-contiguous, as matmul in commutator_from_grid needs

@@ -110,7 +110,7 @@ def _expand_matrix(src: _Source, key: str, dim: int, coords, probes):
                 (key, i),
             )
         for j, entry in enumerate(row):
-            if not isinstance(entry, str):
+            if not isinstance(entry, str) or _plain_number(src, (key, i, j), entry):
                 src.fail(
                     f"{key}[{i}][{j}] must be an expression string",
                     (key, i, j),
@@ -138,15 +138,22 @@ def _expand_matrix(src: _Source, key: str, dim: int, coords, probes):
     return [[cell[0] for cell in row] for row in full]
 
 
+def _plain_number(src: _Source, path, value) -> bool:
+    """Whether ``value``, loaded from ``path``, is text in a plain scalar
+    that YAML 1.2 reads as a number."""
+    if type(value) is str and _NUMBER_RE.match(value):
+        node = _node_at(src.root, path)  # None through a merge key
+        return node is None or node.style is None
+    return False
+
+
 def _bound(src: _Source, c: str, k: int, value) -> float:
     """Bound ``k`` of ``domain[c]`` as a float: a number, or a plain scalar
     that YAML 1.2 reads as one; an integer too large for a float is
     infinite."""
-    if type(value) is str and _NUMBER_RE.match(value):
-        node = _node_at(src.root, ("domain", c, k))  # None through a merge key
-        if node is None or node.style is None:  # a plain scalar
-            return float(value)
-    elif type(value) in (int, float):  # not bool, a subclass of int
+    if _plain_number(src, ("domain", c, k), value):
+        return float(value)
+    if type(value) in (int, float):  # not bool, a subclass of int
         try:
             return float(value)
         except OverflowError:

@@ -12,6 +12,7 @@ from benenti.geometry import MetricField, matmul
 from benenti.operators import PhaseSpacePoint
 from benenti.projective import (
     PointFrame,
+    ProjectivePair,
     check_carter_condition,
     check_killing_tensor,
     t_grid,
@@ -138,6 +139,35 @@ class TestApply:
         a = ops.apply_operator(top, "x^2 * y", p, output_order=1)
         b = ops.apply_operator(lap, "x^2 * y", p, output_order=1)
         assert np.allclose(a.coeffs, b.coeffs, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["dini", "trivial3"])
+    @pytest.mark.parametrize("form", ["christoffel", "density"])
+    def test_application_reads_the_frame_one_order_below_the_jet(self, name, form):
+        # an order-m application builds its frame at m - 1; warmed at m, the
+        # pair serves the order-m frame the application read before, and
+        # the results agree bit for bit
+        shared = catalog.get_entry(name).pair
+        point = shared.sample_point(np.random.default_rng(8), shrink=0.1)
+        f = "exp(%s - %s) * %s^2" % (shared.coordinates[0], shared.coordinates[-1],
+                                     shared.coordinates[0])
+        operators = (
+            ops.laplacian,
+            lambda pair: ops.killing_operator(pair, 0.5),
+            lambda pair: ops.killing_coefficient_operator(pair, 0),
+            lambda pair: ops.QuantizedOperator.from_expressions(
+                pair.g, [[f"{c} * {r}" for c in pair.coordinates]
+                         for r in pair.coordinates]),
+        )
+        for make in operators:
+            for output_order in range(3):
+                m = output_order + 2
+                ops_at = [make(ProjectivePair(shared.g, shared.gbar, shared.domain))
+                          for _ in range(2)]
+                ops_at[1].pair.frame(point, m)
+                got, want = (ops.apply_operator(op, f, point, output_order, form)
+                             for op in ops_at)
+                assert ops_at[0].pair.frame(point, 0).order == m - 1
+                assert same_bits(got.coeffs, want.coeffs), (make, m)
 
     def test_bad_inputs_rejected(self):
         op = ops.laplacian(FLAT)

@@ -161,6 +161,18 @@ class TestDiagnostics:
             line=5, fragment="must be an expression string",
         )
 
+    @pytest.mark.parametrize("entry", ["1000.0", "1e3", "1.0e3", "-2E-1"])
+    def test_plain_numeric_entry_is_not_an_expression(self, entry):
+        # PyYAML's YAML 1.1 rules load 1e3, 1.0e3 and -2E-1 as text and
+        # 1000.0 as a number: each is rejected at its position, while a
+        # quoted '1e3' is an expression
+        expect_error(
+            GOOD.replace("  - ['0', '1']\ngbar", f"  - ['0', {entry}]\ngbar"),
+            line=5, column=11, fragment="g[1][1] must be an expression string",
+        )
+        pair = parse_pair(GOOD.replace("['0', '1']", "['0', '1e3']"))
+        assert pair.g.values((0.5, 0.0))[1, 1] == 1000.0
+
     def test_expression_syntax_error_position(self):
         # the reported column points at the '*' inside the quoted scalar
         e = expect_error(

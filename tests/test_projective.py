@@ -291,21 +291,25 @@ def frame_coefficients(frame):
     return out
 
 
-TRUNCATION_PAIRS = [*catalog.list_entries(), "levi_civita_3", "generic_3"]
+TRUNCATION_PAIRS = [*catalog.list_entries(), "levi_civita_3", "generic_3", "lc4"]
 
 
 @pytest.mark.parametrize("name", TRUNCATION_PAIRS)
 def test_lower_order_frames_are_prefixes_of_the_top_one(name):
     """Every quantity of a frame built at order k < 4 equals the leading
     coefficients of the order-4 frame's, bit for bit: the frame cache serves
-    every lower order from one top-order frame per point."""
+    every lower order from one top-order frame per point, and the commutator
+    checks read at order 3 what an order-4 frame holds.  ``lc4`` is checked
+    on a block of points."""
     if name == "levi_civita_3":
         pair = levi_civita_3()
     elif name == "generic_3":
         pair = generic_pair(3)
     else:
-        pair = catalog.get_entry(name).pair
-    if pair.domain is None:
+        pair = named_pair(name)
+    if name == "lc4":
+        point = sampled_block(pair)
+    elif pair.domain is None:
         point = (0.3, 0.5, 0.7)
     else:
         point = pair.sample_point(np.random.default_rng(5), shrink=0.1)

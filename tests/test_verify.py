@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benenti import catalog, operators as ops, pairfile, verify
-from benenti.errors import DegenerateMetricError
+from benenti.errors import DegenerateMetricError, OrderExhaustedError
 from benenti.geometry import MetricField
 from benenti.projective import (
     PointFrame,
@@ -311,8 +311,10 @@ class TestReports:
         rep = quick_report("control_nonequiv", tol=1e6)
         assert rep.passed  # absurd tolerance turns everything green
 
-    def test_frames_are_built_at_order_four_only(self, monkeypatch):
-        assert_one_frame_per_block(monkeypatch, 3, NON_DRIFT, 4)
+    def test_frames_are_built_at_order_three_only(self, monkeypatch):
+        # the commutator checks apply operators to order-4 jets, which
+        # reads the metrics to order 3
+        assert_one_frame_per_block(monkeypatch, 3, NON_DRIFT, 3)
 
     def test_frames_are_built_once_past_128_points(self, monkeypatch):
         # more points than a pair ever kept frames for: one order-1 block
@@ -465,6 +467,28 @@ def test_frame_order_of_each_check_is_the_highest_it_requests(monkeypatch, check
     verify._block_records(pair, check, points, [(0.5, 2.0), (1.5,)],
                           np.array([[0.8, -0.3], [-1.5, 0.4]]))
     assert max(requested) == verify._CHECKS[check][1]
+
+
+@pytest.mark.parametrize("name", ["dini", "control_nonequiv_curved"])
+@pytest.mark.parametrize("check", NON_DRIFT)
+def test_each_check_needs_its_frame_order_and_no_more(monkeypatch, name, check):
+    # a frame pinned at the table's order serves the check whatever order it
+    # asks for; one order lower, the check runs out of jet coefficients
+    shared = catalog.get_entry(name).pair
+    points = verify._sample_points(
+        shared, verify.VerifyConfig(points=2), np.random.default_rng(3))
+    grids, momenta = [(0.5, 2.0), (1.5,)], np.full((2, shared.dim), 0.7)
+    order = verify._CHECKS[check][1]
+    for pinned, fails in ((order, False), (order - 1, True)):
+        pair = ProjectivePair(shared.g, shared.gbar, shared.domain)
+        frame = PointFrame(pair, points, pinned)
+        monkeypatch.setattr(pair, "frame", lambda points, order: frame)
+        if fails:
+            with pytest.raises((OrderExhaustedError, ValueError)):
+                verify._block_records(pair, check, points, grids, momenta)
+        else:
+            assert len(verify._block_records(pair, check, points, grids,
+                                             momenta)) == 2
 
 
 def half_degenerate():
