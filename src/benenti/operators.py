@@ -160,34 +160,27 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
             f"applying a second-order operator needs jet order >= 2, got {m}"
         )
     sp1, sp2 = jets._space(sp.nvars, m - 1), jets._space(sp.nvars, m - 2)
+    if A.shape[-1] < sp1.ncoeffs:  # A and the weights share one frame
+        raise OrderExhaustedError(
+            f"applying a second-order operator reads the coefficient field "
+            f"to order {m - 1}, which its jets do not reach"
+        )
     df = jets.gradient_coeffs(sp, f)  # order m-1
-    V = _contract(sp1, "ij,j->i", _leading(A, sp1, "coefficient field"), df)
+    V = _contract(sp1, "ij,j->i", A[..., : sp1.ncoeffs], df)
     if form == "christoffel":
         # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
-        weight = _leading(frame.gamma_trace.coeffs, sp2, "connection trace")
+        weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
         terms = (_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
                  + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
         return _accumulate(terms)
     if form == "density":
         # (1/w) d_i (w V^i) with w = sqrt |det g|
         w = frame.sqrt_abs_det_g
-        wV = jets.product_coeffs(
-            sp1, _leading(w.coeffs, sp1, "volume density")[..., None, :], V)
+        wV = jets.product_coeffs(sp1, w.coeffs[..., None, : sp1.ncoeffs], V)
         acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
         return jets.product_coeffs(
             sp2, jets.reciprocal(jets.truncate(w, m - 2)).coeffs, acc)
     raise ValueError(f"unknown divergence form {form!r}")
-
-
-def _leading(coeffs: np.ndarray, sp, what: str) -> np.ndarray:
-    """The coefficients of ``coeffs`` up to the order of ``sp``, which an
-    application reads; jets of a lower order raise OrderExhaustedError."""
-    if coeffs.shape[-1] < sp.ncoeffs:
-        raise OrderExhaustedError(
-            f"applying a second-order operator reads the {what} to order "
-            f"{sp.order}, which its jets do not reach"
-        )
-    return coeffs[..., : sp.ncoeffs]
 
 
 def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,

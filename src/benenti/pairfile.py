@@ -46,13 +46,15 @@ def _node_at(root, path, at_key: bool = False):
     """Descend a composed YAML node tree by mapping keys / sequence indices.
 
     With at_key, the final string step resolves to the key node itself.
+    Construction flattens merge keys into each mapping, merged pairs first;
+    a repeated key resolves to its last pair, the one the loaded data keeps.
     """
     node = root
     for pos, step in enumerate(path):
         if node is None:
             return None
         if isinstance(step, str) and isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
+            for key_node, value_node in reversed(node.value):
                 if key_node.value == step:
                     node = key_node if at_key and pos == len(path) - 1 else value_node
                     break
@@ -142,8 +144,8 @@ def _plain_number(src: _Source, path, value) -> bool:
     """Whether ``value``, loaded from ``path``, is text in a plain scalar
     that YAML 1.2 reads as a number."""
     if type(value) is str and _NUMBER_RE.match(value):
-        node = _node_at(src.root, path)  # None through a merge key
-        return node is None or node.style is None
+        node = _node_at(src.root, path)
+        return node is not None and node.style is None
     return False
 
 

@@ -173,6 +173,21 @@ class TestDiagnostics:
         pair = parse_pair(GOOD.replace("['0', '1']", "['0', '1e3']"))
         assert pair.g.values((0.5, 0.0))[1, 1] == 1000.0
 
+    def test_entries_and_bounds_are_typed_by_the_node_they_load_from(self):
+        # a key given beside a merge key overrides the merged one, and its own
+        # scalar decides whether 1e3 is text or a number
+        merged = ("<<: {g: [['1'], ['0', 1e3]],"
+                  " domain: {x: [0, '1e3'], y: [-1, 1]}}\n")
+        pair = parse_pair(merged + GOOD.replace("['0', '1']", "['0', '1e3']")
+                          .replace("[0.0, 1.0]", "[0.0, 1e3]"))
+        assert pair.g.values((0.5, 0.0))[1, 1] == 1000.0
+        assert pair.domain["x"] == (0.0, 1000.0)
+        # merged alone, the plain entry is rejected and the quoted one read
+        only = "\n".join(line for line in GOOD.splitlines()[:2] + GOOD.splitlines()[5:])
+        expect_error(merged + only, fragment="g[1][1] must be an expression string")
+        pair = parse_pair(merged.replace("1e3]]", "'1e3']]") + only)
+        assert pair.g.values((0.5, 0.0))[1, 1] == 1000.0
+
     def test_expression_syntax_error_position(self):
         # the reported column points at the '*' inside the quoted scalar
         e = expect_error(
