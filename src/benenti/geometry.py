@@ -381,11 +381,14 @@ def _adjugate(t: JetTensor) -> JetTensor:
     return t._like(np.swapaxes(cof, -3, -2) * sign[..., None])
 
 
-def inverse_metric(g: JetTensor) -> JetTensor:
-    """Inverse of a (0,2) metric jet as a (2,0) tensor, adjugate over det."""
+def inverse_metric(g: JetTensor, det: jets.Jet | None = None) -> JetTensor:
+    """Inverse of a (0,2) metric jet as a (2,0) tensor, adjugate over det;
+    ``det``, when given, is ``determinant(g)``."""
     if g.rank != (0, 2):
         raise ValueError(f"inverse_metric needs a (0,2) tensor, got {g.rank}")
-    inv_det = jets.reciprocal(determinant(g)).coeffs
+    if det is None:
+        det = determinant(g)
+    inv_det = jets.reciprocal(det).coeffs
     out = jets.product_coeffs(g.space, _adjugate(g).coeffs, inv_det[..., None, None, :])
     return JetTensor._dense(g.space, out, 2, 0)
 

@@ -75,7 +75,7 @@ class _Space:
 
     __slots__ = (
         "nvars", "order", "indices", "position", "ncoeffs",
-        "_mul", "_diff", "_bins", "block_rows", "factorials",
+        "_mul", "_diff", "_shifts", "_bins", "block_rows", "factorials",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -97,6 +97,7 @@ class _Space:
                 kk.append(self.position[s])
         self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
         self._diff = None
+        self._shifts = {}
         self._bins = np.empty(0, dtype=np.intp)
         self.block_rows = max(1, BLOCK_TERMS // len(ii))  # jets per product block
         self.factorials = np.array(
@@ -117,6 +118,21 @@ class _Space:
                     fac[v, t] = beta[v] + 1
             self._diff = (src, fac)
         return self._diff
+
+    def shift_table(self, beta: MultiIndex) -> np.ndarray:
+        """Source positions, one per coefficient, that multiply a jet by the
+        monomial u^beta: coefficient kappa reads kappa - beta, or position
+        ncoeffs (a zero the caller appends) where kappa - beta has a
+        negative entry.  Built on first use for each beta."""
+        src = self._shifts.get(beta)
+        if src is None:
+            src = np.full(self.ncoeffs, self.ncoeffs, dtype=np.intp)
+            for k, kappa in enumerate(self.indices):
+                rest = tuple(x - y for x, y in zip(kappa, beta))
+                if min(rest) >= 0:
+                    src[k] = self.position[rest]
+            self._shifts[beta] = src
+        return src
 
     def batch_bins(self, rows: int) -> np.ndarray:
         """Output slots of the convolution table for ``rows`` stacked jets,
@@ -162,6 +178,22 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(
         sp.batch_bins(rows), terms.ravel(), minlength=rows * sp.ncoeffs,
     ).reshape(terms.shape[:-1] + (sp.ncoeffs,))
+
+
+def monomial_product_coeffs(sp: _Space, a: np.ndarray, betas, scales) -> np.ndarray:
+    """Products of an array of jets with the monomials ``scales[p] *
+    u^betas[p]``, stacked on a new leading axis p, by coefficient shifts.
+
+    Where every coefficient of ``a`` is finite, each has the bits of
+    ``product_coeffs`` with the monomial's jet: of the terms that sum to
+    coefficient kappa from zero, all but a[kappa - beta] * scale are +-0.0,
+    so the sum is that term plus 0.0 (which turns -0.0 into +0.0).  An
+    infinite or NaN coefficient makes NaN terms of the dense product
+    (inf * 0) that a shift does not."""
+    src = np.array([sp.shift_table(tuple(beta)) for beta in betas])  # [p, coeff]
+    padded = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+    out = padded[..., src] * np.asarray(scales, dtype=float)[:, None] + 0.0
+    return np.moveaxis(out, -2, 0)
 
 
 def gradient_coeffs(sp: _Space, c: np.ndarray) -> np.ndarray:

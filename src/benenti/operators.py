@@ -159,7 +159,7 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
         raise OrderExhaustedError(
             f"applying a second-order operator needs jet order >= 2, got {m}"
         )
-    sp1, sp2 = jets._space(sp.nvars, m - 1), jets._space(sp.nvars, m - 2)
+    sp1 = jets._space(sp.nvars, m - 1)
     if A.shape[-1] < sp1.ncoeffs:  # A and the weights share one frame
         raise OrderExhaustedError(
             f"applying a second-order operator reads the coefficient field "
@@ -167,6 +167,38 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
         )
     df = jets.gradient_coeffs(sp, f)  # order m-1
     V = _contract(sp1, "ij,j->i", A[..., : sp1.ncoeffs], df)
+    return _divergence(frame, sp1, V, form)
+
+
+def _apply_to_monomials(frame: PointFrame, A: np.ndarray, sp, monomials) -> np.ndarray:
+    """_apply to the unit jets u^alpha of ``sp``, one per multi-index of
+    ``monomials``, stacked on a new leading axis; ``A`` as for _apply.
+
+    Since d_j u^alpha = alpha_j u^(alpha - e_j), each product A^{ij} d_j
+    u^alpha is a coefficient shift of A^{ij}, gathered for one j at a time
+    and summed over j from the first term, as _contract sums them.  The
+    result has the bits of _apply on the unit jets wherever A is finite
+    (see jets.monomial_product_coeffs).
+    """
+    sp1 = jets._space(sp.nvars, sp.order - 1)
+    a = A[..., : sp1.ncoeffs]
+    zero = (0,) * sp.nvars
+    V = None
+    for j in range(sp.nvars):
+        # alpha_j = 0: the zero jet, a shift by nothing scaled by 0
+        betas = [alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:] if alpha[j] else zero
+                 for alpha in monomials]
+        term = jets.monomial_product_coeffs(
+            sp1, a[..., j, :], betas, [alpha[j] for alpha in monomials])
+        V = term if V is None else V + term
+    return _divergence(frame, sp1, V, "christoffel")
+
+
+def _divergence(frame: PointFrame, sp1, V: np.ndarray, form: str) -> np.ndarray:
+    """nabla_i V^i for jets ``V`` of space ``sp1`` (order m-1), of shape
+    (..., n, coeffs), one jet order lower."""
+    m = sp1.order + 1
+    sp2 = jets._space(sp1.nvars, m - 2)
     if form == "christoffel":
         # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
         weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
@@ -212,19 +244,36 @@ def laplace_apply(metric, f: FunctionLike, point, output_order: int = 0) -> jets
 
 
 def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
-                   f: np.ndarray, points):
+                   f, points):
     """(op_t op_s f)(p) and (op_s op_t f)(p) at each row of the points, from
     order-4 jet coefficients ``f`` whose leading axes broadcast against the
     rows: four applications in all.  The first application reads the fields
     to order 3 and the weights to order 2, so the frames are read at order
-    3."""
+    3.
+
+    ``f`` may instead be a list of multi-indices alpha, for the unit
+    monomials u^alpha centred at every point, stacked on a leading axis.
+    The first application to them is then a coefficient shift
+    (_apply_to_monomials), unless a field has a coefficient that is not
+    finite; the result has the bits of passing their jets."""
     if op_t.coordinates != op_s.coordinates:
         raise ValueError("operators live on different charts")
     sp, sp2 = (jets._space(op_t.dim, m) for m in (4, 2))
     A_t, A_s = (op.coefficient_tensor(points, 3).coeffs for op in (op_t, op_s))
     frame_t, frame_s = op_t.pair.frame(points, 3), op_s.pair.frame(points, 3)
-    ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
-    st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]
+    monomials = f if isinstance(f, list) else None
+    if monomials is not None:  # the unit jets, for the fields that need them
+        rows = np.ndim(points) - 1
+        f = np.eye(sp.ncoeffs)[[sp.position[alpha] for alpha in monomials]]
+        f = f.reshape((len(monomials),) + (1,) * rows + (-1,))
+
+    def first(frame, A):
+        if monomials is not None and np.isfinite(A).all():
+            return _apply_to_monomials(frame, A, sp, monomials)
+        return _apply(frame, A, sp, f)
+
+    ts = _apply(frame_t, A_t, sp2, first(frame_s, A_s))[..., 0]
+    st = _apply(frame_s, A_s, sp2, first(frame_t, A_t))[..., 0]
     return ts, st
 
 
@@ -319,19 +368,18 @@ def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
 
     Both operators annihilate constants, so the commutator has no
     zeroth-order part; V comes from the linear probes and Q from the
-    quadratic ones (halved: d^2 of u_a u_b hits both index orders).
+    quadratic ones (halved: d^2 of u_a u_b hits both index orders).  The
+    probes go to _nested_values as multi-indices, so the first application
+    to them is a coefficient shift and no probe jet is multiplied out.
     """
     d = op_t.dim
     points = np.array(points, dtype=float)
-    u = jets.seed_coordinates(np.zeros(d), 4)  # centered: the seeds at 0
-    quadratic = list(combinations_with_replacement(range(d), 2))
-    probes = (u + [u[a] * u[b] for a, b in quadratic]
-              + [u[a] * u[b] * u[c]
-                 for a, b, c in combinations_with_replacement(range(d), 3)])
     rows = points.shape[:-1]
-    stacked = np.array([p.coeffs for p in probes]).reshape(  # [probe, *rows]
-        (len(probes),) + (1,) * len(rows) + (-1,))
-    ts, st = _nested_values(op_t, op_s, stacked, points)
+    quadratic = list(combinations_with_replacement(range(d), 2))
+    # the multi-indices of the centred linear, quadratic and cubic monomials
+    probes = [tuple(index.count(v) for v in range(d)) for k in (1, 2, 3)
+              for index in combinations_with_replacement(range(d), k)]
+    ts, st = _nested_values(op_t, op_s, probes, points)
     values = ts - st
     Q = np.empty(rows + (d, d))
     for (a, b), value in zip(quadratic, values[d:]):

@@ -248,7 +248,10 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
         ok = isinstance(iv, list) and len(iv) == 2
         if ok:
             lo, hi = (_bound(src, c, k, v) for k, v in enumerate(iv))
-            ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            for bound in (lo, hi):
+                if not math.isfinite(bound):
+                    src.fail(f"domain[{c}] bound {bound} is not finite", ("domain", c))
+            ok = lo < hi
         if not ok:
             src.fail(
                 f"domain[{c}] must be [lo, hi] with lo < hi", ("domain", c)

@@ -222,8 +222,18 @@ class PointFrame:
     Every quantity is an array of shape ``(*tensor, ncoeffs)`` at a point
     and ``(P, *tensor, ncoeffs)`` on a block, whose rows have the bits of
     that point's frame built alone: the same code serves both.  Derivatives
-    consume orders: with the metrics at order m, the Christoffel symbols
-    live at m-1 and the Ricci tensor at m-2.
+    consume orders; with the metrics at order m, each quantity is built at
+    the order its readers need:
+
+      * g, gbar, det_g, det_gbar, g_inv, gbar_inv, sqrt_abs_det_g, L,
+        A_coeffs and benenti's L, lam, S_coeffs, char_coeffs: m
+      * gamma, gamma_trace and benenti's lam_form: m-1
+      * ricci_tensor, ricci_endo: m-2
+      * benenti's K_coeffs: 1 (check_killing reads nabla K at order 0)
+      * gamma_bar and benenti's phi_form: 0 (read as values only)
+
+    det g and det gbar are expanded once each, by Leibniz, and shared by
+    the inverses, L and sqrt_abs_det_g.
     """
 
     def __init__(self, pair: ProjectivePair, points, order: int):
@@ -245,12 +255,20 @@ class PointFrame:
         return self.metrics[1].evaluate(self.points, self.order)
 
     @cached_property
+    def det_g(self) -> jets.Jet:
+        return determinant(self.g)
+
+    @cached_property
+    def det_gbar(self) -> jets.Jet:
+        return determinant(self.gbar)
+
+    @cached_property
     def g_inv(self) -> JetTensor:
-        return inverse_metric(self.g)
+        return inverse_metric(self.g, self.det_g)
 
     @cached_property
     def gbar_inv(self) -> JetTensor:
-        return inverse_metric(self.gbar)
+        return inverse_metric(self.gbar, self.det_gbar)
 
     @cached_property
     def gamma(self) -> JetTensor:
@@ -258,7 +276,8 @@ class PointFrame:
 
     @cached_property
     def gamma_bar(self) -> JetTensor:
-        return christoffel(self.gbar, self.gbar_inv)
+        """Order 0: its readers take values only."""
+        return christoffel(self.gbar.truncated(min(self.order, 1)), self.gbar_inv)
 
     @cached_property
     def gamma_trace(self) -> JetTensor:
@@ -267,11 +286,11 @@ class PointFrame:
 
     @cached_property
     def sqrt_abs_det_g(self) -> jets.Jet:
-        return jets.sqrt(jets.absolute(determinant(self.g)))
+        return jets.sqrt(jets.absolute(self.det_g))
 
     @cached_property
     def L(self) -> JetTensor:
-        ratio = determinant(self.gbar) * jets.reciprocal(determinant(self.g))
+        ratio = self.det_gbar * jets.reciprocal(self.det_g)
         factor = jets.power(jets.absolute(ratio), 1.0 / (self.dim + 1))
         mixed = matmul(self.gbar_inv, self.g)
         return mixed._like(jets.product_coeffs(
@@ -282,19 +301,21 @@ class PointFrame:
         L = self.L
         lam = contract(L, 0, 0)[()] * 0.5
         lam_form = gradient_tensor(lam)
-        inv_det = jets.reciprocal(determinant(L)).coeffs
-        # (L^{-1})^s_i, truncated to the order of lam_form
-        L_inv = jets.product_coeffs(L.space, _adjugate(L).coeffs, inv_det[..., None, None, :])
-        sub = lam_form.space
-        phi = -_contract(sub, "si,s->i", L_inv[..., : sub.ncoeffs], lam_form.coeffs)
+        # phi_i = -(L^{-1})^s_i lam_s, at order 0: its readers take values
+        L0, lam0 = L.truncated(0), lam_form.truncated(0)
+        inv_det = jets.reciprocal(determinant(L0)).coeffs
+        L_inv = jets.product_coeffs(L0.space, _adjugate(L0).coeffs, inv_det[..., None, None, :])
+        phi = -_contract(L0.space, "si,s->i", L_inv, lam0.coeffs)
         S_coeffs, char_coeffs = adjugate_family(L)
+        # K_l at order 1: check_killing reads nabla K at order 0
+        g1 = self.g.truncated(1)
         return BenentiData(
             L=L,
             lam=lam,
             lam_form=lam_form,
-            phi_form=lam_form._like(phi),
+            phi_form=lam0._like(phi),
             S_coeffs=S_coeffs,
-            K_coeffs=tuple(matmul(self.g, S) for S in S_coeffs),
+            K_coeffs=tuple(matmul(g1, S.truncated(1)) for S in S_coeffs),
             char_coeffs=char_coeffs,
         )
 

@@ -417,6 +417,63 @@ class TestDecompose:
             assert dec.v_norm < 1e-7
             assert dec.cubic_residual < 1e-7
 
+    @staticmethod
+    def dense_path(monkeypatch):
+        """Make commutator_decompose pass its probes to _nested_values as
+        jets, built as products of the centred seeds: the dense path."""
+        original = ops._nested_values
+
+        def dense(op_t, op_s, probes, points):
+            u = jets.seed_coordinates(np.zeros(op_t.dim), 4)
+            stacked = []
+            for alpha in probes:
+                factors = [u[v] for v, e in enumerate(alpha) for _ in range(e)]
+                probe = factors[0]
+                for factor in factors[1:]:
+                    probe = probe * factor
+                stacked.append(probe.coeffs)
+            rows = (1,) * (np.ndim(points) - 1)
+            return original(op_t, op_s,
+                            np.reshape(stacked, (len(probes),) + rows + (-1,)), points)
+
+        monkeypatch.setattr(ops, "_nested_values", dense)
+
+    @staticmethod
+    def decomposed(op_t, op_s, points):
+        dec = ops.commutator_decompose(op_t, op_s, points)
+        return dec.Q, dec.V, dec.cubic_residual
+
+    @pytest.mark.parametrize("name", ["dini", "lc4"])
+    def test_monomial_shifts_match_the_dense_path(self, name, monkeypatch):
+        pair = stacked_pair(name)
+        points = TestStackedApplication.sampled(pair)
+        args = (ops.killing_operator(pair, -1.0), ops.killing_operator(pair, 2.0), points)
+        shifted = self.decomposed(*args)
+        self.dense_path(monkeypatch)
+        for got, want in zip(shifted, self.decomposed(*args)):
+            assert same_bits(got, want)
+
+    def test_a_field_that_is_not_finite_takes_the_dense_path(self, monkeypatch):
+        # inf * 0 is NaN in the dense products and absent from a shift, so a
+        # block whose field has an infinite coefficient must not be shifted
+        pair = stacked_pair("dini")
+        points = TestStackedApplication.sampled(pair)
+
+        def coefficients(frame):
+            A = frame.A_coeffs[0]
+            c = A.coeffs.copy()
+            c[1, 0, 1, 7] = np.inf  # a degree-3 coefficient of row 1
+            return A._like(c)
+
+        args = (ops.QuantizedOperator(pair, coefficients), ops.laplacian(pair), points)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = self.decomposed(*args)
+            self.dense_path(monkeypatch)
+            want = self.decomposed(*args)
+        assert np.isnan(got[0][1]).any()
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
     def test_control_decomposition_frozen_and_fd(self):
         # [Delta, K_hat] for K = diag(x^2, 0) is 4x d^3/dx^3 + 6 d^2/dx^2:
         # Q = diag(6, 0)/2 per probe convention -> Q^xx = 6, V = 0, and the

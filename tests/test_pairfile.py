@@ -211,11 +211,20 @@ class TestDiagnostics:
 
     def test_domain_interval_checks(self):
         expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [1.0, 0.0]"),
-                     line=10, fragment="domain[x]")
+                     line=10, fragment="domain[x] must be [lo, hi] with lo < hi")
+        expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [1.0, 1.0]"),
+                     line=10, fragment="domain[x] must be [lo, hi] with lo < hi")
         expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [0.0]"),
                      line=10, fragment="domain[x]")
-        expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [.nan, 1.0]"),
-                     line=10, fragment="domain[x]")
+
+    @pytest.mark.parametrize("bounds,bound", [
+        ("[.nan, 1.0]", "nan"), ("[0, .inf]", "inf"), ("[-.inf, 0]", "-inf"),
+    ])
+    def test_domain_bound_that_is_not_finite(self, bounds, bound):
+        # named as such, not as an interval out of order
+        e = expect_error(GOOD.replace("x: [0.0, 1.0]", f"x: {bounds}"), line=10,
+                         column=6, fragment=f"domain[x] bound {bound} is not finite")
+        assert "lo < hi" not in str(e)
 
     def test_domain_bounds_in_exponent_form(self):
         # YAML 1.1 reads 1e3 and 1.0e3 as strings; plain ones are numbers
@@ -223,8 +232,11 @@ class TestDiagnostics:
         assert pair.domain["x"] == (-0.1, 1000.0)
         expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [0, '1e3']"), line=10,
                      column=6, fragment="bound '1e3' is not a number")
+        # an integer too large for a float is an infinite bound
         expect_error(GOOD.replace("x: [0.0, 1.0]", f"x: [0, 1{'0' * 400}]"),
-                     line=10, column=6, fragment="domain[x] must be")
+                     line=10, column=6, fragment="domain[x] bound inf is not finite")
+        expect_error(GOOD.replace("x: [0.0, 1.0]", "x: [1e3, -1.0e-1]"), line=10,
+                     column=6, fragment="domain[x] must be [lo, hi] with lo < hi")
 
     def test_domain_missing_coordinate(self):
         expect_error(GOOD.replace("  y: [-1.0, 1.0]\n", ""),

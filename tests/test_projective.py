@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 import jet_reference as ref
-from benenti import catalog, jets, pairfile, verify
-from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
+from benenti import catalog, geometry, jets, pairfile, projective, verify
+from benenti.geometry import (
+    JetTensor,
+    MetricField,
+    _adjugate,
+    _contract,
+    christoffel,
+    determinant,
+    matmul,
+)
 from benenti.projective import (
     PointFrame,
     ProjectivePair,
@@ -236,16 +244,22 @@ def generic_pair(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_benenti_matches_scalar_jet_loops(n):
     """PointFrame.benenti at order 4 against per-component loops on scalar
-    jets, bit for bit, so a change in the order of a sum shows here."""
+    jets, bit for bit, so a change in the order of a sum shows here.  The
+    frame builds phi_form at order 0 and K_coeffs at order 1, so those are
+    compared with the reference truncated to those orders."""
     frame = generic_pair(n).frame((0.3, 0.5, 0.7, 0.9)[:n], 4)
     bd = frame.benenti
     lam, lam_form, phi, S, K, char = ref.benenti(frame)
+
+    def truncated(reference, order):
+        return {idx: jets.truncate(jet, order) for idx, jet in reference.items()}
+
     ref.assert_same_bits({(): bd.lam}, {(): lam})
     ref.assert_same_bits(bd.lam_form, lam_form)
-    ref.assert_same_bits(bd.phi_form, phi)
+    ref.assert_same_bits(bd.phi_form, truncated(phi, 0))
     for l in range(n):
         ref.assert_same_bits(bd.S_coeffs[l], S[l])
-        ref.assert_same_bits(bd.K_coeffs[l], K[l])
+        ref.assert_same_bits(bd.K_coeffs[l], truncated(K[l], 1))
     ref.assert_same_bits(dict(enumerate(bd.char_coeffs)), dict(enumerate(char)))
 
 
@@ -322,6 +336,57 @@ def test_lower_order_frames_are_prefixes_of_the_top_one(name):
             assert prefix.shape == coeffs.shape, (order, label)
             assert np.array_equal(prefix.view(np.int64), coeffs.view(np.int64)), (
                 order, label)
+
+
+@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc4"])
+def test_value_read_quantities_are_prefixes_of_the_order_3_ones(name):
+    """An order-3 frame builds gamma_bar and phi_form at order 0 and the
+    K_l at order 1, the orders their checks read; each equals the leading
+    coefficients of the same quantity built at full order, bit for bit.
+    ``lc4`` is checked on a block of three points."""
+    pair = named_pair(name)
+    if name == "lc4":
+        point = sampled_block(pair)
+    else:
+        point = pair.sample_point(np.random.default_rng(5), shrink=0.1)
+    frame = PointFrame(pair, point, 3)
+    bd = frame.benenti
+    assert (frame.gamma_bar.order, bd.phi_form.order) == (0, 0)
+    assert {K.order for K in bd.K_coeffs} == {1}
+    L = bd.L
+    L_inv = jets.product_coeffs(L.space, _adjugate(L).coeffs, jets.reciprocal(
+        determinant(L)).coeffs[..., None, None, :])
+    sub = bd.lam_form.space
+    full = {
+        "gamma_bar": christoffel(frame.gbar, frame.gbar_inv).coeffs,
+        "phi_form": -_contract(sub, "si,s->i", L_inv[..., : sub.ncoeffs],
+                               bd.lam_form.coeffs),
+    }
+    capped = {"gamma_bar": frame.gamma_bar.coeffs, "phi_form": bd.phi_form.coeffs}
+    for l, S in enumerate(bd.S_coeffs):
+        full[f"K[{l}]"] = matmul(frame.g, S).coeffs
+        capped[f"K[{l}]"] = bd.K_coeffs[l].coeffs
+    for label, coeffs in capped.items():
+        prefix = full[label][..., : coeffs.shape[-1]]
+        assert np.array_equal(prefix.view(np.int64), coeffs.view(np.int64)), label
+
+
+def test_a_frame_expands_each_determinant_once(monkeypatch):
+    """One Leibniz determinant per metric, shared by its inverse, L and
+    sqrt|det g|, and one of L's own value for phi."""
+    calls = []
+    original = geometry.determinant
+
+    def counting(t):
+        calls.append(t.order)
+        return original(t)
+
+    monkeypatch.setattr(geometry, "determinant", counting)
+    monkeypatch.setattr(projective, "determinant", counting)
+    pair = named_pair("lc4")
+    frame = PointFrame(pair, sampled_block(pair), 3)
+    assert frame_coefficients(frame)  # every quantity of the frame
+    assert sorted(calls) == [0, 3, 3]
 
 
 class TestAdjugateFamily:

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benenti import catalog, operators as ops, pairfile, verify
+from benenti import catalog, jets, operators as ops, pairfile, verify
 from benenti.errors import DegenerateMetricError, OrderExhaustedError
 from benenti.geometry import MetricField
 from benenti.projective import (
@@ -392,6 +392,38 @@ def test_records_do_not_depend_on_how_points_are_batched(name):
         b = [r.to_mapping() for r in many.records if r.check == check]
         assert len(a) == 3 and len(b) == count
         assert yaml.safe_dump(a) == yaml.safe_dump(b[:3]), check
+
+
+# Multiply-adds of jet products in one verify_pair of lc4.yaml over the nine
+# non-drift checks at 4 points, seed 42: 2,781,370 while frames built
+# gamma_bar, phi and K_l at full order, expanded det g and det gbar twice
+# and multiplied decompose's monomial probes by full products.
+PRODUCT_MADDS_LC4 = 1_550_224
+
+
+def test_jet_product_work_stays_within_its_count(monkeypatch):
+    """A guard on the work done: every jet product, wherever it is called
+    from, costs its rows times the terms of its convolution table.  The
+    count is deterministic, so a change that computes coefficients no check
+    reads shows here.  (The benchmark's jets.mul.madds counts only
+    Jet.__mul__.)"""
+    original = jets.product_coeffs
+    state = {"madds": 0, "depth": 0}
+
+    def counting(sp, a, b):
+        if state["depth"] == 0:  # blocks of a large product count once
+            rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+            state["madds"] += rows * len(sp._mul[0])
+        state["depth"] += 1
+        try:
+            return original(sp, a, b)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(jets, "product_coeffs", counting)
+    config = verify.VerifyConfig(points=4, seed=42, checks=NON_DRIFT)
+    assert verify.verify_pair(load("lc4"), config).passed
+    assert 0 < state["madds"] <= PRODUCT_MADDS_LC4
 
 
 def per_row_records(pair, check, points, grids, momenta):
