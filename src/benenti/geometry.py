@@ -381,16 +381,20 @@ def _adjugate(t: JetTensor) -> JetTensor:
     return t._like(np.swapaxes(cof, -3, -2) * sign[..., None])
 
 
+def _inverse(t: JetTensor, det: jets.Jet | None = None) -> JetTensor:
+    """Inverse of a rank-2 tensor jet, adjugate over det, with its index
+    positions swapped; ``det``, when given, is ``determinant(t)``."""
+    inv_det = jets.reciprocal(determinant(t) if det is None else det).coeffs
+    out = jets.product_coeffs(t.space, _adjugate(t).coeffs, inv_det[..., None, None, :])
+    return JetTensor._dense(t.space, out, t.n_lower, t.n_upper)
+
+
 def inverse_metric(g: JetTensor, det: jets.Jet | None = None) -> JetTensor:
     """Inverse of a (0,2) metric jet as a (2,0) tensor, adjugate over det;
     ``det``, when given, is ``determinant(g)``."""
     if g.rank != (0, 2):
         raise ValueError(f"inverse_metric needs a (0,2) tensor, got {g.rank}")
-    if det is None:
-        det = determinant(g)
-    inv_det = jets.reciprocal(det).coeffs
-    out = jets.product_coeffs(g.space, _adjugate(g).coeffs, inv_det[..., None, None, :])
-    return JetTensor._dense(g.space, out, 2, 0)
+    return _inverse(g, det)
 
 
 def christoffel(g: JetTensor, g_inv: JetTensor | None = None) -> JetTensor:

@@ -146,8 +146,7 @@ def _function_jet(coordinates, f: FunctionLike, point, order: int):
     return expr.evaluate(f, dict(zip(coordinates, seeds)))
 
 
-def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
-           form: str = "christoffel") -> np.ndarray:
+def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray) -> np.ndarray:
     """nabla_i (A^{ij} d_j f) on arrays of jets; consumes two jet orders.
 
     ``f`` holds jets of space ``sp`` (order m), ``A`` symmetrized (2,0)
@@ -167,7 +166,7 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray,
         )
     df = jets.gradient_coeffs(sp, f)  # order m-1
     V = _contract(sp1, "ij,j->i", A[..., : sp1.ncoeffs], df)
-    return _divergence(frame, sp1, V, form)
+    return _divergence(frame, sp1, V)
 
 
 def _apply_to_monomials(frame: PointFrame, A: np.ndarray, sp, monomials) -> np.ndarray:
@@ -191,42 +190,20 @@ def _apply_to_monomials(frame: PointFrame, A: np.ndarray, sp, monomials) -> np.n
         term = jets.monomial_product_coeffs(
             sp1, a[..., j, :], betas, [alpha[j] for alpha in monomials])
         V = term if V is None else V + term
-    return _divergence(frame, sp1, V, "christoffel")
+    return _divergence(frame, sp1, V)
 
 
-def _divergence(frame: PointFrame, sp1, V: np.ndarray, form: str) -> np.ndarray:
-    """nabla_i V^i for jets ``V`` of space ``sp1`` (order m-1), of shape
-    (..., n, coeffs), one jet order lower."""
-    m = sp1.order + 1
-    sp2 = jets._space(sp1.nvars, m - 2)
-    if form == "christoffel":
-        # nabla_i V^i = d_i V^i + gamma^s_{si} V^i
-        weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
-        terms = (_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
-                 + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
-        return _accumulate(terms)
-    if form == "density":
-        # (1/w) d_i (w V^i) with w = sqrt |det g|
-        w = frame.sqrt_abs_det_g
-        wV = jets.product_coeffs(sp1, w.coeffs[..., None, : sp1.ncoeffs], V)
-        acc = _accumulate(_diagonal(jets.gradient_coeffs(sp1, wV), -3, -2))
-        return jets.product_coeffs(
-            sp2, jets.reciprocal(jets.truncate(w, m - 2)).coeffs, acc)
-    raise ValueError(f"unknown divergence form {form!r}")
-
-
-def _apply_to_jet(op: QuantizedOperator, f_jet: jets.Jet, point,
-                  form: str = "christoffel") -> jets.Jet:
-    """Core application to one jet; consumes two jet orders."""
-    m = f_jet.order
-    order = max(m - 1, 0)  # what the field is read to; _apply rejects m < 2
-    A = op.coefficient_tensor(point, order).coeffs
-    out = _apply(op.pair.frame(point, order), A, f_jet.space, f_jet.coeffs, form)
-    return jets.Jet._new(jets._space(f_jet.nvars, m - 2), out)
+def _divergence(frame: PointFrame, sp1, V: np.ndarray) -> np.ndarray:
+    """nabla_i V^i = d_i V^i + gamma^s_{si} V^i for jets ``V`` of space
+    ``sp1`` (order m-1), of shape (..., n, coeffs), one jet order lower."""
+    sp2 = jets._space(sp1.nvars, sp1.order - 1)
+    weight = frame.gamma_trace.coeffs[..., : sp2.ncoeffs]
+    return _accumulate(_diagonal(jets.gradient_coeffs(sp1, V), -3, -2)
+                       + jets.product_coeffs(sp2, weight, V[..., : sp2.ncoeffs]))
 
 
 def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
-                   output_order: int = 0, form: str = "christoffel") -> jets.Jet:
+                   output_order: int = 0) -> jets.Jet:
     """Jet of (op f) at the point, to the requested order.
 
     ``f`` may be expression text, a parsed expression, or a jet factory
@@ -235,7 +212,9 @@ def apply_operator(op: QuantizedOperator, f: FunctionLike, point,
     if output_order < 0:
         raise ValueError(f"output_order must be >= 0, got {output_order}")
     f_jet = _function_jet(op.coordinates, f, point, output_order + 2)
-    return _apply_to_jet(op, f_jet, point, form=form)
+    A = op.coefficient_tensor(point, output_order + 1).coeffs
+    out = _apply(op.pair.frame(point, output_order + 1), A, f_jet.space, f_jet.coeffs)
+    return jets.Jet._new(jets._space(f_jet.nvars, output_order), out)
 
 
 def laplace_apply(metric, f: FunctionLike, point, output_order: int = 0) -> jets.Jet:
@@ -577,8 +556,7 @@ def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],
     ts = np.asarray(ts, dtype=float)
 
     def form(x, rows):
-        # one row: the unbatched kernels, faster, same bits
-        gv, S = _structure_values(pair, x[0] if len(x) == 1 else x)
+        gv, S = _structure_values(pair, x)
         # K^(t)_ab, to contract with velocities; a huge t overflows S(t),
         # and the NaN drift that follows fails the record
         with np.errstate(over="ignore", invalid="ignore"):

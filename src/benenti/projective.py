@@ -58,9 +58,9 @@ from .geometry import (
     covariant_derivative,
     determinant,
     _accumulate,
-    _adjugate,
     _contract,
     _diagonal,
+    _inverse,
     gradient_tensor,
     inverse_metric,
     matmul,
@@ -101,6 +101,8 @@ class ProjectivePair:
             clean = {}
             for c in self.coordinates:
                 lo, hi = map(float, domain[c])
+                if not np.isfinite((lo, hi)).all():
+                    raise ValueError(f"domain bound of {c} is not finite: [{lo}, {hi}]")
                 if not lo < hi:
                     raise ValueError(f"empty domain interval for {c}: [{lo}, {hi}]")
                 clean[c] = (lo, hi)
@@ -233,7 +235,8 @@ class PointFrame:
       * gamma_bar and benenti's phi_form: 0 (read as values only)
 
     det g and det gbar are expanded once each, by Leibniz, and shared by
-    the inverses, L and sqrt_abs_det_g.
+    the inverses, L and sqrt_abs_det_g.  No check reads sqrt_abs_det_g: the
+    operators take their divergence through gamma_trace.
     """
 
     def __init__(self, pair: ProjectivePair, points, order: int):
@@ -303,9 +306,7 @@ class PointFrame:
         lam_form = gradient_tensor(lam)
         # phi_i = -(L^{-1})^s_i lam_s, at order 0: its readers take values
         L0, lam0 = L.truncated(0), lam_form.truncated(0)
-        inv_det = jets.reciprocal(determinant(L0)).coeffs
-        L_inv = jets.product_coeffs(L0.space, _adjugate(L0).coeffs, inv_det[..., None, None, :])
-        phi = -_contract(L0.space, "si,s->i", L_inv, lam0.coeffs)
+        phi = -_contract(L0.space, "si,s->i", _inverse(L0).coeffs, lam0.coeffs)
         S_coeffs, char_coeffs = adjugate_family(L)
         # K_l at order 1: check_killing reads nabla K at order 0
         g1 = self.g.truncated(1)

@@ -109,11 +109,13 @@ class VerifyConfig:
     drift_trajectories: int = 3
 
     def __post_init__(self):
-        for name in ("points", "drift_trajectories"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("points", 1), ("seed", 0), ("drift_trajectories", 1)):
+            value = getattr(self, name)  # numpy integers count, bools do not
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         for name in ("tol", "drift_horizon"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -315,10 +317,9 @@ def _block_records(pair, check, points, grids, momenta):
         residuals = (np.abs(value) / scale).reshape(-1, len(grids))
         scale = scale.reshape(residuals.shape)
         i, j = np.tile(i, len(suite)), np.tile(j, len(suite))
-    # each row's worst candidate on its grid, by the rule of _rank: argmax
-    # takes the first of equal maxima, and the first NaN over any number
-    on_grid = j[:, None] < np.array([len(g) for g in grids])
-    best = np.where(on_grid, residuals, -np.inf).argmax(axis=0)
+    # each row's worst candidate by the rule of _rank: argmax takes the first of
+    # equal maxima (never a padded copy of an earlier one) and the first NaN
+    best = residuals.argmax(axis=0)
     out = []
     for r, k in enumerate(best.tolist()):
         t, s = float(cols[i[k], r]), float(cols[j[k], r])
@@ -336,7 +337,7 @@ def _block_records(pair, check, points, grids, momenta):
 def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):
     """(start point, residual, params) of each drift trajectory."""
     n = min(cfg.drift_trajectories, len(points))
-    ts = [grid[0] for grid in grids[:n]]
+    ts = [grid[0] for grid in grids[:n] or t_grid(pair, points[:n])]
     starts = [ops.PhaseSpacePoint(x0, tuple(pair.g.values(x0) @ v))
               for x0, v in zip(points[:n], velocities[:n])]
     results = ops.geodesic_drifts(pair, ts, starts, cfg.drift_horizon,
@@ -386,15 +387,14 @@ def verify_pair(
     # One frame per block of points, at the highest order the checks read
     # (lower orders are prefixes of its jets), gives the block's default t
     # grids and serves every check before the next block replaces it; the
-    # records still come out check by check.  Drift walks only for grids.
+    # records still come out check by check.  Drift alone grids its own starts.
     outcomes = {check: [] for check in cfg.checks}
     seconds = dict.fromkeys(cfg.checks, 0.0)
     frame_checks = [c for c in cfg.checks if _CHECKS[c][1] is not None]
     order = max((_CHECKS[c][1] for c in frame_checks), default=0)
     rows = block_points(pair.dim, order)
     grids = [] if cfg.t_grid is None else [tuple(cfg.t_grid)] * cfg.points
-    walk = frame_checks or ("drift" in cfg.checks and not grids)
-    for start in range(0, cfg.points if walk else 0, rows):
+    for start in range(0, cfg.points if frame_checks else 0, rows):
         block = slice(start, start + rows)
         pair.frame(points[block], order)
         grids += t_grid(pair, points[block]) if cfg.t_grid is None else []

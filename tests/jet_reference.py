@@ -8,7 +8,9 @@ results must equal these bit for bit.  Tensors are read through
 
 The operator references apply one operator to one jet at a time, with the
 per-function and per-probe loops the stacked applications replace, and the
-sampler reference draws one point at a time.
+sampler reference draws one point at a time.  ``density_apply`` is not a
+bitwise reference: it takes the divergence another way, as a tolerance
+oracle for the Christoffel one.
 """
 
 import itertools
@@ -193,6 +195,22 @@ def apply_operator(frame, A, f):
         + jets.truncate(weight[i], m - 2) * jets.truncate(V[i], m - 2)
         for i in range(d)
     )
+
+
+def density_apply(frame, A, f):
+    """(1/w) d_i (w A^{ij} d_j f) for one (2,0) field ``A`` and one order-m
+    jet ``f``, with w = sqrt |det g| from the Leibniz determinant above:
+    the divergence of the volume density, an independent route to the
+    Christoffel divergence of apply_operator."""
+    m, d = f.order, f.nvars
+    g = frame.g
+    w = jets.truncate(jets.sqrt(jets.absolute(determinant(lambda i, j: g[i, j], d))),
+                      m - 1)
+    df = [jets.differentiate(f, j) for j in range(d)]
+    flux = [w * first_term_sum(jets.truncate(A[i, j], m - 1) * df[j] for j in range(d))
+            for i in range(d)]
+    div = first_term_sum(jets.differentiate(flux[i], i) for i in range(d))
+    return div * jets.reciprocal(jets.truncate(w, m - 2))
 
 
 def function_jet(pair, f, point):

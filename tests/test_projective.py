@@ -611,6 +611,17 @@ class TestPairBehavior:
         with pytest.raises(ValueError):
             ProjectivePair(a, a, domain={"x": (1, 0), "y": (0, 1)})
 
+    @pytest.mark.parametrize("bounds", [(1.1, math.inf), (-math.inf, 2.0),
+                                        (math.nan, 2.0), (0.0, math.nan)])
+    def test_domain_bound_that_is_not_finite(self, bounds):
+        # rejected where the pair is made, not in numpy when it samples
+        a = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
+        with pytest.raises(ValueError, match=r"domain bound of y is not finite"):
+            ProjectivePair(a, a, domain={"x": (0, 1), "y": bounds})
+        # finite bounds out of order keep their own message
+        with pytest.raises(ValueError, match=r"empty domain interval for y: \[2\.0, 1\.0\]"):
+            ProjectivePair(a, a, domain={"x": (0, 1), "y": (2, 1)})
+
     def test_sampling_respects_domain(self):
         pair = dini()
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benenti import catalog, jets, operators as ops, pairfile, verify
+from benenti import catalog, jets, operators as ops, pairfile, verify, yamltext
 from benenti.errors import DegenerateMetricError, OrderExhaustedError
 from benenti.geometry import MetricField
 from benenti.projective import (
@@ -84,6 +84,24 @@ class TestConfig:
             with pytest.raises(ValueError, match="drift_horizon"):
                 verify.VerifyConfig(drift_horizon=value)
 
+    @pytest.mark.parametrize("name", ["points", "seed", "drift_trajectories"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "3", None, np.bool_(True)],
+                             ids=repr)
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # rejected here, not later by numpy or by a slice
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            verify.VerifyConfig(**{name: value})
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = verify.VerifyConfig(points=np.int64(2), seed=np.uint32(7),
+                                  drift_trajectories=np.int32(1), checks=("basic",))
+        assert (cfg.points, cfg.seed, cfg.drift_trajectories) == (2, 7, 1)
+        assert all(type(v) is int for v in (cfg.points, cfg.seed, cfg.drift_trajectories))
+        plain = verify.VerifyConfig(points=2, seed=7, drift_trajectories=1, checks=("basic",))
+        pair = catalog.get_entry("dini").pair
+        assert (verify.verify_pair(pair, cfg).to_mapping() | {"timing": None}
+                == verify.verify_pair(pair, plain).to_mapping() | {"timing": None})
+
     def test_threshold_defaults_and_override(self):
         cfg = verify.VerifyConfig()
         assert cfg.threshold("killing") == 1e-9
@@ -98,12 +116,9 @@ class TestConfig:
         assert len(set(suite)) == 7
 
 
-def assert_one_frame_per_block(monkeypatch, points, checks, order,
-                               name="dini", t_grid=None):
-    # sampling builds no frame; the walk over the blocks of points builds
-    # one frame per block, at the highest order the checks read, and takes
-    # the block's default t grids off it in one call.  With order None
-    # nothing walks: no frame is built and no grid is taken.
+def record_frames(monkeypatch, points, checks, name="dini", t_grid=None):
+    """(frames built as (order, rows), sampled points, the points of each
+    t_grid call) of one run."""
     built, sampled, grid_points = [], [], []
     build, grid, sample = PointFrame.__init__, verify.t_grid, verify._sample_points
 
@@ -127,11 +142,22 @@ def assert_one_frame_per_block(monkeypatch, points, checks, order,
     verify.verify_pair(pair, verify.VerifyConfig(points=points, checks=checks,
                                                  t_grid=t_grid))
     assert sampled[0].shape == (points, pair.dim)
+    return built, sampled[0], grid_points
+
+
+def assert_one_frame_per_block(monkeypatch, points, checks, order,
+                               name="dini", t_grid=None):
+    # sampling builds no frame; the walk over the blocks of points builds
+    # one frame per block, at the highest order the checks read, and takes
+    # the block's default t grids off it in one call.  With order None
+    # nothing walks: no frame is built and no grid is taken.
+    built, sampled, grid_points = record_frames(monkeypatch, points, checks,
+                                                name, t_grid)
     if order is None:
         assert built == grid_points == []
         return
-    rows = verify.block_points(pair.dim, order)
-    blocks = [sampled[0][start:start + rows].tolist()
+    rows = verify.block_points(sampled.shape[1], order)
+    blocks = [sampled[start:start + rows].tolist()
               for start in range(0, points, rows)]
     assert built == [(order, (len(block),)) for block in blocks]
     assert grid_points == (blocks if t_grid is None else [])
@@ -261,13 +287,23 @@ class TestReports:
         doc = yaml.safe_load(rep.render())
         assert math.isnan(doc["summary"]["max_residual"]["killing"])
 
-    def test_check_subset_sees_identical_points(self):
-        full = quick_report("dini")
-        only = quick_report("dini", checks=("killing",))
-        full_killing = [r for r in full.records if r.check == "killing"]
-        assert [r.to_mapping() for r in full_killing] == [
-            r.to_mapping() for r in only.records
-        ]
+    @pytest.mark.parametrize("name", ["dini", "lc3"])
+    @pytest.mark.parametrize("check", verify.CHECK_IDS)
+    def test_check_subset_sees_identical_points(self, name, check):
+        # a run of one check gives, byte for byte, its records of the run
+        # of every check: the same points, momenta, velocities and t grids
+        shared = load(name)
+
+        def records(checks):
+            pair = ProjectivePair(shared.g, shared.gbar, shared.domain)
+            config = verify.VerifyConfig(points=5, drift_trajectories=2, checks=checks)
+            report = verify.verify_pair(pair, config)
+            return yamltext.dump({"records": [r.to_mapping() for r in report.records
+                                              if r.check == check]})
+
+        alone = records((check,))
+        assert alone == records(verify.CHECK_IDS)
+        assert alone.count("- check: ") == (2 if check == "drift" else 5)
 
     def test_check_seconds_are_keyed_by_the_configured_checks(self):
         for checks in (verify.CHECK_IDS, ("poisson", "drift", "basic")):
@@ -334,8 +370,12 @@ class TestReports:
     @pytest.mark.parametrize("name, points", [("dini", 600), ("lc4", 20)])
     def test_drift_alone_builds_order_zero_frames_for_its_grids(
             self, monkeypatch, name, points):
-        # 600 points make two blocks of order-0 rows in 2 variables
-        assert_one_frame_per_block(monkeypatch, points, ("drift",), 0, name)
+        # no walk over the blocks: one order-0 frame over the 3 drift
+        # starts gives their grids, however many points were sampled
+        built, sampled, grid_points = record_frames(monkeypatch, points,
+                                                    ("drift",), name)
+        assert built == [(0, (3,))]
+        assert grid_points == [sampled[:3].tolist()]
 
     def test_fixed_grids_need_no_frame_for_drift(self, monkeypatch):
         assert_one_frame_per_block(monkeypatch, 20, ("drift",), None,
