@@ -207,14 +207,17 @@ def _mirrored(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrize(c: np.ndarray) -> np.ndarray:
+    """Average the last two tensor axes of ``c`` with their transpose in
+    place: each off-diagonal average is computed once and mirrored."""
+    for i, j in itertools.combinations(range(c.shape[-2]), 2):
+        c[..., i, j, :] = c[..., j, i, :] = 0.5 * (c[..., i, j, :] + c[..., j, i, :])
+    return c
+
+
 def symmetrized(t: JetTensor) -> JetTensor:
-    """Rank-2 tensor averaged with its transpose; the diagonal is kept as
-    it is and each off-diagonal average is computed once and mirrored."""
-    c = t.coeffs
-    out = c.copy()
-    for i, j in itertools.combinations(range(t.dim), 2):
-        out[..., i, j, :] = out[..., j, i, :] = 0.5 * (c[..., i, j, :] + c[..., j, i, :])
-    return t._like(out)
+    """Rank-2 tensor averaged with its transpose (see ``_symmetrize``)."""
+    return t._like(_symmetrize(t.coeffs.copy()))
 
 
 class MetricField:
@@ -230,6 +233,9 @@ class MetricField:
     Each distinct component tree is evaluated once per call and written to
     every slot it fills, and a bare constant is written without evaluation;
     the results keep the bits of evaluating every component alone.
+    ``evaluate`` writes the jets straight into the ``(*batch, i, j, coeff)``
+    array it returns, through a ``[coeff, *batch, i, j]`` view, averages the
+    off-diagonals there and checks the values ``[..., 0]`` of that array.
     """
 
     def __init__(
@@ -268,14 +274,14 @@ class MetricField:
         """Metric components as jets at the point, symmetrized and checked."""
         coords = jets.seed_coordinates(point, order)
         sp = coords[0].space
-        # [coeff, *batch, i, j]: component (i, j) of every point at raw[..., i, j]
-        raw = np.zeros((sp.ncoeffs,) + np.shape(point)[:-1] + (self.dim, self.dim))
+        c = np.zeros(np.shape(point)[:-1] + (self.dim, self.dim, sp.ncoeffs))
+        raw = c.transpose(-1, *range(c.ndim - 1))  # [coeff, *batch, i, j] view
         # an overflow shows as a non-finite coefficient, as in _float_values
         with np.errstate(over="ignore", invalid="ignore"):
             self._fill(raw, raw[0], dict(zip(self.coordinates, coords)))
-            g = symmetrized(JetTensor._dense(sp, np.moveaxis(raw, 0, -1), 0, 2))
-        self._check_nondegenerate(g.value(), point)
-        return g
+            _symmetrize(c)
+        self._check_nondegenerate(c[..., 0], point)
+        return JetTensor._dense(sp, c, 0, 2)
 
     def values(self, point) -> np.ndarray:
         """Plain float components at the point (symmetrized, checked)."""
@@ -290,10 +296,7 @@ class MetricField:
 
     def _float_values(self, point) -> np.ndarray:
         pts = np.asarray(point, dtype=float)
-        if pts.ndim == 1:
-            assignment = dict(zip(self.coordinates, map(float, pts)))
-        else:
-            assignment = dict(zip(self.coordinates, pts.T))
+        assignment = dict(zip(self.coordinates, map(float, pts) if pts.ndim == 1 else pts.T))
         raw = np.empty(pts.shape[:-1] + (self.dim, self.dim))
         # an overflow shows as a non-finite component, which is degenerate
         with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +324,8 @@ class MetricField:
         scales = np.abs(values).max(axis=(-2, -1))  # NaN or inf where a component is
         finite = np.isfinite(scales)
         with np.errstate(over="ignore"):
-            dets = np.linalg.det(np.where(finite[..., None, None], values, 1.0))
+            dets = np.linalg.det(
+                values if finite.all() else np.where(finite[..., None, None], values, 1.0))
             return finite & (np.abs(dets) > DEGENERACY_FACTOR * scales**self.dim)
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
@@ -332,13 +336,9 @@ class MetricField:
             value = values.reshape(-1, self.dim, self.dim)[row]
             detail = (f"|det| = {abs(np.linalg.det(value)):.3e}"
                       if np.isfinite(value).all() else "a component is not finite")
-            raise self._degenerate(np.reshape(point, (-1, self.dim))[row], detail)
-
-    def _degenerate(self, point, detail: str) -> DegenerateMetricError:
-        return DegenerateMetricError(
-            f"metric{' ' + self.name if self.name else ''} is degenerate "
-            f"at {tuple(float(c) for c in point)}: {detail}"
-        )
+            at = tuple(float(x) for x in np.reshape(point, (-1, self.dim))[row])
+            raise DegenerateMetricError(f"metric{' ' + self.name if self.name else ''} "
+                                        f"is degenerate at {at}: {detail}")
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

@@ -28,6 +28,14 @@ coefficients and whose leading axes index the jets.  ``product_coeffs`` and
 ``gradient_coeffs`` act on such arrays, broadcasting the leading axes, and
 give every jet the bits of the same operation on a single ``Jet``.
 
+Constant-jet rule: a product sums each coefficient from +0.0, so none is
+-0.0, and a product by the constant jet ``c`` has at every coefficient the
+bits of ``c * B[k] + 0.0`` wherever ``B`` is finite (its other terms are
+``0 * B[j] = +-0.0``).  So ``power`` skips ``1 * B`` for a square ``B``, and
+``_compose`` takes its first Horner step without a product.  Where ``B``
+has an infinite or NaN coefficient, the product's ``0 * inf`` terms were
+NaN and the shortcut's are not (the one edge; the corpus never reaches it).
+
 Jets are immutable values and all operations are pure.
 """
 
@@ -373,7 +381,7 @@ def seed_coordinates(point, order: int) -> list[Jet]:
     pt = np.asarray(point, dtype=float)
     if pt.ndim not in (1, 2) or pt.size < 1:
         raise ValueError("point must be a non-empty 1-d sequence or a 2-d batch")
-    if not np.all(np.isfinite(pt)):
+    if not np.isfinite(pt).all():
         raise ValueError(f"non-finite coordinate in point {point}")
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -432,13 +440,17 @@ def gradient(f: Jet) -> list[Jet]:
 
 def _compose(f: Jet, series: np.ndarray) -> Jet:
     """Evaluate ``sum_k series[..., k] * (f - f.value)^k`` by Horner, with
-    the same recurrence on every row of a batch."""
+    the same recurrence on every row of a batch.  The first step, the top
+    coefficient's constant jet times ``w = f - f.value``, is
+    ``series[..., -1] * w + 0.0`` by the constant-jet rule; at order 1 the
+    terms it skips are all ``0 * w_0 = 0 * 0.0``, so there it holds on any jet."""
     w = f.coeffs.copy()
     w.T[0] = 0.0  # .T[0]: the constant term of the jet, or of every row
     acc = np.zeros(w.shape)
     acc.T[0] = series.T[-1]
-    for a in series.T[-2::-1]:
-        acc = product_coeffs(f.space, acc, w)
+    for k, a in enumerate(series.T[-2::-1]):
+        acc = (series[..., -1:] * w + 0.0 if k == 0
+               else product_coeffs(f.space, acc, w))
         acc.T[0] += a
     return Jet._new(f.space, acc)
 
@@ -452,9 +464,8 @@ def _series(f: Jet, outer) -> np.ndarray:
     """Taylor coefficients of an outer function about each row's constant
     term: the sequence ``outer(c0)`` per row, stacked into one array for a
     batch."""
-    if f.coeffs.ndim == 1:
-        return np.array(outer(float(f.coeffs[0])))
-    return np.array([outer(c0) for c0 in _constant_terms(f)])
+    series = np.array([outer(c0) for c0 in _constant_terms(f)])
+    return series.reshape(f.coeffs.shape[:-1] + series.shape[-1:])
 
 
 def reciprocal(f: Jet) -> Jet:
@@ -462,9 +473,7 @@ def reciprocal(f: Jet) -> Jet:
 
     def outer(c0):
         if c0 == 0.0:
-            raise SingularInputError(
-                "div", "division by a jet with zero constant term"
-            )
+            raise SingularInputError("div", "division by a jet with zero constant term")
         return (-1.0) ** k / c0 ** (k + 1)
 
     return _compose(f, _series(f, outer))
@@ -483,9 +492,7 @@ def exp(f: Jet) -> Jet:
 def log(f: Jet) -> Jet:
     def outer(c0):
         if c0 <= 0.0:
-            raise SingularInputError(
-                "ln", f"log of non-positive constant term {c0}"
-            )
+            raise SingularInputError("ln", f"log of non-positive constant term {c0}")
         return [math.log(c0)] + [(-1.0) ** (k - 1) / (k * c0**k)
                                  for k in range(1, f.order + 1)]
 
@@ -518,18 +525,20 @@ def power(f: Jet, exponent: float) -> Jet:
     Non-negative integer exponents work for any jet (repeated squaring, so
     ``x**2`` is fine at ``x = 0``); other exponents go through the binomial
     series and require a nonzero (negative-integer exponent) or positive
-    (fractional exponent) constant term.
+    (fractional exponent) constant term.  Squaring skips ``1 * B`` for a
+    square ``B`` (the constant-jet rule) and keeps ``1 * f`` for an odd
+    exponent, which turns a -0.0 of ``f`` into +0.0.
     """
     if isinstance(exponent, Jet):
         raise SingularInputError("pow", "exponent must be a real constant")
     e = float(exponent)
     if e.is_integer() and e >= 0:
         n = int(e)
-        result = Jet.constant(1.0, f.nvars, f.order, f.batch)
+        one = result = Jet.constant(1.0, f.nvars, f.order, f.batch)
         base = f
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is one and base is not f else result * base
             n >>= 1
             if n:
                 base = base * base
@@ -537,13 +546,9 @@ def power(f: Jet, exponent: float) -> Jet:
 
     def outer(c0):
         if e.is_integer() and c0 == 0.0:
-            raise SingularInputError(
-                "pow", "negative power of a jet with zero constant term"
-            )
+            raise SingularInputError("pow", "negative power of a jet with zero constant term")
         if not e.is_integer() and c0 <= 0.0:
-            raise SingularInputError(
-                "pow", f"fractional power of non-positive constant term {c0}"
-            )
+            raise SingularInputError("pow", f"fractional power of non-positive constant term {c0}")
         series, coeff = [], 1.0
         for k in range(f.order + 1):
             series.append(coeff * c0 ** (e - k))
@@ -556,9 +561,7 @@ def power(f: Jet, exponent: float) -> Jet:
 def sqrt(f: Jet) -> Jet:
     for c0 in _constant_terms(f):
         if c0 <= 0.0:
-            raise SingularInputError(
-                "sqrt", f"sqrt of non-positive constant term {c0}"
-            )
+            raise SingularInputError("sqrt", f"sqrt of non-positive constant term {c0}")
     return power(f, 0.5)
 
 

@@ -68,6 +68,10 @@ from .geometry import (
 )
 
 
+def _is_number(value) -> bool:  # a Python or numpy integer or float, not a bool
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 class ProjectivePair:
     """Two metrics sharing a chart, with an optional sampling domain.
 
@@ -94,21 +98,24 @@ class ProjectivePair:
         self.coordinates = g.coordinates
         self.name = name
         self.notes = notes
+        self.domain = None
         if domain is not None:
-            missing = set(self.coordinates) - set(domain)
-            if missing:
-                raise ValueError(f"domain missing coordinates: {sorted(missing)}")
-            clean = {}
+            for fault, names in (
+                    ("missing coordinates", set(self.coordinates) - set(domain)),
+                    ("names coordinates not on the chart", set(domain) - set(self.coordinates))):
+                if names:
+                    raise ValueError(f"domain {fault}: {sorted(names)}")
+            self.domain = {}
             for c in self.coordinates:
+                for bound in domain[c]:
+                    if not _is_number(bound):
+                        raise ValueError(f"domain bound of {c} is not a number: {bound!r}")
                 lo, hi = map(float, domain[c])
                 if not np.isfinite((lo, hi)).all():
                     raise ValueError(f"domain bound of {c} is not finite: [{lo}, {hi}]")
                 if not lo < hi:
                     raise ValueError(f"empty domain interval for {c}: [{lo}, {hi}]")
-                clean[c] = (lo, hi)
-            self.domain = clean
-        else:
-            self.domain = None
+                self.domain[c] = (lo, hi)
         self._frame = None
 
     def frame(self, points, order: int) -> "PointFrame":

@@ -39,6 +39,7 @@ from . import jets, operators as ops, yamltext
 from .errors import DegenerateMetricError
 from .projective import (
     ProjectivePair,
+    _is_number,
     check_carter_condition,
     check_connection_difference,
     check_killing_tensor,
@@ -116,10 +117,15 @@ class VerifyConfig:
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))
-        for name in ("tol", "drift_horizon"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+        reals = [("tol", self.tol), ("drift_horizon", self.drift_horizon)]
+        reals += [(f"t_grid[{k}]", t) for k, t in enumerate(self.t_grid or ())]
+        for k, (name, value) in enumerate(reals):  # numpy reals count, bools do not
+            if not (_is_number(value) or value is None and name == "tol"):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if k < 2 and value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, value in reals[:2]:  # as Python numbers, which the report can echo
+            object.__setattr__(self, name, np.asarray(value).item())
         if self.t_grid is not None:
             if not self.t_grid:
                 raise ValueError("t_grid must not be empty")
@@ -338,8 +344,9 @@ def _drift_records(pair, points, grids, velocities, cfg: VerifyConfig):
     """(start point, residual, params) of each drift trajectory."""
     n = min(cfg.drift_trajectories, len(points))
     ts = [grid[0] for grid in grids[:n] or t_grid(pair, points[:n])]
-    starts = [ops.PhaseSpacePoint(x0, tuple(pair.g.values(x0) @ v))
-              for x0, v in zip(points[:n], velocities[:n])]
+    # one metric read for all starts; per-row gv @ v (a batched matmul may round differently)
+    starts = [ops.PhaseSpacePoint(x0, tuple(gv @ v)) for x0, gv, v in
+              zip(points[:n], pair.g.values(points[:n]), velocities[:n])]
     results = ops.geodesic_drifts(pair, ts, starts, cfg.drift_horizon,
                                   cfg.drift_tolerance(), velocities=velocities[:n])
     outcomes = []

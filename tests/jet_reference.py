@@ -6,6 +6,10 @@ in the order of operations the dense kernels of ``benenti.geometry``,
 results must equal these bit for bit.  Tensors are read through
 ``t[i, j, ...]``; results are dicts from index tuples to jets.
 
+``compose`` and ``integer_power`` take every step of the analytic
+functions and of integer powers as a full product, with no shortcut for a
+constant factor.
+
 The operator references apply one operator to one jet at a time, with the
 per-function and per-probe loops the stacked applications replace, and the
 sampler reference draws one point at a time.  ``density_apply`` is not a
@@ -29,6 +33,33 @@ def assert_same_bits(tensor, expected):
         got = tensor[idx].coeffs
         assert got.shape == jet.coeffs.shape, idx
         assert np.array_equal(got.view(np.int64), jet.coeffs.view(np.int64)), idx
+
+
+def compose(f, series):
+    """``sum_k series[..., k] * (f - f.value)^k`` by Horner with every step a
+    dense product, the first by the constant jet of the top coefficient."""
+    w = f.coeffs.copy()
+    w.T[0] = 0.0
+    acc = np.zeros(w.shape)
+    acc.T[0] = series.T[-1]
+    for a in series.T[-2::-1]:
+        acc = jets.product_coeffs(f.space, acc, w)
+        acc.T[0] += a
+    return jets.Jet._new(f.space, acc)
+
+
+def integer_power(f, n):
+    """``f ** n`` by repeated squaring from the constant 1, every factor
+    taken by a dense product, ``1 * f`` and ``1 * square`` included."""
+    result = jets.Jet.constant(1.0, f.nvars, f.order, f.batch)
+    base = f
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def parity(perm) -> int:

@@ -1,0 +1,121 @@
+"""Print the cost of one drift stage and of one drift batch per catalog pair.
+
+    python tests/stage_timing.py [--rounds 400] [--seed 42] [--against ../parent]
+
+For every catalog pair the script draws the 5 start points, velocities and
+t values of a drift-only run (``bench/workloads.py``'s ``geodesic`` sizes:
+5 trajectories, horizon 0.1) and times two calls:
+
+- ``stage``: one ``geometry.christoffel_values`` call on the 5 points, the
+  per-stage work of the drift integrator;
+- ``batch``: one ``operators.geodesic_drifts`` call on the 5 trajectories.
+
+Each round times every call of every pair once, so the pairs and the two
+calls are interleaved and a slow spell of a shared host spreads over all of
+them; a ``batch`` is timed every tenth round only.  The medians over the
+rounds are printed in microseconds.
+
+The script imports benenti from the ``src/`` of the checkout it lives in.
+``--against`` names a second checkout, whose ``src/benenti`` is loaded
+beside it in the same process: every call is then timed on both sides in
+turn, the side that goes first alternating by round, and the table gives
+both medians.  Two processes run one after the other on a shared host can
+differ by more than the change being measured.  pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+import benenti  # noqa: E402
+
+ROWS = 5
+HORIZON = 0.1
+BATCH_EVERY = 10  # a batch costs about 100 stages
+MODULES = ("catalog", "geometry", "operators", "pairfile", "projective", "verify")
+
+
+def load_side(package_dir: Path, name: str) -> dict:
+    """The benenti modules of one checkout, imported as package ``name``."""
+    if name != "benenti":
+        spec = importlib.util.spec_from_file_location(
+            name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def drift_inputs(side: dict, pair, seed: int):
+    """The arguments of one ``geodesic_drifts`` call, drawn like a
+    drift-only ``verify_pair`` run draws them."""
+    verify, operators = side["verify"], side["operators"]
+    cfg = verify.VerifyConfig(points=ROWS, seed=seed, checks=("drift",))
+    s_points, _, s_velocities = np.random.SeedSequence(seed).spawn(3)
+    points = verify._sample_points(pair, cfg, np.random.default_rng(s_points))
+    velocities = np.random.default_rng(s_velocities).uniform(-0.7, 0.7, (ROWS, pair.dim))
+    ts = [grid[0] for grid in side["projective"].t_grid(pair, points)]
+    starts = [operators.PhaseSpacePoint(x0, tuple(gv @ v))
+              for x0, gv, v in zip(points, pair.g.values(points), velocities)]
+    return points, (pair, ts, starts, HORIZON, cfg.drift_tolerance()), velocities
+
+
+def elapsed_us(fn, *args, **kwargs) -> float:
+    start = time.perf_counter()
+    fn(*args, **kwargs)
+    return (time.perf_counter() - start) * 1e6
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=400)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--against", type=Path, help="checkout to time beside this one")
+    args = parser.parse_args(argv)
+    sides = {"this": load_side(Path(benenti.__file__).parent, "benenti")}
+    if args.against:
+        sides["against"] = load_side(args.against / "src" / "benenti", "benenti_against")
+    names = sides["this"]["catalog"].list_entries()
+
+    def pair(mods, name):  # parsed by the side's own code from its own file
+        text = (Path(mods["pairfile"].__file__).parent / "pairs" / f"{name}.yaml").read_text()
+        return mods["pairfile"].parse_pair(text)
+
+    inputs = {(side, name): drift_inputs(mods, pair(mods, name), args.seed)
+              for side, mods in sides.items() for name in names}
+    stage = {key: [] for key in inputs}
+    batch = {key: [] for key in inputs}
+    for r in range(args.rounds):
+        order = list(sides)[::-1 if r % 2 else 1]
+        for name in names:
+            for side in order:
+                points, drift_args, velocities = inputs[side, name]
+                stage[side, name].append(elapsed_us(
+                    sides[side]["geometry"].christoffel_values, drift_args[0].g, points))
+                if r % BATCH_EVERY == 0:
+                    batch[side, name].append(elapsed_us(
+                        sides[side]["operators"].geodesic_drifts, *drift_args,
+                        velocities=velocities))
+    columns = [f"{kind}_us" if side == "this" else f"{side}_{kind}_us"
+               for kind in ("stage", "batch") for side in sides]
+    print(f"{'pair':<26}" + "".join(f"{c:>18}" for c in columns))
+    for name in names:
+        cells = [statistics.median(table[side, name])
+                 for table in (stage, batch) for side in sides]
+        print(f"{name:<26}" + "".join(f"{c:18.1f}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,7 @@ that takes such a shortcut shows up as a mismatch in the last bit.
 import numpy as np
 import pytest
 
-from benenti import catalog, expr, geometry, jets, operators
+from benenti import catalog, expr, geometry, jets, operators, verify
 from benenti.errors import (
     DegenerateMetricError,
     EvaluationDomainError,
@@ -218,6 +218,19 @@ class TestBatchedMetrics:
         forms = gv @ operators._S_at(S, ts)
         assert same_bits(forms, [g @ operators._S_at(s, t)
                                  for (g, s), t in zip(singles, ts)])
+
+    def test_drift_starts(self, name):
+        # the start momenta read the metric of all starts in one call; each
+        # must still be the per-point g.values(x0) @ v
+        pair = catalog.get_entry(name).pair
+        config = verify.VerifyConfig(points=7, drift_trajectories=7, seed=5,
+                                     drift_horizon=0.02, checks=("drift",))
+        records = verify.verify_pair(pair, config).records
+        assert len(records) == 7
+        for rec in records:
+            params = dict(rec.params)
+            momentum = pair.g.values(np.array(rec.point)) @ np.array(params["velocity"])
+            assert np.array(params["momentum"]).tobytes() == momentum.tobytes()
 
 
 def test_a_degenerate_point_fails_the_batch():

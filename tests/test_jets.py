@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jet_reference as ref
 from benenti import jets
 from benenti.errors import OrderExhaustedError, SingularInputError
 from benenti.jets import (
@@ -318,3 +319,99 @@ def test_monomial_shift_has_the_bits_of_the_product(nvars, order):
             monomial[sp.position[beta]] = c
         want = jets.product_coeffs(sp, a, monomial)
         assert np.array_equal(got[p].view(np.int64), want.view(np.int64)), (beta, c)
+
+
+COMPOSED = {
+    "reciprocal": jets.reciprocal,
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "power 1/3": lambda f: jets.power(f, 1 / 3),
+    "power -2": lambda f: jets.power(f, -2),
+}
+
+
+def signed_zero_jets(nvars, order, batch):
+    """Finite jets, single or ``batch`` rows, with constant terms in
+    [0.3, 1.4] and +0.0 and -0.0 among the other coefficients, at
+    positions that shift from row to row."""
+    sp = jets._space(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    c = rng.uniform(-1.5, 1.5, (batch or 1, sp.ncoeffs))
+    for r, row in enumerate(c):
+        row[1 + r % 3::3] = -0.0
+        row[1 + (r + 1) % 3::3] = 0.0
+        row[0] = 0.3 + 0.37 * r
+    return Jet(nvars, order, c if batch else c[0])
+
+
+def same_bits(a: Jet, b: Jet) -> bool:
+    return a.coeffs.shape == b.coeffs.shape and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def spaces_and_batches():
+    for nvars in range(1, 5):
+        for order in range(5):
+            for batch in (None, 3):
+                yield signed_zero_jets(nvars, order, batch)
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+def test_composed_series_skip_the_constant_jet_product(name, monkeypatch):
+    """The first Horner step, taken without the product by a constant
+    jet, gives the bits of the full recurrence; a -0.0 that the product's
+    sum from +0.0 would turn into +0.0 must read +0.0 here too."""
+    fn = COMPOSED[name]
+    for f in spaces_and_batches():
+        got = fn(f)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "_compose", ref.compose)
+            want = fn(f)
+        assert same_bits(got, want), (name, f.nvars, f.order, f.batch)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_integer_powers_skip_the_product_with_one(n):
+    """Powers skip ``1 * square``, which has the square's bits, and keep
+    ``1 * f``, which turns a -0.0 of f into +0.0."""
+    for f in spaces_and_batches():
+        assert same_bits(jets.power(f, n), ref.integer_power(f, n)), (f.nvars, f.order)
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for value in (math.inf, -math.inf)
+      for name in ("reciprocal", "exp", "power -2", "power 1", "power 3", "power 5")),
+    ("log", math.inf), ("power 1/3", math.inf),  # sin and cos reject inf
+])
+def test_order_one_jets_with_an_infinite_value(name, value, monkeypatch):
+    """At order 1 the shortcuts keep the bits even where the value is
+    infinite: every term a product by a constant jet adds is 0 * 0.0, and
+    odd powers keep their product with 1."""
+    fn = COMPOSED.get(name) or (lambda f: jets.power(f, int(name.split()[1])))
+    for nvars in (1, 3):
+        f = signed_zero_jets(nvars, 1, 3)
+        f.coeffs[:, 0] = value
+        with np.errstate(invalid="ignore", over="ignore"), monkeypatch.context() as m:
+            got = fn(f)
+            if name in COMPOSED:
+                m.setattr(jets, "_compose", ref.compose)
+                want = fn(f)
+            else:
+                want = ref.integer_power(f, int(name.split()[1]))
+        assert same_bits(got, want), nvars
+
+
+def test_known_edges_of_the_constant_jet_rule():
+    """Where the skipped product would have met an infinite coefficient,
+    its 0 * inf terms were NaN and the shortcut has none.  An even power
+    of an infinite value, and a composed series at order 2 with an
+    infinite first-order coefficient, are the two such inputs."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = Jet(1, 1, [math.inf, 1.0])
+        assert np.isnan(ref.integer_power(f, 2).coeffs[1])
+        assert jets.power(f, 2).coeffs.tolist() == [math.inf, math.inf]
+        g = Jet(1, 2, [0.5, math.inf, 0.0])
+        series = np.array([math.exp(0.5), math.exp(0.5), math.exp(0.5) / 2])
+        assert np.isnan(ref.compose(g, series).coeffs[2])
+        assert jets.exp(g).coeffs[2] == math.inf

@@ -622,6 +622,32 @@ class TestPairBehavior:
         with pytest.raises(ValueError, match=r"empty domain interval for y: \[2\.0, 1\.0\]"):
             ProjectivePair(a, a, domain={"x": (0, 1), "y": (2, 1)})
 
+    def test_domain_off_the_chart(self):
+        # named, not silently dropped
+        pair = dini()
+        x, y = pair.coordinates
+        box = {x: (1, 2), y: (0, 1), "z": (5, 6), "w": (0, 1)}
+        with pytest.raises(ValueError) as err:
+            ProjectivePair(pair.g, pair.gbar, domain=box)
+        assert str(err.value) == "domain names coordinates not on the chart: ['w', 'z']"
+
+    @pytest.mark.parametrize("bound", ["a", True, np.bool_(False), None, [1.0], 1j],
+                             ids=repr)
+    def test_domain_bound_that_is_not_a_number(self, bound):
+        pair = dini()
+        x, y = pair.coordinates
+        with pytest.raises(ValueError) as err:
+            ProjectivePair(pair.g, pair.gbar, domain={x: (1, 2), y: (0, bound)})
+        assert str(err.value) == f"domain bound of {y} is not a number: {bound!r}"
+
+    def test_numpy_and_integer_bounds_are_numbers(self):
+        pair = dini()
+        x, y = pair.coordinates
+        box = {x: (np.int64(1), np.float32(2.5)), y: (0, np.float64(1.0))}
+        made = ProjectivePair(pair.g, pair.gbar, domain=box)
+        assert made.domain == {x: (1.0, 2.5), y: (0.0, 1.0)}
+        assert all(type(b) is float for lo_hi in made.domain.values() for b in lo_hi)
+
     def test_sampling_respects_domain(self):
         pair = dini()
         rng = np.random.default_rng(0)

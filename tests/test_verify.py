@@ -92,6 +92,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             verify.VerifyConfig(**{name: value})
 
+    @pytest.mark.parametrize("field, value, name, bad", [
+        ("tol", True, "tol", True),
+        ("tol", np.bool_(False), "tol", np.bool_(False)),
+        ("tol", "1e-3", "tol", "1e-3"),
+        ("drift_horizon", True, "drift_horizon", True),
+        ("drift_horizon", np.bool_(True), "drift_horizon", np.bool_(True)),
+        ("t_grid", (True, False), "t_grid[0]", True),
+        ("t_grid", (0.0, 1.0, False), "t_grid[2]", False),
+        ("t_grid", (0.5, "2"), "t_grid[1]", "2"),
+    ], ids=repr)
+    def test_real_fields_must_be_numbers(self, field, value, name, bad):
+        # a bool would run as 1 or 0 and be echoed as a YAML boolean
+        with pytest.raises(ValueError) as err:
+            verify.VerifyConfig(**{field: value})
+        assert str(err.value) == f"{name} must be a number, got {bad!r}"
+
+    @pytest.mark.parametrize("horizon, echo", [
+        (np.float64(0.5), "0.5"), (np.float32(0.5), "0.5"), (np.int64(2), "2"), (2, "2")])
+    def test_numpy_reals_are_numbers(self, horizon, echo):
+        # the horizon is echoed as given, so a numpy scalar is stored as its
+        # Python number (the YAML writer takes no numpy scalars)
+        cfg = verify.VerifyConfig(tol=np.float64(1e-3), drift_horizon=horizon,
+                                  t_grid=(np.float32(0.5), 1, 2.0), points=1,
+                                  checks=("basic", "drift"))
+        assert type(cfg.tol) is float and type(cfg.drift_horizon) in (float, int)
+        text = verify.verify_pair(catalog.get_entry("dini").pair, cfg).render()
+        assert f"    horizon: {echo}\n" in text
+
     def test_numpy_integers_are_plain_ints(self):
         cfg = verify.VerifyConfig(points=np.int64(2), seed=np.uint32(7),
                                   drift_trajectories=np.int32(1), checks=("basic",))
@@ -437,8 +465,13 @@ def test_records_do_not_depend_on_how_points_are_batched(name):
 # Multiply-adds of jet products in one verify_pair of lc4.yaml over the nine
 # non-drift checks at 4 points, seed 42: 2,781,370 while frames built
 # gamma_bar, phi and K_l at full order, expanded det g and det gbar twice
-# and multiplied decompose's monomial probes by full products.
-PRODUCT_MADDS_LC4 = 1_550_224
+# and multiplied decompose's monomial probes by full products; 1,550,224
+# while integer powers multiplied squares by the constant 1 and composed
+# series took their first Horner step as a product with a constant jet.
+PRODUCT_MADDS_LC4 = 1_533_064
+# jets.product_coeffs calls of a drift-only trivial3 run (5 points, 5
+# trajectories, horizon 0.1, seed 42): 633 with those two products.
+PRODUCT_CALLS_TRIVIAL3_DRIFT = 261
 
 
 def test_jet_product_work_stays_within_its_count(monkeypatch):
@@ -464,6 +497,23 @@ def test_jet_product_work_stays_within_its_count(monkeypatch):
     config = verify.VerifyConfig(points=4, seed=42, checks=NON_DRIFT)
     assert verify.verify_pair(load("lc4"), config).passed
     assert 0 < state["madds"] <= PRODUCT_MADDS_LC4
+
+
+def test_drift_stage_products_stay_within_their_count(monkeypatch):
+    """A guard on the work of a drift stage: sin(chi)^2 * sin(theta)^2 takes
+    a product per Horner step past the first and per square, and none with
+    a constant jet."""
+    original, calls = jets.product_coeffs, []
+
+    def counting(sp, a, b):
+        calls.append(sp)
+        return original(sp, a, b)
+
+    monkeypatch.setattr(jets, "product_coeffs", counting)
+    config = verify.VerifyConfig(points=5, drift_trajectories=5, drift_horizon=0.1,
+                                 seed=42, checks=("drift",))
+    verify.verify_pair(load("trivial3"), config)
+    assert 0 < len(calls) <= PRODUCT_CALLS_TRIVIAL3_DRIFT
 
 
 def per_row_records(pair, check, points, grids, momenta):
