@@ -3,7 +3,8 @@
 Exit codes for ``verify``: 0 when every check passes, 1 when any check
 fails, 2 when the input cannot be loaded (unknown catalog name, or a
 pair file rejected with a line/column diagnostic), the options are invalid
-or the report cannot be written.
+or the report cannot be written.  Any command exits 141 (128 + SIGPIPE),
+printing nothing, when the reader of its output closes the pipe.
 """
 
 from __future__ import annotations
@@ -238,10 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BenentiError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the interpreter's
+        # final flush, to devnull, and exit as if killed by SIGPIPE
+        sys.stdout = open(os.devnull, "w")
+        return 141
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ class MetricField:
         # an overflow shows as a non-finite component, which is degenerate
         with np.errstate(over="ignore", invalid="ignore"):
             self._fill(raw, raw, assignment)
-            return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+            return _symmetrize(raw[..., None])[..., 0]
 
     def _fill(self, raw: np.ndarray, values: np.ndarray, assignment) -> None:
         """Write each component into ``raw[..., i, j]``, evaluating each

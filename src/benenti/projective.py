@@ -42,6 +42,7 @@ test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -107,10 +108,15 @@ class ProjectivePair:
                     raise ValueError(f"domain {fault}: {sorted(names)}")
             self.domain = {}
             for c in self.coordinates:
-                for bound in domain[c]:
+                entry = domain[c]
+                listed = isinstance(entry, Iterable) and not isinstance(entry, str)
+                bounds = tuple(entry) if listed else ()
+                if len(bounds) != 2:
+                    raise ValueError(f"domain entry of {c} must be a pair [lo, hi], got {entry!r}")
+                for bound in bounds:
                     if not _is_number(bound):
                         raise ValueError(f"domain bound of {c} is not a number: {bound!r}")
-                lo, hi = map(float, domain[c])
+                lo, hi = map(float, bounds)
                 if not np.isfinite((lo, hi)).all():
                     raise ValueError(f"domain bound of {c} is not finite: [{lo}, {hi}]")
                 if not lo < hi:

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -343,3 +344,37 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "frobnicate" in proc.stderr
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["list"], ["describe", "dini"],
+                                      ["verify", "trivial", *QUICK]], ids=" ".join)
+    def test_exits_141_quietly(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        rc = main(argv)
+        # later writes and the interpreter's final flush go to devnull
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert rc == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["list"], ["describe", "dini"]], ids=" ".join)
+    def test_closed_pipe_prints_no_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so its first write fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "benenti", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

@@ -82,6 +82,14 @@ class TestMetricField:
                     m.evaluate(point, order=1)
         assert m.values((1e-150, 1.0))[0, 0] == 1.0
 
+    def test_values_keep_the_diagonal_as_evaluated(self):
+        # averaging 1e308 with itself would overflow; both routes see |det|
+        m = MetricField(("x", "y"), [["1e308", "0"], ["0", "1"]])
+        for call in (lambda: m.values([0, 0]), lambda: m.evaluate([0, 0], 0)):
+            with pytest.raises(DegenerateMetricError, match=r"\|det\| = 1\.000e\+308"):
+                call()
+        assert not m.nondegenerate([[0.0, 0.0]]).any()
+
     def test_degeneracy_threshold_tracks_scale(self):
         # uniformly tiny metrics are fine; the threshold is relative
         m = MetricField(("x", "y"), [["1e-8", "0"], ["0", "1e-8"]])

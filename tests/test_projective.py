@@ -640,6 +640,14 @@ class TestPairBehavior:
             ProjectivePair(pair.g, pair.gbar, domain={x: (1, 2), y: (0, bound)})
         assert str(err.value) == f"domain bound of {y} is not a number: {bound!r}"
 
+    @pytest.mark.parametrize("entry", [(1, 2, 3), 5, (1,), "ab", ()], ids=repr)
+    def test_domain_entry_that_is_not_a_pair(self, entry):
+        pair = dini()
+        x, y = pair.coordinates
+        with pytest.raises(ValueError) as err:
+            ProjectivePair(pair.g, pair.gbar, domain={x: entry, y: (0, 1)})
+        assert str(err.value) == f"domain entry of {x} must be a pair [lo, hi], got {entry!r}"
+
     def test_numpy_and_integer_bounds_are_numbers(self):
         pair = dini()
         x, y = pair.coordinates
