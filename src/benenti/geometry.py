@@ -26,6 +26,10 @@ summed from ``+0.0``), so adding the first term to zero changes nothing.
 
 Each derivative costs one jet order: a metric evaluated at order m yields
 Christoffel symbols at order m - 1 and a Ricci tensor at order m - 2.
+
+Nothing is expanded by permutations: the inverse is a series that ends at
+the jet order (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch.
+13), and determinants come from the Faddeev-LeVerrier recursion.
 """
 
 from __future__ import annotations
@@ -345,56 +349,78 @@ class MetricField:
         return f"MetricField({label} dim={self.dim}, coords={self.coordinates})"
 
 
-def _permutation_terms(sp, c: np.ndarray) -> np.ndarray:
-    """Signed Leibniz products of the last two tensor axes of ``c``, one per
-    permutation in ``itertools.permutations`` order, before the
-    coefficients."""
-    perms = list(itertools.permutations(range(c.shape[-2])))
-    cols = np.array(perms)
-    term = c[..., 0, cols[:, 0], :]
-    for i in range(1, len(cols[0])):
-        term = jets.product_coeffs(sp, term, c[..., i, cols[:, i], :])
-    # the parity of a permutation is that of its number of inversions
-    signs = [(-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2)) for p in perms]
-    return term * np.array(signs)[:, None]
+def adjugate_family(L: JetTensor):
+    """Coefficients of adjugate(t Id - L) and of det(t Id - L) in t.
+
+    Faddeev-LeVerrier: M_1 = Id and, for k = 1..n-1,
+
+        c_{n-k}  = -trace(L M_k) / k,
+        M_{k+1}  = L M_k + c_{n-k} Id,
+
+    with c_0 = -trace(L M_n)/n.  Then adjugate(t Id - L) = sum_k t^{n-k} M_k,
+    so the coefficient of t^l is M_{n-l}.  Everything is exact polynomial
+    algebra; no t is ever substituted.
+    """
+    d = L.dim
+    sp = L.space
+    diag = np.arange(d)
+    M = np.zeros(L.coeffs.shape)
+    M[..., diag, diag, 0] = 1.0
+    S = [None] * d  # S[l] = coefficient of t^l
+    char = [None] * (d + 1)
+    char[d] = jets.Jet._new(sp, M[..., 0, 0, :].copy())  # 1, in every row
+    S[d - 1] = M
+    for k in range(1, d):
+        # L Id is L + 0.0 by the constant-jet rule of jets, so it takes no product
+        M = L.coeffs + 0.0 if k == 1 else _contract(sp, "is,sj->ij", L.coeffs, M)
+        c = _accumulate(_diagonal(M, -3, -2)) * (-1.0 / k)  # trace, first term first
+        char[d - k] = jets.Jet._new(sp, c)
+        M[..., diag, diag, :] += c[..., None, :]
+        S[d - 1 - k] = M
+    LM = _contract(sp, "is,si->i", L.coeffs, M)  # the diagonal of L M only
+    char[0] = jets.Jet._new(sp, _accumulate(LM) * (-1.0 / d))
+    S_coeffs = tuple(JetTensor._dense(sp, m, 1, 1) for m in S)
+    return S_coeffs, tuple(char)
 
 
 def determinant(t: JetTensor) -> jets.Jet:
-    """Determinant of a rank-2 tensor via the Leibniz expansion."""
+    """Determinant of a rank-2 tensor, (-1)^n c_0 of ``adjugate_family``."""
     if t.n_upper + t.n_lower != 2:
         raise ValueError(f"determinant needs a rank-2 tensor, got {t.rank}")
-    return jets.Jet._new(t.space, _accumulate(_permutation_terms(t.space, t.coeffs)))
+    return adjugate_family(t)[1][0] * (-1.0) ** t.dim
 
 
-def _adjugate(t: JetTensor) -> JetTensor:
-    """Adjugate of a rank-2 tensor: adj(A) @ A = det(A) I, from the
-    cofactors of all minors at once."""
-    d = t.dim
-    out = np.zeros(t.coeffs.shape)
-    if d == 1:
-        out[..., 0] = 1.0
-        return t._like(out)
-    keep = np.array([[k for k in range(d) if k != i] for i in range(d)])
-    minors = t.coeffs[..., keep[:, None, :, None], keep[None, :, None, :], :]
-    cof = _accumulate(_permutation_terms(t.space, minors))  # [i, j]: row i, col j out
-    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    return t._like(np.swapaxes(cof, -3, -2) * sign[..., None])
+def _inverse(t: JetTensor) -> JetTensor:
+    """Inverse of a rank-2 tensor jet, with its index positions swapped.
+
+    With C the inverse of the point value and N = t - t(x), which has no
+    constant term, t^{-1} = (Id + C N)^{-1} C = (sum_k (-C N)^k) C, and
+    (C N)^k starts at degree k, so the series ends at the jet order.  The
+    two float-by-jet products with C are summed term by term
+    (``_accumulate``), and only the powers k >= 2 take jet products.  The
+    sum of the powers starts from +0.0, so a coefficient of degree d has
+    the same bits at every order >= d.
+    """
+    sp, diag = t.space, np.arange(t.dim)
+    c = np.linalg.inv(t.coeffs[..., 0])
+    tail = t.coeffs.copy()
+    tail[..., 0] = 0.0
+    # step[i, j] = sum_s -C[i, s] N[s, j]
+    step = _accumulate(-c[..., :, None, :, None] * np.swapaxes(tail, -3, -2)[..., None, :, :, :])
+    total, power = 0.0 + step, step
+    total[..., diag, diag, 0] += 1.0
+    for _ in range(1, sp.order):
+        power = _contract(sp, "is,sj->ij", step, power)
+        total += power
+    out = _accumulate(total[..., :, None, :, :] * np.swapaxes(c, -1, -2)[..., None, :, :, None])
+    return JetTensor._dense(sp, out, t.n_lower, t.n_upper)
 
 
-def _inverse(t: JetTensor, det: jets.Jet | None = None) -> JetTensor:
-    """Inverse of a rank-2 tensor jet, adjugate over det, with its index
-    positions swapped; ``det``, when given, is ``determinant(t)``."""
-    inv_det = jets.reciprocal(determinant(t) if det is None else det).coeffs
-    out = jets.product_coeffs(t.space, _adjugate(t).coeffs, inv_det[..., None, None, :])
-    return JetTensor._dense(t.space, out, t.n_lower, t.n_upper)
-
-
-def inverse_metric(g: JetTensor, det: jets.Jet | None = None) -> JetTensor:
-    """Inverse of a (0,2) metric jet as a (2,0) tensor, adjugate over det;
-    ``det``, when given, is ``determinant(g)``."""
+def inverse_metric(g: JetTensor) -> JetTensor:
+    """Inverse of a (0,2) metric jet as a (2,0) tensor (see ``_inverse``)."""
     if g.rank != (0, 2):
         raise ValueError(f"inverse_metric needs a (0,2) tensor, got {g.rank}")
-    return _inverse(g, det)
+    return _inverse(g)
 
 
 def christoffel(g: JetTensor, g_inv: JetTensor | None = None) -> JetTensor:

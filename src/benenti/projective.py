@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,14 +54,12 @@ from . import jets
 from .geometry import (
     JetTensor,
     MetricField,
+    adjugate_family,
     christoffel,
     contract,
     covariant_derivative,
     determinant,
-    _accumulate,
     _contract,
-    _diagonal,
-    _inverse,
     gradient_tensor,
     inverse_metric,
     matmul,
@@ -185,39 +183,6 @@ class BenentiData:
     char_coeffs: tuple
 
 
-def adjugate_family(L: JetTensor):
-    """Coefficients of adjugate(t Id - L) and of det(t Id - L) in t.
-
-    Faddeev-LeVerrier: M_1 = Id and, for k = 1..n-1,
-
-        c_{n-k}  = -trace(L M_k) / k,
-        M_{k+1}  = L M_k + c_{n-k} Id,
-
-    with c_0 = -trace(L M_n)/n.  Then adjugate(t Id - L) = sum_k t^{n-k} M_k,
-    so the coefficient of t^l is M_{n-l}.  Everything is exact polynomial
-    algebra; no t is ever substituted.
-    """
-    d = L.dim
-    sp = L.space
-    diag = np.arange(d)
-    M = np.zeros(L.coeffs.shape)
-    M[..., diag, diag, 0] = 1.0
-    S = [None] * d  # S[l] = coefficient of t^l
-    char = [None] * (d + 1)
-    char[d] = jets.Jet._new(sp, M[..., 0, 0, :].copy())  # 1, in every row
-    S[d - 1] = M
-    for k in range(1, d):
-        M = _contract(sp, "is,sj->ij", L.coeffs, M)
-        c = _accumulate(_diagonal(M, -3, -2)) * (-1.0 / k)  # trace, first term first
-        char[d - k] = jets.Jet._new(sp, c)
-        M[..., diag, diag, :] += c[..., None, :]
-        S[d - 1 - k] = M
-    LM = _contract(sp, "is,sj->ij", L.coeffs, M)
-    char[0] = jets.Jet._new(sp, _accumulate(_diagonal(LM, -3, -2)) * (-1.0 / d))
-    S_coeffs = tuple(JetTensor._dense(sp, m, 1, 1) for m in S)
-    return S_coeffs, tuple(char)
-
-
 def _polynomial(coeffs, t) -> JetTensor:
     """sum_l t^l coeffs[l], the powers built up by repeated products; the
     axes of ``t`` go before the tensor axes, against the rows of a block."""
@@ -240,16 +205,17 @@ class PointFrame:
     consume orders; with the metrics at order m, each quantity is built at
     the order its readers need:
 
-      * g, gbar, det_g, det_gbar, g_inv, gbar_inv, sqrt_abs_det_g, L,
-        A_coeffs and benenti's L, lam, S_coeffs, char_coeffs: m
+      * g, gbar, g_inv, gbar_inv, sqrt_abs_det_g, L, A_coeffs and
+        benenti's L, lam, S_coeffs, char_coeffs: m
       * gamma, gamma_trace and benenti's lam_form: m-1
       * ricci_tensor, ricci_endo: m-2
       * benenti's K_coeffs: 1 (check_killing reads nabla K at order 0)
       * gamma_bar and benenti's phi_form: 0 (read as values only)
 
-    det g and det gbar are expanded once each, by Leibniz, and shared by
-    the inverses, L and sqrt_abs_det_g.  No check reads sqrt_abs_det_g: the
-    operators take their divergence through gamma_trace.
+    The inverses are terminating series (``geometry._inverse``).  L and its
+    Killing family come from one Faddeev-LeVerrier pass over gbar^{-1} g,
+    and phi reads L^{-1} = -S_0 / c_0.  Only sqrt_abs_det_g, which no check
+    reads, takes a ``determinant``.
     """
 
     def __init__(self, pair: ProjectivePair, points, order: int):
@@ -271,20 +237,12 @@ class PointFrame:
         return self.metrics[1].evaluate(self.points, self.order)
 
     @cached_property
-    def det_g(self) -> jets.Jet:
-        return determinant(self.g)
-
-    @cached_property
-    def det_gbar(self) -> jets.Jet:
-        return determinant(self.gbar)
-
-    @cached_property
     def g_inv(self) -> JetTensor:
-        return inverse_metric(self.g, self.det_g)
+        return inverse_metric(self.g)
 
     @cached_property
     def gbar_inv(self) -> JetTensor:
-        return inverse_metric(self.gbar, self.det_gbar)
+        return inverse_metric(self.gbar)
 
     @cached_property
     def gamma(self) -> JetTensor:
@@ -302,25 +260,37 @@ class PointFrame:
 
     @cached_property
     def sqrt_abs_det_g(self) -> jets.Jet:
-        return jets.sqrt(jets.absolute(self.det_g))
+        return jets.sqrt(jets.absolute(determinant(self.g)))
+
+    @cached_property
+    def _pencil(self) -> tuple:
+        """X = gbar^{-1} g, its adjugate_family and f = |c_0(X)|^(-1/(n+1)),
+        so L = f X.  Scaling t by f gives L's family: adjugate(t Id - L) =
+        sum_l t^l f^(n-1-l) S_l(X), det(t Id - L) = sum_l t^l f^(n-l) c_l(X)."""
+        X = matmul(self.gbar_inv, self.g)
+        S_X, char_X = adjugate_family(X)
+        return X, S_X, char_X, jets.power(jets.absolute(char_X[0]), -1.0 / (self.dim + 1))
 
     @cached_property
     def L(self) -> JetTensor:
-        ratio = self.det_gbar * jets.reciprocal(self.det_g)
-        factor = jets.power(jets.absolute(ratio), 1.0 / (self.dim + 1))
-        mixed = matmul(self.gbar_inv, self.g)
-        return mixed._like(jets.product_coeffs(
-            mixed.space, factor.coeffs[..., None, None, :], mixed.coeffs))
+        X, _, _, f = self._pencil
+        return X * f
 
     @cached_property
     def benenti(self) -> BenentiData:
-        L = self.L
+        n, L = self.dim, self.L
+        _, S_X, char_X, f = self._pencil
+        powers = (None, *accumulate([f] * n, lambda a, b: a * b))  # f^k
+        S_coeffs = tuple(S_X[l] * powers[n - 1 - l] for l in range(n - 1)) + S_X[-1:]
+        char_coeffs = tuple(char_X[l] * powers[n - l] for l in range(n)) + char_X[-1:]
         lam = contract(L, 0, 0)[()] * 0.5
         lam_form = gradient_tensor(lam)
-        # phi_i = -(L^{-1})^s_i lam_s, at order 0: its readers take values
-        L0, lam0 = L.truncated(0), lam_form.truncated(0)
-        phi = -_contract(L0.space, "si,s->i", _inverse(L0).coeffs, lam0.coeffs)
-        S_coeffs, char_coeffs = adjugate_family(L)
+        # phi_i = -(L^{-1})^s_i lam_s with L^{-1} = -S_0 / c_0, at order 0:
+        # its readers take values
+        lam0 = lam_form.truncated(0)
+        c0 = jets.truncate(char_coeffs[0], 0)
+        L_inv = S_coeffs[0].truncated(0) * jets.reciprocal(c0) * -1.0
+        phi = -_contract(lam0.space, "si,s->i", L_inv.coeffs, lam0.coeffs)
         # K_l at order 1: check_killing reads nabla K at order 0
         g1 = self.g.truncated(1)
         return BenentiData(
@@ -337,7 +307,8 @@ class PointFrame:
     def A_coeffs(self) -> tuple:
         """The raised coefficients A_l = S_l g^{-1} of the Killing family,
         one (2,0) tensor per power t^l."""
-        return tuple(matmul(S, self.g_inv) for S in self.benenti.S_coeffs)
+        S_coeffs = self.benenti.S_coeffs  # S_{n-1} = Id, so A_{n-1} = g^{-1}
+        return tuple(matmul(S, self.g_inv) for S in S_coeffs[:-1]) + (self.g_inv,)
 
     @cached_property
     def ricci_tensor(self) -> JetTensor:

@@ -12,9 +12,11 @@ constant factor.
 
 The operator references apply one operator to one jet at a time, with the
 per-function and per-probe loops the stacked applications replace, and the
-sampler reference draws one point at a time.  ``density_apply`` is not a
-bitwise reference: it takes the divergence another way, as a tolerance
-oracle for the Christoffel one.
+sampler reference draws one point at a time.  Three references are not
+bitwise: ``determinant``, ``adjugate`` and ``inverse`` expand by Leibniz, as
+accuracy oracles for the Faddeev-LeVerrier determinant and the series
+inverse, and ``density_apply`` takes the divergence another way, as a
+tolerance oracle for the Christoffel one.
 """
 
 import itertools
@@ -104,6 +106,60 @@ def inverse(g, d):
     return {idx: a * inv_det for idx, a in adjugate(g, d).items()}
 
 
+def series_inverse(t, d):
+    """The inverse of ``geometry._inverse``, one component at a time: with C
+    the inverse of the point value and N = t - t(x), the powers of
+    P = -C N summed from +0.0 over k = 0..order, times C; each sum of
+    products from its first term."""
+    c = np.linalg.inv(np.array([[t[i, j].value for j in range(d)] for i in range(d)]))
+    sample = t[0, 0]
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    tail = {(i, j): t[i, j] - t[i, j].value for i, j in pairs}
+    step = {(i, j): first_term_sum(tail[s, j] * float(-c[i, s]) for s in range(d))
+            for i, j in pairs}
+    zero = jets.Jet.constant(0.0, sample.nvars, sample.order)
+    total = {(i, j): zero + step[i, j] + (1.0 if i == j else 0.0) for i, j in pairs}
+    power = step
+    for _ in range(1, sample.order):
+        power = {(i, j): first_term_sum(step[i, s] * power[s, j] for s in range(d))
+                 for i, j in pairs}
+        total = {idx: total[idx] + power[idx] for idx in pairs}
+    return {(i, j): first_term_sum(total[i, s] * float(c[s, j]) for s in range(d))
+            for i, j in pairs}
+
+
+def adjugate_family(L, d):
+    """(S, char) of ``geometry.adjugate_family`` for a dict or tensor ``L``:
+    the Faddeev-LeVerrier recursion one component at a time."""
+    sample = L[0, 0]
+    one = jets.Jet.constant(1.0, sample.nvars, sample.order)
+    zero = jets.Jet.constant(0.0, sample.nvars, sample.order)
+    M = {(i, j): one if i == j else zero for i in range(d) for j in range(d)}
+    S = [None] * d
+    char = [None] * (d + 1)
+    char[d] = one
+    S[d - 1] = M
+
+    def times_L(M):
+        return {(i, j): sum(L[i, s] * M[s, j] for s in range(d))
+                for i in range(d) for j in range(d)}
+
+    for k in range(1, d):
+        LM = times_L(M)
+        c = first_term_sum(LM[s, s] for s in range(d)) * (-1.0 / k)
+        char[d - k] = c
+        M = {(i, j): LM[i, j] + c if i == j else LM[i, j] for (i, j) in LM}
+        S[d - 1 - k] = M
+    LM = times_L(M)
+    char[0] = first_term_sum(LM[s, s] for s in range(d)) * (-1.0 / d)
+    return S, char
+
+
+def fl_determinant(t, d):
+    """``geometry.determinant``: (-1)^d c_0 of the recursion."""
+    return adjugate_family(t, d)[1][0] * (-1.0) ** d
+
+
 def christoffel(g, g_inv, d):
     order = g.order - 1
     dg = {}
@@ -177,39 +233,32 @@ def contract(t, d, upper_slot, lower_slot):
 
 
 def benenti(frame):
-    """lam, lam_form, phi, S_coeffs, K_coeffs and char_coeffs of a frame,
-    from its L and g, each indexed like the frame's tensors."""
-    L, g, d = frame.L, frame.g, frame.dim
+    """L, lam, lam_form, phi, S_coeffs, K_coeffs and char_coeffs of a frame,
+    from its g and gbar, each indexed like the frame's tensors: one
+    recursion over X = gbar^{-1} g, scaled by f = |c_0(X)|^(-1/(n+1))."""
+    g, gbar, d = frame.g, frame.gbar, frame.dim
+    gbar_inv = series_inverse(gbar, d)
+    X = {(i, j): first_term_sum(gbar_inv[i, s] * g[s, j] for s in range(d))
+         for i in range(d) for j in range(d)}
+    S_X, char_X = adjugate_family(X, d)
+    f = jets.power(jets.absolute(char_X[0]), -1.0 / (d + 1))
+    powers = [None, f]
+    for _ in range(1, d):
+        powers.append(powers[-1] * f)
+    S = [{idx: m * powers[d - 1 - l] for idx, m in S_X[l].items()} for l in range(d - 1)]
+    S.append(S_X[d - 1])
+    char = [char_X[l] * powers[d - l] for l in range(d)] + [char_X[d]]
+    L = {idx: x * f for idx, x in X.items()}
     lam = first_term_sum(L[s, s] for s in range(d)) * 0.5
     lam_form = [jets.differentiate(lam, i) for i in range(d)]
-    inv_det = jets.reciprocal(determinant(lambda i, j: L[i, j], d))
-    adj = adjugate(L, d)
+    # L^{-1} = -S_0 / c_0
+    L_inv = {idx: m * jets.reciprocal(char[0]) * -1.0 for idx, m in S[0].items()}
     sub = lam.order - 1
-    phi = [-first_term_sum(jets.truncate(adj[s, i] * inv_det, sub) * lam_form[s]
+    phi = [-first_term_sum(jets.truncate(L_inv[s, i], sub) * lam_form[s]
                            for s in range(d)) for i in range(d)]
-    one = jets.Jet.constant(1.0, lam.nvars, lam.order)
-    zero = jets.Jet.constant(0.0, lam.nvars, lam.order)
-    M = {(i, j): one if i == j else zero for i in range(d) for j in range(d)}
-    S = [None] * d
-    char = [None] * (d + 1)
-    char[d] = one
-    S[d - 1] = M
-
-    def times_L(M):
-        return {(i, j): sum(L[i, s] * M[s, j] for s in range(d))
-                for i in range(d) for j in range(d)}
-
-    for k in range(1, d):
-        LM = times_L(M)
-        c = first_term_sum(LM[s, s] for s in range(d)) * (-1.0 / k)
-        char[d - k] = c
-        M = {(i, j): LM[i, j] + c if i == j else LM[i, j] for (i, j) in LM}
-        S[d - 1 - k] = M
-    LM = times_L(M)
-    char[0] = first_term_sum(LM[s, s] for s in range(d)) * (-1.0 / d)
     K = [{(i, j): first_term_sum(g[i, r] * Sl[r, j] for r in range(d))
           for i in range(d) for j in range(d)} for Sl in S]
-    return lam, dict(enumerate(lam_form)), dict(enumerate(phi)), S, K, char
+    return L, lam, dict(enumerate(lam_form)), dict(enumerate(phi)), S, K, char
 
 
 def apply_operator(frame, A, f):

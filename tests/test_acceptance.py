@@ -27,10 +27,11 @@ import time
 import numpy as np
 import pytest
 
+import jet_reference
 from benenti import catalog, expr, jets, operators as ops
 from benenti.cli import main as cli_main
 from benenti.errors import PairFileError
-from benenti.geometry import JetTensor, MetricField, christoffel, _adjugate
+from benenti.geometry import JetTensor, MetricField, christoffel
 from benenti.pairfile import parse_pair
 from benenti.projective import (
     adjugate_family,
@@ -412,7 +413,7 @@ def test_criterion_7_kernel_soundness():
                 for i in range(d):
                     for j in range(d):
                         m[i, j] = (t if i == j else 0.0) * one - comps[i, j]
-                adj = _adjugate(JetTensor(m, 1, 1))
+                adj = jet_reference.adjugate(JetTensor(m, 1, 1), d)
                 adjs.append(np.array(
                     [[adj[i, j] for j in range(d)] for i in range(d)], dtype=object
                 ))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jet_reference as ref
 from benenti import catalog, expr, jets
@@ -422,6 +424,33 @@ def random_jet_tensor(rng, n, rank, order=4, symmetric=False, diagonal=0.0):
     return JetTensor(nested, *rank)
 
 
+# Relative accuracy of the series inverse and the Faddeev-LeVerrier
+# determinant: against the Leibniz expansions, and of g^{-1} g - Id against
+# max |g| max |g^{-1}|, over every coefficient.  Measured at most 7.6e-16
+# and 5.8e-16.
+INVERSE_RTOL = 1e-14
+
+
+@given(st.integers(2, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_inverse_metric_times_metric_is_the_identity(n, order, seed):
+    """Random symmetric metrics of any signature with |eigenvalues| in
+    [1, 4] at the point: every coefficient of g^{-1} g - Id stays within
+    INVERSE_RTOL."""
+    rng = np.random.default_rng(seed)
+    sp = jets._space(n, order)
+    c = rng.uniform(-0.5, 0.5, (n, n, sp.ncoeffs))
+    c = 0.5 * (c + np.swapaxes(c, 0, 1))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    c[..., 0] = q @ np.diag(rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n)) @ q.T
+    g = JetTensor._dense(sp, c, 0, 2)
+    g_inv = inverse_metric(g)
+    residual = matmul(g_inv, g).coeffs
+    residual[np.arange(n), np.arange(n), 0] -= 1.0
+    scale = np.max(np.abs(c)) * np.max(np.abs(g_inv.coeffs))
+    assert np.max(np.abs(residual)) <= INVERSE_RTOL * scale
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 class TestDenseKernelsBitwise:
     """The dense kernels against per-component loops on scalar jets, bit
@@ -433,9 +462,15 @@ class TestDenseKernelsBitwise:
                                  symmetric=True, diagonal=2.0)
 
     def test_determinant_and_inverse(self, n, metric):
-        want = ref.determinant(lambda i, j: metric[i, j], n)
-        ref.assert_same_bits({(): determinant(metric)}, {(): want})
-        ref.assert_same_bits(inverse_metric(metric), ref.inverse(metric, n))
+        det, inv = determinant(metric), inverse_metric(metric)
+        ref.assert_same_bits({(): det}, {(): ref.fl_determinant(metric, n)})
+        ref.assert_same_bits(inv, ref.series_inverse(metric, n))
+        # the Leibniz expansions agree to within INVERSE_RTOL
+        leibniz = ref.determinant(lambda i, j: metric[i, j], n).coeffs
+        assert np.max(np.abs(det.coeffs - leibniz)) <= INVERSE_RTOL * np.max(np.abs(leibniz))
+        leibniz = np.array([[ref.inverse(metric, n)[i, j].coeffs for j in range(n)]
+                            for i in range(n)])
+        assert np.max(np.abs(inv.coeffs - leibniz)) <= INVERSE_RTOL * np.max(np.abs(leibniz))
 
     def test_christoffel(self, n, metric):
         g_inv = inverse_metric(metric)

@@ -9,10 +9,8 @@ from benenti import catalog, geometry, jets, pairfile, projective, verify
 from benenti.geometry import (
     JetTensor,
     MetricField,
-    _adjugate,
     _contract,
     christoffel,
-    determinant,
     matmul,
 )
 from benenti.projective import (
@@ -27,6 +25,7 @@ from benenti.projective import (
     check_projective_equivalence,
     check_ricci_commutation,
 )
+from levi_civita import LC5_BOXES, levi_civita_pair
 
 DINI_POINT = (2.0, 1.0)
 
@@ -40,16 +39,18 @@ def fresh(pair):
     return ProjectivePair(pair.g, pair.gbar, pair.domain)
 
 
-# the catalog, and generated Levi-Civita pairs at n = 3 and n = 4 kept with
-# the golden reports
+# the catalog, generated Levi-Civita pairs at n = 3 and n = 4 kept with
+# the golden reports, and one at n = 5 built here
 FIXTURES = Path(__file__).resolve().parent / "golden"
-NAMED_PAIRS = [*catalog.list_entries(), "lc3", "lc4"]
+NAMED_PAIRS = [*catalog.list_entries(), "lc3", "lc4", "lc5"]
 
 
 def named_pair(name):
     """A pair of NAMED_PAIRS with an empty frame cache."""
     if name in catalog.list_entries():
         return fresh(catalog.get_entry(name).pair)
+    if name == "lc5":
+        return levi_civita_pair(LC5_BOXES, name)
     return pairfile.load_pair(FIXTURES / f"{name}.yaml")
 
 
@@ -249,11 +250,12 @@ def test_benenti_matches_scalar_jet_loops(n):
     compared with the reference truncated to those orders."""
     frame = generic_pair(n).frame((0.3, 0.5, 0.7, 0.9)[:n], 4)
     bd = frame.benenti
-    lam, lam_form, phi, S, K, char = ref.benenti(frame)
+    L, lam, lam_form, phi, S, K, char = ref.benenti(frame)
 
     def truncated(reference, order):
         return {idx: jets.truncate(jet, order) for idx, jet in reference.items()}
 
+    ref.assert_same_bits(bd.L, L)
     ref.assert_same_bits({(): bd.lam}, {(): lam})
     ref.assert_same_bits(bd.lam_form, lam_form)
     ref.assert_same_bits(bd.phi_form, truncated(phi, 0))
@@ -265,17 +267,7 @@ def test_benenti_matches_scalar_jet_loops(n):
 
 def levi_civita_3():
     """Levi-Civita normal form in three variables with X_i = x_i."""
-    def diagonal(entries):
-        return [[entries[i] if i == j else "0" for j in range(3)]
-                for i in range(3)]
-
-    factors = ["(x1 - x2) * (x1 - x3)", "(x1 - x2) * (x2 - x3)",
-               "(x1 - x3) * (x2 - x3)"]
-    g = MetricField(("x1", "x2", "x3"), diagonal(factors))
-    gbar = MetricField(("x1", "x2", "x3"), diagonal(
-        [f"{f} / (x{i + 1} * x1 * x2 * x3)" for i, f in enumerate(factors)]))
-    return ProjectivePair(g, gbar, {"x1": (3.0, 3.8), "x2": (1.8, 2.5),
-                                    "x3": (0.4, 1.2)})
+    return levi_civita_pair(((3.0, 3.8), (1.8, 2.5), (0.4, 1.2)))
 
 
 # PointFrame quantities by the lowest frame order that can compute them
@@ -305,7 +297,7 @@ def frame_coefficients(frame):
     return out
 
 
-TRUNCATION_PAIRS = [*catalog.list_entries(), "levi_civita_3", "generic_3", "lc4"]
+TRUNCATION_PAIRS = [*catalog.list_entries(), "levi_civita_3", "generic_3", "lc4", "lc5"]
 
 
 @pytest.mark.parametrize("name", TRUNCATION_PAIRS)
@@ -338,12 +330,13 @@ def test_lower_order_frames_are_prefixes_of_the_top_one(name):
                 order, label)
 
 
-@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc4"])
+@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc4", "lc5"])
 def test_value_read_quantities_are_prefixes_of_the_order_3_ones(name):
     """An order-3 frame builds gamma_bar and phi_form at order 0 and the
     K_l at order 1, the orders their checks read; each equals the leading
-    coefficients of the same quantity built at full order, bit for bit.
-    ``lc4`` is checked on a block of three points."""
+    coefficients of the same quantity built at full order, bit for bit,
+    with L^{-1} = -S_0 / c_0 at full order for phi.  ``lc4`` is checked on
+    a block of three points."""
     pair = named_pair(name)
     if name == "lc4":
         point = sampled_block(pair)
@@ -353,9 +346,7 @@ def test_value_read_quantities_are_prefixes_of_the_order_3_ones(name):
     bd = frame.benenti
     assert (frame.gamma_bar.order, bd.phi_form.order) == (0, 0)
     assert {K.order for K in bd.K_coeffs} == {1}
-    L = bd.L
-    L_inv = jets.product_coeffs(L.space, _adjugate(L).coeffs, jets.reciprocal(
-        determinant(L)).coeffs[..., None, None, :])
+    L_inv = (bd.S_coeffs[0] * jets.reciprocal(bd.char_coeffs[0]) * -1.0).coeffs
     sub = bd.lam_form.space
     full = {
         "gamma_bar": christoffel(frame.gbar, frame.gbar_inv).coeffs,
@@ -372,21 +363,29 @@ def test_value_read_quantities_are_prefixes_of_the_order_3_ones(name):
 
 
 def test_a_frame_expands_each_determinant_once(monkeypatch):
-    """One Leibniz determinant per metric, shared by its inverse, L and
-    sqrt|det g|, and one of L's own value for phi."""
-    calls = []
-    original = geometry.determinant
+    """A frame's one determinant is c_0 of X = gbar^{-1} g, from the one
+    Faddeev-LeVerrier pass that also gives L's family; the inverses take
+    none.  Only sqrt_abs_det_g, which no check reads, calls determinant."""
+    calls = {"determinant": 0, "adjugate_family": 0}
 
-    def counting(t):
-        calls.append(t.order)
-        return original(t)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(geometry, "determinant", counting)
-    monkeypatch.setattr(projective, "determinant", counting)
+        def counted(t):
+            calls[name] += 1
+            return original(t)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (geometry, projective):
+        counting(module, "determinant")
+    counting(projective, "adjugate_family")
     pair = named_pair("lc4")
     frame = PointFrame(pair, sampled_block(pair), 3)
-    assert frame_coefficients(frame)  # every quantity of the frame
-    assert sorted(calls) == [0, 3, 3]
+    for names in FRAME_QUANTITIES.values():
+        for name in names:
+            if name != "sqrt_abs_det_g":
+                getattr(frame, name)
+    assert calls == {"determinant": 0, "adjugate_family": 1}
 
 
 class TestAdjugateFamily:
@@ -464,9 +463,10 @@ class TestAdjugateFamily:
         pair = catalog.get_entry("trivial3").pair
         frame = pair.frame((0.9, 1.4, 1.1), 2)
         for t in (-1.2, 0.3, 2.5):
-            direct = _adjugate(frame.L * -1.0 + _identity_times(frame, t))
+            direct = ref.adjugate(frame.L * -1.0 + _identity_times(frame, t), 3)
             assert np.allclose(frame.S_of_t(t).value(),
-                               jet_matrix_values(direct), atol=1e-11)
+                               [[direct[i, j].value for j in range(3)] for i in range(3)],
+                               atol=1e-11)
 
 
 def _identity_times(frame, t):

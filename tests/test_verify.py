@@ -21,6 +21,7 @@ from benenti.projective import (
 )
 
 import jet_reference
+from levi_civita import LC5_BOXES, levi_civita_pair
 
 
 # strings PyYAML must quote, escape or wrap: YAML keywords and numbers,
@@ -437,12 +438,14 @@ FIXTURES = Path(__file__).resolve().parent / "golden"
 
 
 def load(name):
+    if name == "lc5":
+        return levi_civita_pair(LC5_BOXES, name)
     if name in ("lc3", "lc4"):
         return pairfile.load_pair(FIXTURES / f"{name}.yaml")
     return catalog.get_entry(name).pair
 
 
-@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4"])
+@pytest.mark.parametrize("name", [*catalog.list_entries(), "lc3", "lc4", "lc5"])
 def test_records_do_not_depend_on_how_points_are_batched(name):
     # rows + 3 points fill a block and start the next; their first 3 are
     # checked in a full block, and alone they are a block of 3.  Points,
@@ -460,6 +463,12 @@ def test_records_do_not_depend_on_how_points_are_batched(name):
         b = [r.to_mapping() for r in many.records if r.check == check]
         assert len(a) == 3 and len(b) == count
         assert yaml.safe_dump(a) == yaml.safe_dump(b[:3]), check
+
+
+def test_a_five_dimensional_pair_passes_every_non_drift_check():
+    report = verify.verify_pair(load("lc5"), verify.VerifyConfig(points=4, checks=NON_DRIFT))
+    assert report.passed
+    assert {r.check for r in report.records} == set(NON_DRIFT)
 
 
 # Multiply-adds of jet products in one verify_pair of lc4.yaml over the nine
