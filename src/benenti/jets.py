@@ -36,6 +36,14 @@ bits of ``c * B[k] + 0.0`` wherever ``B`` is finite (its other terms are
 has an infinite or NaN coefficient, the product's ``0 * inf`` terms were
 NaN and the shortcut's are not (the one edge; the corpus never reaches it).
 
+Zero-jet rule: for the same reason, a product of a zero jet (every
+coefficient +-0.0) with a finite jet has every coefficient +0.0.  So the
+block path of ``product_coeffs`` multiplies only the rows whose factors both
+have a nonzero coefficient (NaN counts as nonzero) and leaves the others at
++0.0.  Its edge is the constant-jet rule's: a zero jet times an infinite or
+NaN coefficient has NaN terms, so where any coefficient of either factor is
+not finite every row is multiplied.
+
 Jets are immutable values and all operations are pure.
 """
 
@@ -160,9 +168,12 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each output coefficient of each jet sums its products in the order of
     the convolution table, starting from zero, as the single-jet kernel
-    ``np.bincount(kk, a[ii] * b[jj])`` does.  More jets than fit in
-    BLOCK_TERMS table terms are multiplied in blocks of rows, which changes
-    no bits.
+    ``np.bincount(kk, a[ii] * b[jj])`` does.  A broadcast of more jets than
+    fit in BLOCK_TERMS table terms takes the block path: it gathers the live
+    rows (those whose factors both have a nonzero coefficient; every row
+    when a coefficient of ``a`` or ``b`` is not finite), multiplies them in
+    blocks of rows, and leaves every other row at +0.0, the zero-jet rule.
+    Neither changes a bit.
     """
     ii, jj, kk = sp._mul
     if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
@@ -176,9 +187,12 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 (x.reshape(-1, x.shape[-1]), np.broadcast_to(  # row of x per row
                     np.arange(x.size // x.shape[-1]).reshape(x.shape[:-1]), lead).ravel())
                 for x in (a, b))
-            out = np.empty((rows, sp.ncoeffs))
-            for start in range(0, rows, step):
-                block = slice(start, start + step)
+            live = (np.flatnonzero(a.any(-1)[ra] & b.any(-1)[rb])
+                    if np.isfinite(a).all() and np.isfinite(b).all()
+                    else np.arange(rows))
+            out = np.zeros((rows, sp.ncoeffs))
+            for start in range(0, len(live), step):
+                block = live[start:start + step]
                 out[block] = product_coeffs(sp, a[ra[block]], b[rb[block]])
             return out.reshape(lead + (sp.ncoeffs,))
     terms = a[..., ii] * b[..., jj]

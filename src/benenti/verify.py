@@ -131,6 +131,12 @@ class VerifyConfig:
                 raise ValueError("t_grid must not be empty")
             if not all(math.isfinite(t) for t in self.t_grid):
                 raise ValueError(f"t_grid must be finite, got {list(self.t_grid)}")
+            # these compare two grid values t and s, and t = s passes any pair
+            pairwise = [c for c in self.checks
+                        if c in ("poisson", "commutator", "decompose")]
+            if pairwise and len(set(self.t_grid)) < 2:
+                raise ValueError(f"t_grid needs two distinct values for {pairwise}, "
+                                 f"got {list(self.t_grid)}")
         if len(set(self.checks)) != len(self.checks):
             raise ValueError(f"checks must be distinct, got {list(self.checks)}")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
@@ -299,7 +305,7 @@ def _block_records(pair, check, points, grids, momenta):
                        "ricci-comm": check_ricci_commutation}[check]
         return [(r, ()) for r in frame_check(pair, points)]
     if check == "decompose":
-        t, s = cols[0], cols[-1]  # each row's first and last t
+        t, s = cols.min(axis=0), cols.max(axis=0)  # each row's extreme t
         dec = ops.commutator_decompose(
             ops.killing_operator(pair, t), ops.killing_operator(pair, s), points
         )

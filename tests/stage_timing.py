@@ -1,6 +1,8 @@
-"""Print the cost of one drift stage and of one drift batch per catalog pair.
+"""Print the cost of one drift stage and of one drift batch per catalog pair,
+or of whole verification passes of a benchmark workload.
 
     python tests/stage_timing.py [--rounds 400] [--seed 42] [--against ../parent]
+    python tests/stage_timing.py --workload frames_nd [--rounds 60] [--against ../parent]
 
 For every catalog pair the script draws the 5 start points, velocities and
 t values of a drift-only run (``bench/workloads.py``'s ``geodesic`` sizes:
@@ -15,6 +17,16 @@ calls are interleaved and a slow spell of a shared host spreads over all of
 them; a ``batch`` is timed every tenth round only.  The medians over the
 rounds are printed in microseconds.
 
+With ``--workload`` (``catalog``, ``frames_nd`` or ``geodesic``) a round is
+instead one pass of ``bench/workloads.py``'s pairs of that workload at
+``--seed``, as ``bench/run.py`` makes one: the pairs are parsed afresh, then
+each is verified and its report rendered under the clock.  The script prints
+the median pass in seconds, and with ``--against`` the other side's median,
+the rounds in which this checkout's pass was the faster, and whether every
+report of both sides reads the same once its ``timing`` block is cut off.
+Between two copies of one commit the rounds won scatter around half, so the
+count of rounds won says more than the ratio of the medians.
+
 The script imports benenti from the ``src/`` of the checkout it lives in.
 ``--against`` names a second checkout, whose ``src/benenti`` is loaded
 beside it in the same process: every call is then timed on both sides in
@@ -27,6 +39,7 @@ this file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import statistics
@@ -77,15 +90,62 @@ def elapsed_us(fn, *args, **kwargs) -> float:
     return (time.perf_counter() - start) * 1e6
 
 
+def timed_pass(side: dict, workload) -> tuple:
+    """Seconds of one verify-and-render pass over the workload's pairs, and
+    each report's text up to its timing block."""
+    verify = side["verify"]
+    pairs = [side["pairfile"].parse_pair(p.text, p.label) for p in workload.pairs]
+    seconds, texts = 0.0, []
+    for spec, pair in zip(workload.pairs, pairs):
+        config = verify.VerifyConfig(**dataclasses.asdict(spec.config))
+        start = time.perf_counter()
+        text = verify.verify_pair(pair, config, source=spec.label,
+                                  expected_equivalent=spec.expected_equivalent).render()
+        seconds += time.perf_counter() - start
+        texts.append(text.rpartition("\ntiming:\n")[0])
+    return seconds, texts
+
+
+def time_passes(sides: dict, name: str, seed: int, rounds: int) -> None:
+    """Print the median pass of each side, and how the sides compare."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads  # bench/workloads.py, on this side's benenti
+
+    workload = workloads.build(name, seed)
+    seconds = {side: [] for side in sides}
+    texts = {side: set() for side in sides}
+    for r in range(rounds):
+        for side in list(sides)[::-1 if r % 2 else 1]:
+            s, t = timed_pass(sides[side], workload)
+            seconds[side].append(s)
+            texts[side].add(tuple(t))
+    print(f"workload {name}, seed {seed}, {rounds} rounds")
+    for side, values in seconds.items():
+        print(f"{side + '_s':<12}{statistics.median(values):12.4f}")
+    if "against" in sides:
+        this, other = (statistics.median(seconds[s]) for s in ("this", "against"))
+        won = sum(a < b for a, b in zip(seconds["this"], seconds["against"]))
+        print(f"{'change':<12}{(this / other - 1) * 100:+11.1f}%")
+        print(f"this side faster in {won} of {rounds} rounds")
+    same = len(texts["this"]) == 1 and all(t == texts["this"] for t in texts.values())
+    print(f"reports identical apart from timing: {'yes' if same else 'no'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, default=400)
+    parser.add_argument("--rounds", type=int, help="default 400, or 60 with --workload")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--against", type=Path, help="checkout to time beside this one")
+    parser.add_argument("--workload", choices=("catalog", "frames_nd", "geodesic"),
+                        help="time whole passes of this benchmark workload")
     args = parser.parse_args(argv)
     sides = {"this": load_side(Path(benenti.__file__).parent, "benenti")}
     if args.against:
         sides["against"] = load_side(args.against / "src" / "benenti", "benenti_against")
+    rounds = args.rounds or (60 if args.workload else 400)
+    if args.workload:
+        time_passes(sides, args.workload, args.seed, rounds)
+        return 0
     names = sides["this"]["catalog"].list_entries()
 
     def pair(mods, name):  # parsed by the side's own code from its own file
@@ -96,7 +156,7 @@ def main(argv=None) -> int:
               for side, mods in sides.items() for name in names}
     stage = {key: [] for key in inputs}
     batch = {key: [] for key in inputs}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = list(sides)[::-1 if r % 2 else 1]
         for name in names:
             for side in order:

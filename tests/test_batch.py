@@ -130,6 +130,53 @@ class TestBatchedJets:
         assert same_bits(jets.product_coeffs(sp, a, b), singles)
         assert 0 < len(sp._bins) <= jets.BLOCK_TERMS  # the slots of one block
 
+    @staticmethod
+    def zero_jet_factors(poison):
+        """7 x 40 broadcast factors, several blocks of rows, that mix all-zero
+        jets, all -0.0 jets and jets with one nonzero coefficient among
+        ordinary ones; ``poison`` goes into a row that meets a zero row."""
+        sp = jets._space(4, 4)
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1.5, 1.5, size=(7, 1, sp.ncoeffs))
+        b = rng.uniform(-1.5, 1.5, size=(40, sp.ncoeffs))
+        a[1], a[2], b[3], b[5] = 0.0, -0.0, 0.0, -0.0
+        a[3, 0, 1:] = b[7, :-1] = 0.0
+        if poison is not None:
+            a[4, 0, 3], a[4, 0, 5] = poison  # a[4] times b[3] is NaN
+            b[9, 0] = poison[0]  # b[9] times a[1] too
+        return sp, a, b
+
+    @pytest.mark.parametrize("poison", [None, (np.nan, 1.0), (np.inf, -np.inf)])
+    def test_products_with_zero_jets(self, poison):
+        # rows with an all-zero factor have the bits of their own product,
+        # +0.0 where the other factor is finite and NaN where it is not
+        sp, a, b = self.zero_jet_factors(poison)
+        assert 7 * 40 > 2 * sp.block_rows
+        with np.errstate(invalid="ignore"):  # inf * 0
+            singles = [[(jets.Jet(4, 4, x) * jets.Jet(4, 4, y)).coeffs for y in b]
+                       for x in a[:, 0]]
+            assert same_bits(jets.product_coeffs(sp, a, b), singles)
+
+    @pytest.mark.parametrize("poison", [None, (np.nan, 1.0)])
+    def test_rows_with_a_zero_factor_are_not_multiplied(self, poison, monkeypatch):
+        sp, a, b = self.zero_jet_factors(poison)
+        original, inner = jets.product_coeffs, []
+
+        def counting(sp, x, y):
+            inner.append((x, y))
+            return original(sp, x, y)
+
+        monkeypatch.setattr(jets, "product_coeffs", counting)
+        original(sp, a, b)  # the block driver, whose blocks call counting
+        rows = sum(len(x) for x, _ in inner)  # each block gathers its rows
+        live = a.any(-1) & b.any(-1)  # [7, 40]
+        assert 1 < len(inner) and all(len(x) <= sp.block_rows for x, _ in inner)
+        if poison is None:  # only live rows reach the inner products
+            assert rows == live.sum() < 7 * 40
+            assert all(x.any(-1).all() and y.any(-1).all() for x, y in inner)
+        else:  # a coefficient that is not finite makes every row live
+            assert rows == 7 * 40
+
     def test_seed_coordinates(self):
         pts = np.random.default_rng(8).uniform(-2, 2, size=(ROWS, 3))
         batched = jets.seed_coordinates(pts, 2)

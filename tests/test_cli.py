@@ -177,6 +177,18 @@ class TestVerifyCommand:
         assert doc["configuration"]["t_grid"] == [0.0, 7.5]
         assert all(r["params"]["t"] in (0.0, 7.5) for r in doc["records"])
 
+    def test_one_value_t_grid_exits_two_for_pairwise_checks(self, capsys):
+        # with t = s for every candidate, a control would read 0.0 and pass
+        rc = main(["verify", "control_nonequiv", "--points", "3", "--t-grid", "5",
+                   "--checks", "poisson,commutator,decompose"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "t_grid" in captured.err
+        rc = main(["verify", "dini", "--points", "2", "--checks", "killing",
+                   "--t-grid", "5"])
+        assert rc == 0
+        assert yaml.safe_load(capsys.readouterr().out)["configuration"]["t_grid"] == [5.0]
+
     def test_tol_flag(self, capsys):
         rc = main(["verify", "control_nonequiv", *QUICK, "--tol", "1e6"])
         assert rc == 0

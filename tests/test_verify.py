@@ -71,6 +71,12 @@ class TestConfig:
         for grid in ((), (0.0, float("inf")), (float("nan"),)):
             with pytest.raises(ValueError):
                 verify.VerifyConfig(t_grid=grid)
+        for checks in (("poisson",), ("basic", "commutator"), ("decompose",)):
+            for grid in ((5.0,), (1.0, 1.0), (0.0, -0.0)):
+                with pytest.raises(ValueError, match="two distinct values"):
+                    verify.VerifyConfig(t_grid=grid, checks=checks)
+        for checks in (("basic", "killing", "carter", "drift"), ()):
+            assert verify.VerifyConfig(t_grid=(5.0,), checks=checks).t_grid == (5.0,)
         for checks in (("basic", "frobnicate"), ("basic", "basic"),
                        ("killing", "basic", "killing")):
             with pytest.raises(ValueError):
@@ -280,9 +286,14 @@ class TestReports:
                                threshold=1e-8, params=params[k % len(params)])
             for k, (check, r) in enumerate(zip(verify.CHECK_IDS * 2, residuals))
         ]
+        # a grid of one distinct value runs only the checks that compare no two t
+        pairwise = ("poisson", "commutator", "decompose")
+        checks = (verify.CHECK_IDS if t_grid is None or len(set(t_grid)) > 1 else
+                  tuple(c for c in verify.CHECK_IDS if c not in pairwise))
         rep = verify.VerificationReport(
             pair_name=name, source=source, dimension=len(coordinates),
-            config=verify.VerifyConfig(tol=tol, t_grid=t_grid), records=records,
+            config=verify.VerifyConfig(tol=tol, t_grid=t_grid, checks=checks),
+            records=records,
             expected_equivalent=expected, elapsed_seconds=1.5,
             check_seconds={"basic": 0.25, "drift": 1e-7})
         assert rep.render() == pyyaml_text(rep.to_mapping())
@@ -349,6 +360,15 @@ class TestReports:
             assert params["t"] in (0.0, 5.0)
         doc = yaml.safe_load(rep.render())
         assert doc["configuration"]["t_grid"] == [0.0, 5.0]
+
+    def test_decompose_takes_the_extreme_t_of_any_grid(self):
+        def records(grid):
+            rep = quick_report("dini", t_grid=grid, checks=("decompose",))
+            return [r.to_mapping() for r in rep.records]
+
+        expected = records((0.5, 2.0))
+        assert all(r["params"]["t"] == 0.5 and r["params"]["s"] == 2.0 for r in expected)
+        assert records((2.0, 0.5, 1.0)) == records((1.0, 2.0, 0.5, 1.0)) == expected
 
     def test_drift_records_carry_trajectory_data(self):
         rep = quick_report("dini", checks=("drift",), drift_trajectories=2)
@@ -476,31 +496,28 @@ def test_a_five_dimensional_pair_passes_every_non_drift_check():
 # gamma_bar, phi and K_l at full order, expanded det g and det gbar twice
 # and multiplied decompose's monomial probes by full products; 1,550,224
 # while integer powers multiplied squares by the constant 1 and composed
-# series took their first Horner step as a product with a constant jet.
-PRODUCT_MADDS_LC4 = 1_533_064
+# series took their first Horner step as a product with a constant jet;
+# 1,246,888 while blocks multiplied rows with an all-zero factor.
+PRODUCT_MADDS_LC4 = 317_494
 # jets.product_coeffs calls of a drift-only trivial3 run (5 points, 5
 # trajectories, horizon 0.1, seed 42): 633 with those two products.
-PRODUCT_CALLS_TRIVIAL3_DRIFT = 261
+PRODUCT_CALLS_TRIVIAL3_DRIFT = 256
 
 
 def test_jet_product_work_stays_within_its_count(monkeypatch):
     """A guard on the work done: every jet product, wherever it is called
-    from, costs its rows times the terms of its convolution table.  The
-    count is deterministic, so a change that computes coefficients no check
-    reads shows here.  (The benchmark's jets.mul.madds counts only
-    Jet.__mul__.)"""
+    from, costs the rows it multiplies times the terms of its convolution
+    table.  The count is deterministic, so a change that computes
+    coefficients no check reads shows here.  (The benchmark's jets.mul.madds
+    counts only Jet.__mul__.)"""
     original = jets.product_coeffs
-    state = {"madds": 0, "depth": 0}
+    state = {"madds": 0}
 
     def counting(sp, a, b):
-        if state["depth"] == 0:  # blocks of a large product count once
-            rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        if rows <= sp.block_rows:  # a block driver only calls its blocks
             state["madds"] += rows * len(sp._mul[0])
-        state["depth"] += 1
-        try:
-            return original(sp, a, b)
-        finally:
-            state["depth"] -= 1
+        return original(sp, a, b)
 
     monkeypatch.setattr(jets, "product_coeffs", counting)
     config = verify.VerifyConfig(points=4, seed=42, checks=NON_DRIFT)
