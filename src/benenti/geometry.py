@@ -42,7 +42,10 @@ import numpy as np
 from . import expr, jets
 from .errors import DegenerateMetricError
 
-DEGENERACY_FACTOR = 1e-10  # |det g| must exceed this times (max |g_ij|)^dim
+# |det g| must exceed this times Hadamard's bound prod_i |row_i of g|, which
+# it never exceeds: their ratio is 1 for a diagonal metric with no zero entry,
+# whatever the dimension, and a constant rescaling of g leaves it alone
+DEGENERACY_FACTOR = 1e-10
 
 
 class JetTensor:
@@ -230,7 +233,8 @@ class MetricField:
     The component matrix is symmetrized on evaluation (entries are averaged
     with their transposes), and every evaluation checks that the metric is
     finite and comfortably nondegenerate at the point: |det g| must exceed
-    ``DEGENERACY_FACTOR * (max |g_ij|)^dim``.  ``evaluate`` and ``values``
+    ``DEGENERACY_FACTOR`` times Hadamard's bound, the product of the
+    Euclidean norms of the rows of g.  ``evaluate`` and ``values``
     also take a ``(B, dim)`` batch of points and then fail if the metric is
     degenerate at any of them; ``nondegenerate`` says at which.
 
@@ -325,12 +329,12 @@ class MetricField:
     def _nondegenerate_rows(self, values: np.ndarray) -> np.ndarray:
         """The mask of ``nondegenerate`` from the component values; a
         non-finite row never reaches the determinant."""
-        scales = np.abs(values).max(axis=(-2, -1))  # NaN or inf where a component is
-        finite = np.isfinite(scales)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = _hadamard_bounds(values)  # not finite where a component is
+            finite = np.isfinite(bounds)
             dets = np.linalg.det(
                 values if finite.all() else np.where(finite[..., None, None], values, 1.0))
-            return finite & (np.abs(dets) > DEGENERACY_FACTOR * scales**self.dim)
+            return finite & (np.abs(dets) > DEGENERACY_FACTOR * bounds)
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
         """Raise at the first point where the metric is not nondegenerate."""
@@ -338,8 +342,14 @@ class MetricField:
         if not ok.all():
             row = int(np.argmin(ok))
             value = values.reshape(-1, self.dim, self.dim)[row]
-            detail = (f"|det| = {abs(np.linalg.det(value)):.3e}"
-                      if np.isfinite(value).all() else "a component is not finite")
+            if np.isfinite(value).all():
+                det = abs(np.linalg.det(value))
+                with np.errstate(over="ignore"):
+                    bound = _hadamard_bounds(value)
+                ratio = det / bound if bound else 0.0  # a zero bound: a zero row
+                detail = f"|det| = {det:.3e}, {ratio:.3e} of Hadamard's bound"
+            else:
+                detail = "a component is not finite"
             at = tuple(float(x) for x in np.reshape(point, (-1, self.dim))[row])
             raise DegenerateMetricError(f"metric{' ' + self.name if self.name else ''} "
                                         f"is degenerate at {at}: {detail}")
@@ -347,6 +357,12 @@ class MetricField:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"MetricField({label} dim={self.dim}, coords={self.coordinates})"
+
+
+def _hadamard_bounds(values: np.ndarray) -> np.ndarray:
+    """Hadamard's bound on |det| of each matrix: the product of the
+    Euclidean norms of its rows."""
+    return np.prod(np.sqrt((values * values).sum(axis=-1)), axis=-1)
 
 
 def adjugate_family(L: JetTensor):

@@ -91,7 +91,7 @@ class _Space:
 
     __slots__ = (
         "nvars", "order", "indices", "position", "ncoeffs",
-        "_mul", "_diff", "_shifts", "_bins", "block_rows", "factorials",
+        "_mul", "_diff", "_bins", "block_rows", "factorials",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -113,7 +113,6 @@ class _Space:
                 kk.append(self.position[s])
         self._mul = (np.asarray(ii), np.asarray(jj), np.asarray(kk))
         self._diff = None
-        self._shifts = {}
         self._bins = np.empty(0, dtype=np.intp)
         self.block_rows = max(1, BLOCK_TERMS // len(ii))  # jets per product block
         self.factorials = np.array(
@@ -135,21 +134,6 @@ class _Space:
             self._diff = (src, fac)
         return self._diff
 
-    def shift_table(self, beta: MultiIndex) -> np.ndarray:
-        """Source positions, one per coefficient, that multiply a jet by the
-        monomial u^beta: coefficient kappa reads kappa - beta, or position
-        ncoeffs (a zero the caller appends) where kappa - beta has a
-        negative entry.  Built on first use for each beta."""
-        src = self._shifts.get(beta)
-        if src is None:
-            src = np.full(self.ncoeffs, self.ncoeffs, dtype=np.intp)
-            for k, kappa in enumerate(self.indices):
-                rest = tuple(x - y for x, y in zip(kappa, beta))
-                if min(rest) >= 0:
-                    src[k] = self.position[rest]
-            self._shifts[beta] = src
-        return src
-
     def batch_bins(self, rows: int) -> np.ndarray:
         """Output slots of the convolution table for ``rows`` stacked jets,
         row after row, so one ``bincount`` multiplies every row at once.  The
@@ -167,17 +151,15 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     over their leading axes.
 
     Each output coefficient of each jet sums its products in the order of
-    the convolution table, starting from zero, as the single-jet kernel
-    ``np.bincount(kk, a[ii] * b[jj])`` does.  A broadcast of more jets than
-    fit in BLOCK_TERMS table terms takes the block path: it gathers the live
-    rows (those whose factors both have a nonzero coefficient; every row
-    when a coefficient of ``a`` or ``b`` is not finite), multiplies them in
-    blocks of rows, and leaves every other row at +0.0, the zero-jet rule.
-    Neither changes a bit.
+    the convolution table, starting from zero: one ``np.bincount`` of the
+    table terms of every row into that row's slots.  A broadcast of more
+    jets than fit in BLOCK_TERMS table terms takes the block path: it
+    gathers the live rows (those whose factors both have a nonzero
+    coefficient; every row when a coefficient of ``a`` or ``b`` is not
+    finite), multiplies them in blocks of rows, and leaves every other row
+    at +0.0, the zero-jet rule.  Neither changes a bit.
     """
-    ii, jj, kk = sp._mul
-    if a.ndim == b.ndim == 1:  # one jet each: no batch bookkeeping
-        return np.bincount(kk, a[ii] * b[jj], minlength=sp.ncoeffs)
+    ii, jj, _ = sp._mul
     step = sp.block_rows
     if a.size * b.size > step * sp.ncoeffs**2:  # more rows than a block, maybe
         lead = np.broadcast(a[..., 0], b[..., 0]).shape
@@ -200,22 +182,6 @@ def product_coeffs(sp: _Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(
         sp.batch_bins(rows), terms.ravel(), minlength=rows * sp.ncoeffs,
     ).reshape(terms.shape[:-1] + (sp.ncoeffs,))
-
-
-def monomial_product_coeffs(sp: _Space, a: np.ndarray, betas, scales) -> np.ndarray:
-    """Products of an array of jets with the monomials ``scales[p] *
-    u^betas[p]``, stacked on a new leading axis p, by coefficient shifts.
-
-    Where every coefficient of ``a`` is finite, each has the bits of
-    ``product_coeffs`` with the monomial's jet: of the terms that sum to
-    coefficient kappa from zero, all but a[kappa - beta] * scale are +-0.0,
-    so the sum is that term plus 0.0 (which turns -0.0 into +0.0).  An
-    infinite or NaN coefficient makes NaN terms of the dense product
-    (inf * 0) that a shift does not."""
-    src = np.array([sp.shift_table(tuple(beta)) for beta in betas])  # [p, coeff]
-    padded = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
-    out = padded[..., src] * np.asarray(scales, dtype=float)[:, None] + 0.0
-    return np.moveaxis(out, -2, 0)
 
 
 def gradient_coeffs(sp: _Space, c: np.ndarray) -> np.ndarray:

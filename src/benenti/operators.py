@@ -169,30 +169,6 @@ def _apply(frame: PointFrame, A: np.ndarray, sp, f: np.ndarray) -> np.ndarray:
     return _divergence(frame, sp1, V)
 
 
-def _apply_to_monomials(frame: PointFrame, A: np.ndarray, sp, monomials) -> np.ndarray:
-    """_apply to the unit jets u^alpha of ``sp``, one per multi-index of
-    ``monomials``, stacked on a new leading axis; ``A`` as for _apply.
-
-    Since d_j u^alpha = alpha_j u^(alpha - e_j), each product A^{ij} d_j
-    u^alpha is a coefficient shift of A^{ij}, gathered for one j at a time
-    and summed over j from the first term, as _contract sums them.  The
-    result has the bits of _apply on the unit jets wherever A is finite
-    (see jets.monomial_product_coeffs).
-    """
-    sp1 = jets._space(sp.nvars, sp.order - 1)
-    a = A[..., : sp1.ncoeffs]
-    zero = (0,) * sp.nvars
-    V = None
-    for j in range(sp.nvars):
-        # alpha_j = 0: the zero jet, a shift by nothing scaled by 0
-        betas = [alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:] if alpha[j] else zero
-                 for alpha in monomials]
-        term = jets.monomial_product_coeffs(
-            sp1, a[..., j, :], betas, [alpha[j] for alpha in monomials])
-        V = term if V is None else V + term
-    return _divergence(frame, sp1, V)
-
-
 def _divergence(frame: PointFrame, sp1, V: np.ndarray) -> np.ndarray:
     """nabla_i V^i = d_i V^i + gamma^s_{si} V^i for jets ``V`` of space
     ``sp1`` (order m-1), of shape (..., n, coeffs), one jet order lower."""
@@ -228,31 +204,14 @@ def _nested_values(op_t: QuantizedOperator, op_s: QuantizedOperator,
     order-4 jet coefficients ``f`` whose leading axes broadcast against the
     rows: four applications in all.  The first application reads the fields
     to order 3 and the weights to order 2, so the frames are read at order
-    3.
-
-    ``f`` may instead be a list of multi-indices alpha, for the unit
-    monomials u^alpha centred at every point, stacked on a leading axis.
-    The first application to them is then a coefficient shift
-    (_apply_to_monomials), unless a field has a coefficient that is not
-    finite; the result has the bits of passing their jets."""
+    3."""
     if op_t.coordinates != op_s.coordinates:
         raise ValueError("operators live on different charts")
     sp, sp2 = (jets._space(op_t.dim, m) for m in (4, 2))
     A_t, A_s = (op.coefficient_tensor(points, 3).coeffs for op in (op_t, op_s))
     frame_t, frame_s = op_t.pair.frame(points, 3), op_s.pair.frame(points, 3)
-    monomials = f if isinstance(f, list) else None
-    if monomials is not None:  # the unit jets, for the fields that need them
-        rows = np.ndim(points) - 1
-        f = np.eye(sp.ncoeffs)[[sp.position[alpha] for alpha in monomials]]
-        f = f.reshape((len(monomials),) + (1,) * rows + (-1,))
-
-    def first(frame, A):
-        if monomials is not None and np.isfinite(A).all():
-            return _apply_to_monomials(frame, A, sp, monomials)
-        return _apply(frame, A, sp, f)
-
-    ts = _apply(frame_t, A_t, sp2, first(frame_s, A_s))[..., 0]
-    st = _apply(frame_s, A_s, sp2, first(frame_t, A_t))[..., 0]
+    ts = _apply(frame_t, A_t, sp2, _apply(frame_s, A_s, sp, f))[..., 0]
+    st = _apply(frame_s, A_s, sp2, _apply(frame_t, A_t, sp, f))[..., 0]
     return ts, st
 
 
@@ -347,17 +306,19 @@ def commutator_decompose(op_t: QuantizedOperator, op_s: QuantizedOperator,
 
     Both operators annihilate constants, so the commutator has no
     zeroth-order part; V comes from the linear probes and Q from the
-    quadratic ones (halved: d^2 of u_a u_b hits both index orders).  The
-    probes go to _nested_values as multi-indices, so the first application
-    to them is a coefficient shift and no probe jet is multiplied out.
+    quadratic ones (halved: d^2 of u_a u_b hits both index orders).  A
+    centred monomial u^alpha has the unit jet of alpha at every point.
     """
     d = op_t.dim
     points = np.array(points, dtype=float)
     rows = points.shape[:-1]
     quadratic = list(combinations_with_replacement(range(d), 2))
-    # the multi-indices of the centred linear, quadratic and cubic monomials
-    probes = [tuple(index.count(v) for v in range(d)) for k in (1, 2, 3)
-              for index in combinations_with_replacement(range(d), k)]
+    sp = jets._space(d, 4)
+    # the unit jets of the centred linear, quadratic and cubic monomials
+    positions = [sp.position[tuple(index.count(v) for v in range(d))] for k in (1, 2, 3)
+                 for index in combinations_with_replacement(range(d), k)]
+    probes = np.eye(sp.ncoeffs)[positions].reshape(
+        (len(positions),) + (1,) * len(rows) + (sp.ncoeffs,))
     ts, st = _nested_values(op_t, op_s, probes, points)
     values = ts - st
     Q = np.empty(rows + (d, d))
@@ -613,10 +574,7 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
     d = pair.dim
 
     def derivative(y):
-        if len(y) == 1:  # one row: the unbatched kernels, faster, same bits
-            gamma = christoffel_values(pair.g, y[0, :d])[None]
-        else:
-            gamma = christoffel_values(pair.g, y[:, :d])
+        gamma = christoffel_values(pair.g, y[:, :d])
         vel = y[:, d:]
         acc = -np.einsum("bijk,bj,bk->bi", gamma, vel, vel)
         return np.concatenate([vel, acc], axis=1)

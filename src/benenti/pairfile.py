@@ -45,7 +45,8 @@ def _mark(node):
 def _node_at(root, path, at_key: bool = False):
     """Descend a composed YAML node tree by mapping keys / sequence indices.
 
-    With at_key, the final string step resolves to the key node itself.
+    A mapping step matches the key a key node loads as, text or not.  With
+    at_key, a final mapping step resolves to the key node itself.
     Construction flattens merge keys into each mapping, merged pairs first;
     a repeated key resolves to its last pair, the one the loaded data keeps.
     """
@@ -53,9 +54,9 @@ def _node_at(root, path, at_key: bool = False):
     for pos, step in enumerate(path):
         if node is None:
             return None
-        if isinstance(step, str) and isinstance(node, yaml.MappingNode):
+        if isinstance(node, yaml.MappingNode):
             for key_node, value_node in reversed(node.value):
-                if key_node.value == step:
+                if _loaded_key(key_node) == step:
                     node = key_node if at_key and pos == len(path) - 1 else value_node
                     break
             else:
@@ -67,6 +68,14 @@ def _node_at(root, path, at_key: bool = False):
         else:
             return None
     return node
+
+
+def _loaded_key(node):
+    """The key a mapping's key node loads as: a key of the loaded data is a
+    scalar, text or not."""
+    if node.tag == "tag:yaml.org,2002:str":
+        return node.value
+    return yaml.constructor.SafeConstructor().construct_object(node)
 
 
 class _Source:
@@ -122,21 +131,14 @@ def _expand_matrix(src: _Source, key: str, dim: int, coords, probes):
             except ExpressionError as err:
                 _fail_expression(src, err, (key, i, j), f"{key}[{i}][{j}]")
             full[i][j] = (entry, parsed, (key, i, j))
-    # mirror the lower triangle; reconcile duplicates of full matrices
+    # mirror the lower triangle, which every row j > i reaches; reconcile
+    # duplicates of full matrices
     for i in range(dim):
         for j in range(i + 1, dim):
-            lower = full[j][i] if len(rows[j]) > i else None
-            upper = full[i][j]
-            if upper is None and lower is None:
-                src.fail(f"{key} is missing entry [{i}][{j}]", (key,))
-            if upper is None:
-                full[i][j] = lower
-            elif lower is not None:
-                _check_duplicates(src, upper, lower, key, i, j, probes)
-    for i in range(dim):
-        for j in range(i):
             if full[i][j] is None:
                 full[i][j] = full[j][i]
+            else:
+                _check_duplicates(src, full[i][j], full[j][i], key, i, j, probes)
     return [[cell[0] for cell in row] for row in full]
 
 
@@ -210,10 +212,9 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
     src = _Source(text, label)
     if not isinstance(src.data, dict):
         src.fail("top level must be a mapping")
-    unknown = set(src.data) - _KEYS
+    unknown = [key for key in src.data if key not in _KEYS]  # in file order
     if unknown:
-        bad = sorted(unknown)[0]
-        src.fail(f"unknown key {bad!r}", (bad,), at_key=True)
+        src.fail(f"unknown key {unknown[0]!r}", (unknown[0],), at_key=True)
     for key in _REQUIRED:
         if key not in src.data:
             src.fail(f"missing required key {key!r}")
@@ -237,9 +238,10 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
     domain = src.data["domain"]
     if not isinstance(domain, dict):
         src.fail("domain must map coordinates to [lo, hi]", ("domain",))
-    extra = set(domain) - set(coords)
+    extra = [c for c in domain if c not in coords]  # in file order
     if extra:
-        src.fail(f"domain names unknown coordinate {sorted(extra)[0]!r}", ("domain",))
+        src.fail(f"domain names unknown coordinate {extra[0]!r}", ("domain", extra[0]),
+                 at_key=True)
     box = {}
     for c in coords:
         iv = domain.get(c)

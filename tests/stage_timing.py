@@ -3,6 +3,7 @@ or of whole verification passes of a benchmark workload.
 
     python tests/stage_timing.py [--rounds 400] [--seed 42] [--against ../parent]
     python tests/stage_timing.py --workload frames_nd [--rounds 60] [--against ../parent]
+    python tests/stage_timing.py --dims 4,5,6 [--rounds 10] [--against ../parent]
 
 For every catalog pair the script draws the 5 start points, velocities and
 t values of a drift-only run (``bench/workloads.py``'s ``geodesic`` sizes:
@@ -27,6 +28,13 @@ report of both sides reads the same once its ``timing`` block is cut off.
 Between two copies of one commit the rounds won scatter around half, so the
 count of rounds won says more than the ratio of the medians.
 
+With ``--dims``, a round is one pass of the nine non-drift checks at 20
+points on ``bench/workloads.py``'s ``levi_civita_text(n, seed)``, timed and
+compared as a workload's pass, for each n of the list in turn.  Without
+``--against``, ``--workload`` and ``--dims`` also print the process's peak
+resident set size (``ru_maxrss``) after each workload: after an n, it is
+the peak of that n when the list holds one n, or when the n grow along it.
+
 The script imports benenti from the ``src/`` of the checkout it lives in.
 ``--against`` names a second checkout, whose ``src/benenti`` is loaded
 beside it in the same process: every call is then timed on both sides in
@@ -42,6 +50,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -106,12 +115,26 @@ def timed_pass(side: dict, workload) -> tuple:
     return seconds, texts
 
 
-def time_passes(sides: dict, name: str, seed: int, rounds: int) -> None:
-    """Print the median pass of each side, and how the sides compare."""
+def bench_workloads():
+    """bench/workloads.py, on this side's benenti."""
     sys.path.insert(0, str(ROOT / "bench"))
-    import workloads  # bench/workloads.py, on this side's benenti
+    import workloads
 
-    workload = workloads.build(name, seed)
+    return workloads
+
+
+def generated(n: int, seed: int):
+    """A workload of the nine non-drift checks at 20 points on the
+    generated Levi-Civita pair in n dimensions."""
+    workloads = bench_workloads()
+    config = dataclasses.replace(workloads.FRAMES_ND_CONFIG, points=20, seed=seed)
+    spec = workloads.PairInput(f"generated:lc{n}", workloads.levi_civita_text(n, seed),
+                               True, config)
+    return workloads.Workload(f"lc{n}", (spec,))
+
+
+def time_passes(sides: dict, workload, seed: int, rounds: int) -> None:
+    """Print the median pass of each side, and how the sides compare."""
     seconds = {side: [] for side in sides}
     texts = {side: set() for side in sides}
     for r in range(rounds):
@@ -119,7 +142,7 @@ def time_passes(sides: dict, name: str, seed: int, rounds: int) -> None:
             s, t = timed_pass(sides[side], workload)
             seconds[side].append(s)
             texts[side].add(tuple(t))
-    print(f"workload {name}, seed {seed}, {rounds} rounds")
+    print(f"workload {workload.name}, seed {seed}, {rounds} rounds")
     for side, values in seconds.items():
         print(f"{side + '_s':<12}{statistics.median(values):12.4f}")
     if "against" in sides:
@@ -129,23 +152,35 @@ def time_passes(sides: dict, name: str, seed: int, rounds: int) -> None:
         print(f"this side faster in {won} of {rounds} rounds")
     same = len(texts["this"]) == 1 and all(t == texts["this"] for t in texts.values())
     print(f"reports identical apart from timing: {'yes' if same else 'no'}")
+    if "against" not in sides:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{'peak_rss_mb':<12}{peak:12.1f}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, help="default 400, or 60 with --workload")
+    parser.add_argument("--rounds", type=int,
+                        help="default 400, 60 with --workload or 10 with --dims")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--against", type=Path, help="checkout to time beside this one")
-    parser.add_argument("--workload", choices=("catalog", "frames_nd", "geodesic"),
-                        help="time whole passes of this benchmark workload")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--workload", choices=("catalog", "frames_nd", "geodesic"),
+                      help="time whole passes of this benchmark workload")
+    kind.add_argument("--dims", type=lambda text: [int(n) for n in text.split(",")],
+                      help="time the non-drift checks on generated pairs of these n")
     args = parser.parse_args(argv)
     sides = {"this": load_side(Path(benenti.__file__).parent, "benenti")}
     if args.against:
         sides["against"] = load_side(args.against / "src" / "benenti", "benenti_against")
-    rounds = args.rounds or (60 if args.workload else 400)
     if args.workload:
-        time_passes(sides, args.workload, args.seed, rounds)
+        workload = bench_workloads().build(args.workload, args.seed)
+        time_passes(sides, workload, args.seed, args.rounds or 60)
         return 0
+    if args.dims:
+        for n in args.dims:
+            time_passes(sides, generated(n, args.seed), args.seed, args.rounds or 10)
+        return 0
+    rounds = args.rounds or 400
     names = sides["this"]["catalog"].list_entries()
 
     def pair(mods, name):  # parsed by the side's own code from its own file

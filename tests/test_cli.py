@@ -124,6 +124,14 @@ class TestVerifyCommand:
         assert "line 5" in err and "column" in err
         assert "g[1][1]" in err
 
+    def test_unknown_keys_of_mixed_types_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "mixed.yaml"
+        path.write_text("name: t\nfoo: 1\n1: 1\n")
+        rc = main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown key 'foo'" in err and "line 2, column 1" in err
+
     def test_missing_file_exits_two(self, capsys):
         rc = main(["verify", "no/such/file.yaml"])
         err = capsys.readouterr().err

@@ -56,7 +56,7 @@ def test_verify_records_equal_single_trajectories(name):
     for rec in records:
         params = dict(rec.params)
         phi = PhaseSpacePoint(rec.point, tuple(params["momentum"]))
-        # a batch of one runs the unbatched kernels, as geodesic_drift does
+        # the trajectory alone, as a batch of one, as geodesic_drift runs it
         single = ops.geodesic_drifts(pair, [params["t"]], [phi], cfg.drift_horizon,
                                      cfg.drift_tolerance(),
                                      velocities=[params["velocity"]])[0]

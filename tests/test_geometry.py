@@ -100,6 +100,20 @@ class TestMetricField:
         v = m2.values((1e-7, 0.0))
         assert v[0, 0] == pytest.approx(1e-7)
 
+    def test_degeneracy_is_measured_against_hadamards_bound(self):
+        # a diagonal metric is as far from degenerate as any, whatever its
+        # dimension and scale; rows that are nearly parallel are degenerate
+        coords = tuple(f"x{i}" for i in range(7))
+        entries = [0.154] + [0.0016] * 6  # |det| is 1.3e-12 of max^7
+        for scale in (1.0, 1e-5, 1e5):
+            diagonal = [[repr(scale * entries[i]) if i == j else "0" for j in range(7)]
+                        for i in range(7)]
+            assert MetricField(coords, diagonal).nondegenerate(np.zeros(7))
+        m = MetricField(("x", "y"), [["1", "1"], ["1", "1 + 1e-12"]])
+        with pytest.raises(DegenerateMetricError,
+                           match=r"\|det\| = 1\.000e-12, 5\.000e-13 of Hadamard's bound"):
+            m.values((0.0, 0.0))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             MetricField(("x",), [["1", "0"]])

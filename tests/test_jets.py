@@ -298,10 +298,11 @@ def test_chain_rule_vs_finite_differences(name):
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_monomial_shift_has_the_bits_of_the_product(nvars, order):
-    """A product with c u^beta, |beta| <= 2, as a coefficient shift equals
-    product_coeffs with the monomial's jet bit for bit, on rows holding
-    +0.0 and -0.0 (a shifted -0.0 must read +0.0, as the product's sum from
-    zero gives it)."""
+    """A product with c u^beta, |beta| <= 2, has the bits of the coefficient
+    shift: coefficient kappa is c a[kappa - beta], or zero where kappa - beta
+    has a negative entry.  Rows hold +0.0 and -0.0, and a shifted -0.0 must
+    read +0.0, as the product's sum from zero gives it.  This is why
+    decompose's unit-jet probes cost no bits through the general product."""
     sp = jets._space(nvars, order)
     rng = np.random.default_rng(100 * nvars + order)
     a = rng.normal(size=(3, 2, sp.ncoeffs))
@@ -311,14 +312,17 @@ def test_monomial_shift_has_the_bits_of_the_product(nvars, order):
     a[2, 1, 1::3] = 0.0
     betas = multi_indices(nvars, 2)
     scales = rng.choice([1.0, 2.0, 3.0, -0.5, -1.0], size=len(betas))
-    got = jets.monomial_product_coeffs(sp, a, betas, scales)
-    assert got.shape == (len(betas),) + a.shape
-    for p, (beta, c) in enumerate(zip(betas, scales)):
+    for beta, c in zip(betas, scales):
         monomial = np.zeros(sp.ncoeffs)  # zero past the order
         if sum(beta) <= order:
             monomial[sp.position[beta]] = c
-        want = jets.product_coeffs(sp, a, monomial)
-        assert np.array_equal(got[p].view(np.int64), want.view(np.int64)), (beta, c)
+        shifted = np.zeros_like(a)
+        for k, kappa in enumerate(sp.indices):
+            rest = tuple(x - y for x, y in zip(kappa, beta))
+            if min(rest) >= 0:
+                shifted[..., k] = a[..., sp.position[rest]] * c + 0.0
+        got = jets.product_coeffs(sp, a, monomial)
+        assert np.array_equal(got.view(np.int64), shifted.view(np.int64)), (beta, c)
 
 
 COMPOSED = {

@@ -121,6 +121,28 @@ class TestApply:
                 scale = max(1.0, np.max(np.abs(a.coeffs)))
                 assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10 * scale
 
+    def test_nested_jets_apply_as_their_jet_tensor(self):
+        # a coefficient callable may return the (2,0) field as nested lists
+        # of Jets, one per component, in place of a JetTensor
+        pair = stacked_pair("lc3")
+        d = pair.dim
+
+        def nested(frame):
+            A = frame.A_coeffs[1]
+            return [[A[i, j] for j in range(d)] for i in range(d)]
+
+        as_jets = ops.QuantizedOperator(pair, nested)
+        as_tensor = ops.killing_coefficient_operator(pair, 1)
+        point = pair.sample_point(np.random.default_rng(5), shrink=0.1)
+        f = "x1 * exp(x2 - x3)"
+        assert same_bits(ops.apply_operator(as_jets, f, point, output_order=2).coeffs,
+                         ops.apply_operator(as_tensor, f, point, output_order=2).coeffs)
+        points = TestStackedApplication.sampled(pair)
+        other = ops.laplacian(pair)
+        for got, want in zip(TestDecompose.decomposed(as_jets, other, points),
+                             TestDecompose.decomposed(as_tensor, other, points)):
+            assert same_bits(got, want)
+
     def test_constants_annihilated_exactly(self):
         op = ops.killing_operator(dini(), 1.7)
         out = ops.apply_operator(op, "3.5", (1.9, 0.4), output_order=2)
@@ -429,25 +451,27 @@ class TestDecompose:
             assert dec.cubic_residual < 1e-7
 
     @staticmethod
-    def dense_path(monkeypatch):
-        """Make commutator_decompose pass its probes to _nested_values as
-        jets, built as products of the centred seeds: the dense path."""
-        original = ops._nested_values
+    def multiplied_out(monkeypatch):
+        """Make commutator_decompose's probes reach _nested_values as
+        products of the centred seeds, in its order of the linear, quadratic
+        and cubic monomials.  Returns a list that gets one pair (the unit-jet
+        probes it built, the multiplied probes) per call."""
+        original, seen = ops._nested_values, []
 
-        def dense(op_t, op_s, probes, points):
+        def multiplied(op_t, op_s, probes, points):
             u = jets.seed_coordinates(np.zeros(op_t.dim), 4)
             stacked = []
-            for alpha in probes:
-                factors = [u[v] for v, e in enumerate(alpha) for _ in range(e)]
-                probe = factors[0]
-                for factor in factors[1:]:
-                    probe = probe * factor
-                stacked.append(probe.coeffs)
-            rows = (1,) * (np.ndim(points) - 1)
-            return original(op_t, op_s,
-                            np.reshape(stacked, (len(probes),) + rows + (-1,)), points)
+            for k in (1, 2, 3):
+                for index in combinations_with_replacement(range(op_t.dim), k):
+                    probe = u[index[0]]
+                    for v in index[1:]:
+                        probe = probe * u[v]
+                    stacked.append(probe.coeffs)
+            seen.append((probes, np.reshape(stacked, probes.shape)))
+            return original(op_t, op_s, seen[-1][1], points)
 
-        monkeypatch.setattr(ops, "_nested_values", dense)
+        monkeypatch.setattr(ops, "_nested_values", multiplied)
+        return seen
 
     @staticmethod
     def decomposed(op_t, op_s, points):
@@ -455,35 +479,39 @@ class TestDecompose:
         return dec.Q, dec.V, dec.cubic_residual
 
     @pytest.mark.parametrize("name", ["dini", "lc4"])
-    def test_monomial_shifts_match_the_dense_path(self, name, monkeypatch):
+    def test_unit_jet_probes_match_the_multiplied_probes(self, name, monkeypatch):
         pair = stacked_pair(name)
         points = TestStackedApplication.sampled(pair)
         args = (ops.killing_operator(pair, -1.0), ops.killing_operator(pair, 2.0), points)
-        shifted = self.decomposed(*args)
-        self.dense_path(monkeypatch)
-        for got, want in zip(shifted, self.decomposed(*args)):
+        unit = self.decomposed(*args)
+        seen = self.multiplied_out(monkeypatch)
+        for got, want in zip(unit, self.decomposed(*args)):
             assert same_bits(got, want)
+        (probes, multiplied), = seen
+        assert same_bits(probes, multiplied)
 
-    def test_a_field_that_is_not_finite_takes_the_dense_path(self, monkeypatch):
-        # inf * 0 is NaN in the dense products and absent from a shift, so a
-        # block whose field has an infinite coefficient must not be shifted
+    def test_a_field_that_is_not_finite_puts_nan_in_its_row(self):
+        # inf * 0 is NaN in the products of the probes' applications, so the
+        # row whose field has an infinite coefficient reads NaN in Q; the
+        # other row keeps the bits of the finite field
         pair = stacked_pair("dini")
         points = TestStackedApplication.sampled(pair)
 
-        def coefficients(frame):
-            A = frame.A_coeffs[0]
-            c = A.coeffs.copy()
-            c[1, 0, 1, 7] = np.inf  # a degree-3 coefficient of row 1
-            return A._like(c)
+        def coefficients(infinite):
+            def field(frame):
+                A = frame.A_coeffs[0]
+                c = A.coeffs.copy()
+                if infinite:
+                    c[1, 0, 1, 7] = np.inf  # a degree-3 coefficient of row 1
+                return A._like(c)
+            return ops.QuantizedOperator(pair, field)
 
-        args = (ops.QuantizedOperator(pair, coefficients), ops.laplacian(pair), points)
+        finite = self.decomposed(coefficients(False), ops.laplacian(pair), points)
         with np.errstate(invalid="ignore", over="ignore"):
-            got = self.decomposed(*args)
-            self.dense_path(monkeypatch)
-            want = self.decomposed(*args)
+            got = self.decomposed(coefficients(True), ops.laplacian(pair), points)
         assert np.isnan(got[0][1]).any()
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
+        for g, w in zip(got, finite[:2]):
+            assert same_bits(g[0], w[0])
 
     def test_control_decomposition_frozen_and_fd(self):
         # [Delta, K_hat] for K = diag(x^2, 0) is 4x d^3/dx^3 + 6 d^2/dx^2:

@@ -109,6 +109,11 @@ class TestDiagnostics:
         text = GOOD + "bogus: 3\n"
         expect_error(text, line=14, column=1, fragment="unknown key 'bogus'")
 
+    def test_unknown_keys_of_mixed_types_report_the_first_in_file_order(self):
+        expect_error("name: t\nfoo: 1\n1: 1\n", line=2, column=1,
+                     fragment="unknown key 'foo'")
+        expect_error("1: 1\nfoo: 1\n", line=1, column=1, fragment="unknown key 1")
+
     def test_missing_required_key(self):
         text = GOOD.replace("domain:\n  x: [0.0, 1.0]\n  y: [-1.0, 1.0]\n", "")
         expect_error(text, fragment="missing required key 'domain'")
@@ -247,6 +252,13 @@ class TestDiagnostics:
             GOOD.replace("  y: [-1.0, 1.0]\n", "  y: [-1.0, 1.0]\n  z: [0.0, 1.0]\n"),
             fragment="unknown coordinate 'z'",
         )
+
+    def test_domain_keys_of_mixed_types_report_the_first_in_file_order(self):
+        domain = "  y: [-1.0, 1.0]\n"
+        expect_error(GOOD.replace(domain, domain + "  1: [0.0, 1.0]\n  foo: [0.0, 1.0]\n"),
+                     line=12, column=3, fragment="unknown coordinate 1")
+        expect_error(GOOD.replace(domain, domain + "  foo: [0.0, 1.0]\n  1: [0.0, 1.0]\n"),
+                     line=12, column=3, fragment="unknown coordinate 'foo'")
 
     def test_name_must_be_string(self):
         expect_error(GOOD.replace("name: demo", "name: 7"), line=12,

@@ -21,7 +21,7 @@ from benenti.projective import (
 )
 
 import jet_reference
-from levi_civita import LC5_BOXES, levi_civita_pair
+from levi_civita import LC5_BOXES, LC6_BOXES, LC7_BOXES, levi_civita_pair
 
 
 # strings PyYAML must quote, escape or wrap: YAML keywords and numbers,
@@ -491,14 +491,36 @@ def test_a_five_dimensional_pair_passes_every_non_drift_check():
     assert {r.check for r in report.records} == set(NON_DRIFT)
 
 
+def test_a_seven_dimensional_pair_loads_and_passes_every_non_drift_check():
+    # where the loader probes it, gbar is diagonal with entries from 0.0016 to
+    # 0.154: |det| = 1.5e-16 is below 1e-10 (max |gbar_ij|)^7, yet gbar is
+    # no nearer degenerate than any diagonal metric
+    text = pairfile.dump_pair(levi_civita_pair(LC7_BOXES, "lc7"))
+    report = verify.verify_pair(pairfile.parse_pair(text, "lc7"),
+                                verify.VerifyConfig(points=3, checks=NON_DRIFT))
+    assert report.passed
+    assert {r.check for r in report.records} == set(NON_DRIFT)
+
+
+def test_a_six_dimensional_pair_passes_drift():
+    # the drift check reads the metrics of the diagonal pair at states where
+    # |det| is below 1e-10 (max |g_ij|)^6, which is no sign of degeneracy
+    report = verify.verify_pair(levi_civita_pair(LC6_BOXES, "lc6"),
+                                verify.VerifyConfig(points=2, checks=("drift",)))
+    assert report.passed
+    assert len(report.records) == 2
+
+
 # Multiply-adds of jet products in one verify_pair of lc4.yaml over the nine
 # non-drift checks at 4 points, seed 42: 2,781,370 while frames built
 # gamma_bar, phi and K_l at full order, expanded det g and det gbar twice
 # and multiplied decompose's monomial probes by full products; 1,550,224
 # while integer powers multiplied squares by the constant 1 and composed
 # series took their first Horner step as a product with a constant jet;
-# 1,246,888 while blocks multiplied rows with an all-zero factor.
-PRODUCT_MADDS_LC4 = 317_494
+# 1,246,888 while blocks multiplied rows with an all-zero factor; 317,494
+# while decompose's first application to its probes was a coefficient shift,
+# which no product counted.
+PRODUCT_MADDS_LC4 = 396_694
 # jets.product_coeffs calls of a drift-only trivial3 run (5 points, 5
 # trajectories, horizon 0.1, seed 42): 633 with those two products.
 PRODUCT_CALLS_TRIVIAL3_DRIFT = 256
