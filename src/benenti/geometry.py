@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr, jets
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, ExpressionError
 
 # |det g| must exceed this times Hadamard's bound prod_i |row_i of g|, which
 # it never exceeds: their ratio is 1 for a diagonal metric with no zero entry,
@@ -299,8 +299,13 @@ class MetricField:
 
     def nondegenerate(self, points) -> np.ndarray:
         """Whether the metric passes the check of ``values`` at a point, or
-        at each row of a ``(B, dim)`` batch, without raising."""
-        return self._nondegenerate_rows(self._float_values(points))
+        at each row of a ``(B, dim)`` batch, without raising: False where
+        an expression cannot be evaluated."""
+        try:
+            return self._nondegenerate_rows(self._float_values(points))
+        except ExpressionError:  # some row is off an expression's domain
+            pts = np.asarray(points, dtype=float)
+            return np.array([self.nondegenerate(p) for p in pts] if pts.ndim > 1 else False)
 
     def _float_values(self, point) -> np.ndarray:
         pts = np.asarray(point, dtype=float)

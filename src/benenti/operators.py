@@ -46,7 +46,7 @@ from .geometry import (
     matmul,
     symmetrized,
 )
-from .projective import PointFrame, ProjectivePair
+from .projective import PointFrame, ProjectivePair, _polynomial
 
 FunctionLike = Union[str, expr.Expression, Callable]
 
@@ -376,17 +376,6 @@ def _structure_values(pair: ProjectivePair, x):
     return gv, S
 
 
-def _S_at(S, t) -> np.ndarray:
-    """S(t) = sum_l t^l S_l; ``t`` may hold one value per batch row."""
-    t = np.asarray(t, dtype=float)
-    St = 0.0
-    power = np.ones_like(t)
-    for Sl in S:
-        St = St + power[..., None, None] * Sl
-        power = power * t
-    return St
-
-
 def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> float:
     """The classical integral I_t = (K^(t))^{ij} p_i p_j at a phase point.
 
@@ -394,7 +383,7 @@ def integral_value(pair: ProjectivePair, t: float, phi: PhaseSpacePoint) -> floa
     quadratic in p and polynomial of degree n-1 in t.
     """
     gv, S = _structure_values(pair, phi.x)
-    A = _S_at(S, t) @ np.linalg.inv(gv)
+    A = _polynomial(S, t, 2) @ np.linalg.inv(gv)
     p = np.asarray(phi.p)
     return float(p @ A @ p)
 
@@ -521,7 +510,7 @@ def geodesic_drifts(pair: ProjectivePair, ts: Sequence[float],
         # K^(t)_ab, to contract with velocities; a huge t overflows S(t),
         # and the NaN drift that follows fails the record
         with np.errstate(over="ignore", invalid="ignore"):
-            return gv @ _S_at(S, ts[rows])
+            return gv @ _polynomial(S, ts[rows], 2)
 
     return _integrate(pair, form, phi0s, velocities, horizon, tol)
 
@@ -531,10 +520,9 @@ def geodesic_form_drift(pair: ProjectivePair, form, phi0: PhaseSpacePoint,
     """Drift of an arbitrary quadratic form K_ab(x) v^a v^b along geodesics.
 
     ``form`` maps a ``(B, n)`` batch of chart points to their (0,2)
-    component matrices, shape ``(B, n, n)``; an ``(n, n)`` matrix stands
-    for the same form at every point.  The trajectory is integrated by the
-    engine behind geodesic_drift as a batch of one.  Non-conserved forms
-    make a positive control for the tolerance harness.
+    component matrices, shape ``(B, n, n)``.  The trajectory is integrated
+    by the engine behind geodesic_drift as a batch of one.  Non-conserved
+    forms make a positive control for the tolerance harness.
     """
     return _integrate(pair, lambda x, rows: form(x), [phi0], None, horizon, tol)[0]
 
@@ -557,13 +545,15 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
     by max(1, |y|), is at most ``tol``.  A step that leaves the domain, or
     whose stages raise at the row (found by re-running it row by row), is
     halved down to _EXIT_STEP before the row exits.  ``form(x, rows)``
-    gives the (0,2) forms at the points ``x`` of ``rows``, their indices in
-    ``phi0s``.  Start velocities solve g v = p unless given.
+    gives the ``(B, n, n)`` (0,2) forms at the points ``x`` of ``rows``,
+    their indices in ``phi0s``.  Start velocities solve g v = p unless given.
 
     No step decision reads the invariant, so the invariant of every visited
     state (each start, then each round's accepted rows) is read in one
-    batched form call after the loop, and each row's drift is taken in step
-    order from it, as if read at every accepted step.
+    batched form call after the loop, and each row's drift, steps and
+    largest error are taken in step order from it, as if read at every
+    accepted step.  A state whose form raises a stage error ends its row at
+    the state before, as an exit; a start whose form raises drifts NaN.
     """
     if not tol >= MIN_TOLERANCE:
         raise ValueError(f"tolerance must be at least {MIN_TOLERANCE:.3g}, got {tol}")
@@ -608,7 +598,7 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
     k = derivative(y)
     rows = list(range(B))
     visited, visited_rows = [y.copy()], [rows]  # the states, in step order
-    max_err, steps = [0.0] * B, [0] * B
+    accepts = []  # (row, tau before, err) of each accepted step, in step order
     tau, grow, h = [0.0] * B, [5.0] * B, [min(horizon, tol ** 0.2)] * B
     exit_time = [None] * B
     while rows:
@@ -629,11 +619,10 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
             elif err > tol:
                 h[row], grow[row] = step * _step_factor(err, tol, 1.0), 1.0
             else:
+                accepts.append((row, tau[row], err))
                 last = step == horizon - tau[row]  # lands on the horizon exactly
                 tau[row] = horizon if last else tau[row] + step
                 y[row], k[row] = z[r], kz[r]
-                steps[row] += 1
-                max_err[row] = max(max_err[row], err)
                 h[row], grow[row] = step * _step_factor(err, tol, grow[row]), 5.0
                 accepted.append(row)
         if accepted:
@@ -642,10 +631,19 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
         rows = [row for row in rows
                 if exit_time[row] is None and tau[row] != horizon]
     values = _invariants(form, d, visited, visited_rows)
-    i0 = values[:B]
+    i0 = [math.nan if i is None else i for i in values[:B]]
     denom = [max(1.0, abs(i)) for i in i0]
-    drift = [0.0] * B
-    for row, value in zip(chain.from_iterable(visited_rows[1:]), values[B:]):
+    drift = [math.nan if i is None else 0.0 for i in values[:B]]
+    max_err, steps, cut = [0.0] * B, [0] * B, set()
+    for (row, before, err), value in zip(accepts, values[B:]):
+        if row in cut:
+            continue
+        if value is None:  # the trajectory ends where this step started
+            exit_time[row] = before
+            cut.add(row)
+            continue
+        steps[row] += 1
+        max_err[row] = max(max_err[row], err)
         new = abs(value - i0[row]) / denom[row]
         if math.isnan(new) or new > drift[row]:  # a NaN drift sticks
             drift[row] = new
@@ -653,24 +651,22 @@ def _integrate(pair: ProjectivePair, form, phi0s, velocities, horizon: float,
                         steps[row], max_err[row]) for row in range(B)]
 
 
-def _invariants(form, d: int, states, rows) -> list[float]:
+def _invariants(form, d: int, states, rows) -> list:
     """K_ab v^a v^b at every state of the batches ``states`` (positions then
     velocities per row), whose trajectory indices are ``rows``, in their
-    order.  The form is evaluated on all of them in one call, or batch by
-    batch if that raises a stage error, so the error is that of the first
-    batch whose form raises, as when each batch was read in its round."""
+    order, and None at a state whose form raises a stage error.  The form
+    is evaluated on all of them in one call, or state by state if that
+    raises."""
     y = np.concatenate(states)
+    flat = list(chain.from_iterable(rows))
     try:
-        forms = _form_values(form, y[:, :d], list(chain.from_iterable(rows)))
+        forms = form(y[:, :d], flat)
     except _STAGE_ERRORS:
-        forms = [f for ys, r in zip(states, rows) for f in _form_values(form, ys[:, :d], r)]
+        forms = []
+        for i, row in enumerate(flat):
+            try:
+                forms.extend(form(y[i : i + 1, :d], [row]))
+            except _STAGE_ERRORS:
+                forms.append(None)
     # row by row: a batched contraction can round differently
-    return [float(v @ f @ v) for v, f in zip(y[:, d:], forms)]
-
-
-def _form_values(form, x, rows):
-    """The (0,2) forms at the points ``x`` of ``rows``, one per row."""
-    forms = form(x, rows)
-    if np.ndim(forms) == 2:  # one matrix: the same form at every point
-        return [forms] * len(rows)
-    return forms
+    return [None if f is None else float(v @ f @ v) for v, f in zip(y[:, d:], forms)]

@@ -183,16 +183,21 @@ class BenentiData:
     char_coeffs: tuple
 
 
-def _polynomial(coeffs, t) -> JetTensor:
-    """sum_l t^l coeffs[l], the powers built up by repeated products; the
-    axes of ``t`` go before the tensor axes, against the rows of a block."""
-    t = np.reshape(t, np.shape(t) + (1,) * (sum(coeffs[0].rank) + 1))
+def _polynomial(coeffs, t, inner: int) -> np.ndarray:
+    """sum_l t^l coeffs[l], powers by repeated products; the axes of ``t``
+    go before the ``inner`` last axes of the terms, against a block's rows."""
+    t = np.reshape(t, np.shape(t) + (1,) * inner)
     power = np.ones(t.shape)
-    acc = coeffs[0].coeffs * power
+    acc = coeffs[0] * power
     for c in coeffs[1:]:
         power = power * t
-        acc = acc + c.coeffs * power
-    return coeffs[0]._like(acc)
+        acc = acc + c * power
+    return acc
+
+
+def _family_at(coeffs, t) -> JetTensor:
+    """_polynomial of tensors of jets, whose tensor and jet axes are inner."""
+    return coeffs[0]._like(_polynomial([c.coeffs for c in coeffs], t, sum(coeffs[0].rank) + 1))
 
 
 class PointFrame:
@@ -322,10 +327,10 @@ class PointFrame:
 
     def S_of_t(self, t) -> JetTensor:
         """S(t) assembled from its polynomial coefficients."""
-        return _polynomial(self.benenti.S_coeffs, t)
+        return _family_at(self.benenti.S_coeffs, t)
 
     def K_of_t(self, t) -> JetTensor:
-        return _polynomial(self.benenti.K_coeffs, t)
+        return _family_at(self.benenti.K_coeffs, t)
 
     def L_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.L.value())

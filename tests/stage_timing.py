@@ -34,6 +34,8 @@ compared as a workload's pass, for each n of the list in turn.  Without
 ``--against``, ``--workload`` and ``--dims`` also print the process's peak
 resident set size (``ru_maxrss``) after each workload: after an n, it is
 the peak of that n when the list holds one n, or when the n grow along it.
+Both also print ``src_lines``, the line count of ``src/benenti/*.py`` (as
+``wc -l`` counts it), and with ``--against`` the other checkout's count.
 
 The script imports benenti from the ``src/`` of the checkout it lives in.
 ``--against`` names a second checkout, whose ``src/benenti`` is loaded
@@ -77,6 +79,11 @@ def load_side(package_dir: Path, name: str) -> dict:
         sys.modules[name] = module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def src_lines(package_dir: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/benenti/*.py`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in package_dir.glob("*.py"))
 
 
 def drift_inputs(side: dict, pair, seed: int):
@@ -169,9 +176,15 @@ def main(argv=None) -> int:
     kind.add_argument("--dims", type=lambda text: [int(n) for n in text.split(",")],
                       help="time the non-drift checks on generated pairs of these n")
     args = parser.parse_args(argv)
-    sides = {"this": load_side(Path(benenti.__file__).parent, "benenti")}
+    dirs = {"this": Path(benenti.__file__).parent}
     if args.against:
-        sides["against"] = load_side(args.against / "src" / "benenti", "benenti_against")
+        dirs["against"] = args.against / "src" / "benenti"
+    sides = {side: load_side(path, "benenti" if side == "this" else "benenti_against")
+             for side, path in dirs.items()}
+    if args.workload or args.dims:
+        for side, path in dirs.items():
+            label = "src_lines" if side == "this" else f"{side}_src_lines"
+            print(f"{label:<20}{src_lines(path):8d}")
     if args.workload:
         workload = bench_workloads().build(args.workload, args.seed)
         time_passes(sides, workload, args.seed, args.rounds or 60)

@@ -8,7 +8,7 @@ that takes such a shortcut shows up as a mismatch in the last bit.
 import numpy as np
 import pytest
 
-from benenti import catalog, expr, geometry, jets, operators, verify
+from benenti import catalog, expr, geometry, jets, operators, projective, verify
 from benenti.errors import (
     DegenerateMetricError,
     EvaluationDomainError,
@@ -262,8 +262,8 @@ class TestBatchedMetrics:
         gv, S = operators._structure_values(pair, pts)
         singles = [operators._structure_values(pair, p) for p in pts]
         assert same_bits(gv, [s[0] for s in singles])
-        forms = gv @ operators._S_at(S, ts)
-        assert same_bits(forms, [g @ operators._S_at(s, t)
+        forms = gv @ projective._polynomial(S, ts, 2)
+        assert same_bits(forms, [g @ projective._polynomial(s, t, 2)
                                  for (g, s), t in zip(singles, ts)])
 
     def test_drift_starts(self, name):

@@ -70,6 +70,22 @@ domain:
   y: [1, 2]
 """
 
+# ln(x + 0.5) is undefined on the part x <= -0.5 of the domain; the
+# centre is fine, so the file loads
+LN_FILE = """\
+dim: 2
+coords: [x, y]
+g:
+  - ["1 + ln(x + 0.5)^2"]
+  - ["0", "1"]
+gbar:
+  - ["1 + ln(x + 0.5)^2"]
+  - ["0", "1"]
+domain:
+  x: [-1.0, 1.0]
+  y: [0.0, 1.0]
+"""
+
 
 class TestVerifyCommand:
     def test_equivalent_entry_exits_zero(self, capsys):
@@ -131,6 +147,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "unknown key 'foo'" in err and "line 2, column 1" in err
+
+    def test_draws_off_an_expression_domain_are_rejected(self, tmp_path, capsys):
+        path = tmp_path / "ln.yaml"
+        path.write_text(LN_FILE)
+        rc = main(["verify", str(path), "--points", "5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        points = [r["point"] for r in yaml.safe_load(out)["records"]]
+        assert points and all(p[0] > -0.5 for p in points)
 
     def test_missing_file_exits_two(self, capsys):
         rc = main(["verify", "no/such/file.yaml"])

@@ -7,16 +7,15 @@ the same largest error estimate.  Every row keeps its own step size, so an
 exit is placed by its own step control: within 1e-3 of the crossing.
 """
 
-import re
 import warnings
 
 import numpy as np
 import pytest
 
 from benenti import catalog, operators as ops
-from benenti.errors import DegenerateMetricError
 from benenti.geometry import MetricField
 from benenti.operators import PhaseSpacePoint
+from benenti.pairfile import parse_pair
 from benenti.projective import ProjectivePair
 from benenti.verify import VerifyConfig, verify_pair
 
@@ -223,43 +222,90 @@ def visited_states(pair, phi, horizon):
     return states
 
 
-def error_at(metric, point) -> str:
-    with pytest.raises(DegenerateMetricError) as err:
-        metric.values(point)
-    return str(err.value)
+def first_unreadable(states, *metrics) -> int:
+    """The index of the first state at which one of the metrics is
+    degenerate."""
+    return next(i for i, x in enumerate(states)
+                if not all(m.nondegenerate(x) for m in metrics))
 
 
-def test_a_degenerate_gbar_at_an_accepted_state_raises():
+def test_a_degenerate_gbar_at_an_accepted_state_ends_the_trajectory():
     # the stages read g only, so the integration runs past the line where
-    # gbar turns degenerate; the form's error names the first state beyond it
+    # gbar turns degenerate; the trajectory ends at the state before it
     gbar = overflowing("gbar", 0.2)
     pair = flat_pair(gbar)
     phi = start(pair, (1.5, 0.5), (1.0, 0.0))
     states = visited_states(pair, phi, 2.0)
-    first = next(x for x in states if not gbar.nondegenerate(x))
-    assert first[0] > 1.5  # an accepted state, not the start
-    with pytest.raises(DegenerateMetricError, match=re.escape(error_at(gbar, first))):
-        ops.geodesic_drift(pair, 0.5, phi, 2.0, TOL)
+    k = first_unreadable(states, gbar)
+    assert k > 1  # an accepted state follows the start
+    r = ops.geodesic_drift(pair, 0.5, phi, 2.0, TOL)
+    assert r.exited and r.steps == k - 1
+    # along x' = 1 from x = 1.5, a state's time is its x - 1.5
+    assert r.exit_time == pytest.approx(states[k - 1][0] - 1.5)
+    assert r.max_error <= TOL and r.max_drift <= 1e-12
 
 
-def test_a_form_error_is_that_of_the_first_raising_state():
+def test_a_trajectory_ends_before_its_first_state_whose_form_raises():
     # the form checks a on all its points, then b; b turns degenerate first
-    # along the path.  One call on every state would raise a's error at a
-    # later state, so the error comes from the form run state batch by
-    # state batch in step order, as if read at every accepted step.
+    # along the path.  One call on every state raises a's error, so the
+    # states are read one by one in step order, as if read at every
+    # accepted step, and the first that raises is one of b's.
     pair = flat_pair()
     a, b = overflowing("a", 1.1), overflowing("b", -0.1)
     phi = start(pair, (1.5, 0.5), (1.0, 0.0))
     states = visited_states(pair, phi, 2.0)
-    first = next(x for x in states if not b.nondegenerate(x))
-    assert a.nondegenerate(first) and not all(a.nondegenerate(x) for x in states)
+    k = first_unreadable(states, a, b)
+    assert a.nondegenerate(states[k]) and not all(a.nondegenerate(x) for x in states)
 
     def both(points):
         a.values(points)
         return b.values(points)
 
-    with pytest.raises(DegenerateMetricError, match=re.escape(error_at(b, first))):
-        ops.geodesic_form_drift(pair, both, phi, 2.0, TOL)
+    r = ops.geodesic_form_drift(pair, both, phi, 2.0, TOL)
+    assert r.exited and r.steps == k - 1
+    assert r.exit_time == pytest.approx(states[k - 1][0] - 1.5)
+
+
+def test_a_start_whose_form_raises_drifts_nan():
+    pair = flat_pair()
+    b = overflowing("b", -0.4)  # degenerate beyond x = 1.397
+    r = ops.geodesic_form_drift(pair, b.values, start(pair, (1.5, 0.5), (1.0, 0.0)),
+                                2.0, TOL)
+    assert np.isnan(r.max_drift)
+    assert r.exited and r.exit_time == 0.0 and r.steps == 0
+
+
+GBAR_EDGE = """\
+name: gbar-edge
+dim: 2
+coords: [x, y]
+g:
+  - ["1"]
+  - ["0", "1"]
+gbar:
+  - ["1 + 0 * (1e308 * (x - 0.2))"]
+  - ["0", "1"]
+domain:
+  x: [1.5, 2.5]
+  y: [0.0, 1.0]
+"""
+
+
+def test_a_trajectory_into_a_degenerate_gbar_is_a_record():
+    # gbar is degenerate beyond x = 1.997, inside the domain: the sampler
+    # draws no start there, and every trajectory that gets there ends
+    # before it, as one that leaves the domain does
+    pair = parse_pair(GBAR_EDGE)
+    cfg = VerifyConfig(points=20, seed=0, drift_trajectories=20, drift_horizon=2.0,
+                       checks=("drift",))
+    report = verify_pair(pair, cfg)
+    assert report.passed and len(report.records) == 20
+    for rec in report.records:
+        params = dict(rec.params)
+        assert params["exited"]
+        # the geodesics of the flat g are straight lines
+        end = rec.point[0] + params["velocity"][0] * params["exit_time"]
+        assert 1.5 - 1e-9 <= end < 1.9971
 
 
 def test_lengths_must_agree():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import jet_reference as ref
 from benenti import catalog, expr, jets
-from benenti.errors import DegenerateMetricError
+from benenti.errors import DegenerateMetricError, EvaluationDomainError
 from benenti.geometry import (
     JetTensor,
     MetricField,
@@ -91,6 +91,14 @@ class TestMetricField:
             with pytest.raises(DegenerateMetricError, match=r"\|det\| = 1\.000e\+308"):
                 call()
         assert not m.nondegenerate([[0.0, 0.0]]).any()
+
+    def test_nondegenerate_is_false_where_an_expression_cannot_be_evaluated(self):
+        m = MetricField(("x", "y"), [["1 + ln(x + 0.5)^2", "0"], ["0", "1"]])
+        points = [[0.0, 0.0], [-0.6, 0.0], [0.5, 1.0]]
+        with pytest.raises(EvaluationDomainError):
+            m.values(points)
+        assert m.nondegenerate(points).tolist() == [True, False, True]
+        assert not m.nondegenerate(points[1])
 
     def test_degeneracy_threshold_tracks_scale(self):
         # uniformly tiny metrics are fine; the threshold is relative

@@ -676,7 +676,7 @@ class TestPoisson:
 class TestGeodesicDrift:
     def test_flat_constant_form_is_exact(self):
         pair = catalog.get_entry("beltrami").pair  # g is Euclidean
-        form = lambda x: np.array([[1.0, 0.3], [0.3, 2.0]])
+        form = lambda x: np.broadcast_to([[1.0, 0.3], [0.3, 2.0]], (len(x), 2, 2))
         phi0 = PhaseSpacePoint((0.1, -0.2), (0.5, 0.4))
         r = ops.geodesic_form_drift(pair, form, phi0, 1.0, 1e-11)
         assert r.max_drift <= 1e-12
@@ -708,7 +708,8 @@ class TestGeodesicDrift:
 
     def test_non_conserved_form_drifts(self):
         pair = catalog.get_entry("trivial").pair
-        form = lambda x: np.diag([1.0, 0.0])  # theta'^2, not conserved
+        # theta'^2, not conserved
+        form = lambda x: np.broadcast_to(np.diag([1.0, 0.0]), (len(x), 2, 2))
         x0 = (1.2, 1.0)
         p0 = tuple(pair.g.values(x0) @ np.array([0.5, 0.4]))
         r = ops.geodesic_form_drift(pair, form, PhaseSpacePoint(x0, p0), 1.0, 1e-11)

@@ -166,6 +166,15 @@ class TestDiagnostics:
             line=5, fragment="must be an expression string",
         )
 
+    @pytest.mark.parametrize("old, new, line, column, fragment", [
+        ("  - ['0', '1']\ngbar", "  - '0, 1'\ngbar", 5, 5, "g row 1 must be a list"),
+        ("domain:\n  x: [0.0, 1.0]\n  y: [-1.0, 1.0]\n", "domain: [0, 1]\n", 9, 9,
+         "domain must map coordinates to [lo, hi]"),
+        ("notes: hand-written fixture", "notes: [1, 2]", 13, 8, "notes must be a string"),
+    ])
+    def test_a_value_of_the_wrong_type_has_position(self, old, new, line, column, fragment):
+        expect_error(GOOD.replace(old, new), line=line, column=column, fragment=fragment)
+
     @pytest.mark.parametrize("entry", ["1000.0", "1e3", "1.0e3", "-2E-1"])
     def test_plain_numeric_entry_is_not_an_expression(self, entry):
         # PyYAML's YAML 1.1 rules load 1e3, 1.0e3 and -2E-1 as text and
