@@ -231,10 +231,10 @@ class MetricField:
     """Symmetric metric given componentwise as coordinate expressions.
 
     The component matrix is symmetrized on evaluation (entries are averaged
-    with their transposes), and every evaluation checks that the metric is
-    finite and comfortably nondegenerate at the point: |det g| must exceed
-    ``DEGENERACY_FACTOR`` times Hadamard's bound, the product of the
-    Euclidean norms of the rows of g.  ``evaluate`` and ``values``
+    with their transposes), and every evaluation checks that the point and
+    the metric are finite and the metric comfortably nondegenerate there:
+    the determinant of g with unit rows, |det g| over Hadamard's bound, must
+    exceed ``DEGENERACY_FACTOR`` in size.  ``evaluate`` and ``values``
     also take a ``(B, dim)`` batch of points and then fail if the metric is
     degenerate at any of them; ``nondegenerate`` says at which.
 
@@ -280,7 +280,11 @@ class MetricField:
 
     def evaluate(self, point: Sequence[float], order: int) -> JetTensor:
         """Metric components as jets at the point, symmetrized and checked."""
-        coords = jets.seed_coordinates(point, order)
+        try:
+            coords = jets.seed_coordinates(point, order)
+        except ValueError:
+            self._check_point(point)  # no jet is seeded at a point that is not finite
+            raise
         sp = coords[0].space
         c = np.zeros(np.shape(point)[:-1] + (self.dim, self.dim, sp.ncoeffs))
         raw = c.transpose(-1, *range(c.ndim - 1))  # [coeff, *batch, i, j] view
@@ -293,6 +297,7 @@ class MetricField:
 
     def values(self, point) -> np.ndarray:
         """Plain float components at the point (symmetrized, checked)."""
+        self._check_point(point)
         sym = self._float_values(point)
         self._check_nondegenerate(sym, point)
         return sym
@@ -302,7 +307,7 @@ class MetricField:
         at each row of a ``(B, dim)`` batch, without raising: False where
         an expression cannot be evaluated."""
         try:
-            return self._nondegenerate_rows(self._float_values(points))
+            return self._ratios(self._float_values(points), points) > DEGENERACY_FACTOR
         except ExpressionError:  # some row is off an expression's domain
             pts = np.asarray(points, dtype=float)
             return np.array([self.nondegenerate(p) for p in pts] if pts.ndim > 1 else False)
@@ -331,43 +336,43 @@ class MetricField:
             for i, j in slots:
                 target[..., i, j] = value
 
-    def _nondegenerate_rows(self, values: np.ndarray) -> np.ndarray:
-        """The mask of ``nondegenerate`` from the component values; a
-        non-finite row never reaches the determinant."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            bounds = _hadamard_bounds(values)  # not finite where a component is
-            finite = np.isfinite(bounds)
-            dets = np.linalg.det(
-                values if finite.all() else np.where(finite[..., None, None], values, 1.0))
-            return finite & (np.abs(dets) > DEGENERACY_FACTOR * bounds)
+    def _ratios(self, values: np.ndarray, points) -> np.ndarray:
+        """|det g| over Hadamard's bound at each row: the |det| of g with
+        unit rows, whose norms take no squares that could overflow.  A row
+        of g that is zero or not finite makes it NaN, which reads 0, as a
+        point that is not finite does."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            unit = values / np.hypot.reduce(values, axis=-1)[..., None]
+            ratios = np.fmax(np.abs(np.linalg.det(unit)), 0.0)
+        return np.where(np.isfinite(points).all(-1), ratios, 0.0)
+
+    def _check_point(self, point) -> None:
+        """Raise at a point that is not finite before anything is evaluated
+        there: its ratio is 0 whatever the components."""
+        if not np.isfinite(point).all():
+            self._check_nondegenerate(
+                np.broadcast_to(np.eye(self.dim), np.shape(point) + (self.dim,)), point)
 
     def _check_nondegenerate(self, values: np.ndarray, point) -> None:
-        """Raise at the first point where the metric is not nondegenerate."""
-        ok = self._nondegenerate_rows(values).ravel()
-        if not ok.all():
-            row = int(np.argmin(ok))
-            value = values.reshape(-1, self.dim, self.dim)[row]
-            if np.isfinite(value).all():
+        """Raise at the first row whose ratio is at most DEGENERACY_FACTOR."""
+        ratios = self._ratios(values, point).ravel()
+        if (ratios > DEGENERACY_FACTOR).all():
+            return
+        row = int(np.argmin(ratios > DEGENERACY_FACTOR))
+        at = tuple(float(x) for x in np.reshape(point, (-1, self.dim))[row])
+        value = values.reshape(-1, self.dim, self.dim)[row]
+        if np.isfinite(at).all() and np.isfinite(value).all():
+            with np.errstate(over="ignore"):  # the text's |det| only
                 det = abs(np.linalg.det(value))
-                with np.errstate(over="ignore"):
-                    bound = _hadamard_bounds(value)
-                ratio = det / bound if bound else 0.0  # a zero bound: a zero row
-                detail = f"|det| = {det:.3e}, {ratio:.3e} of Hadamard's bound"
-            else:
-                detail = "a component is not finite"
-            at = tuple(float(x) for x in np.reshape(point, (-1, self.dim))[row])
-            raise DegenerateMetricError(f"metric{' ' + self.name if self.name else ''} "
-                                        f"is degenerate at {at}: {detail}")
+            detail = f"|det| = {det:.3e}, {ratios[row]:.3e} of Hadamard's bound"
+        else:
+            detail = f"a {'component' if np.isfinite(at).all() else 'coordinate'} is not finite"
+        raise DegenerateMetricError(f"metric{' ' + self.name if self.name else ''} "
+                                    f"is degenerate at {at}: {detail}")
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"MetricField({label} dim={self.dim}, coords={self.coordinates})"
-
-
-def _hadamard_bounds(values: np.ndarray) -> np.ndarray:
-    """Hadamard's bound on |det| of each matrix: the product of the
-    Euclidean norms of its rows."""
-    return np.prod(np.sqrt((values * values).sum(axis=-1)), axis=-1)
 
 
 def adjugate_family(L: JetTensor):

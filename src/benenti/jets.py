@@ -440,11 +440,15 @@ def _constant_terms(f: Jet) -> list[float]:
     return [float(c) for c in f.coeffs[..., :1].ravel()]
 
 
-def _series(f: Jet, outer) -> np.ndarray:
+def _series(f: Jet, outer, operation: str) -> np.ndarray:
     """Taylor coefficients of an outer function about each row's constant
     term: the sequence ``outer(c0)`` per row, stacked into one array for a
-    batch."""
-    series = np.array([outer(c0) for c0 in _constant_terms(f)])
+    batch.  A coefficient beyond the float range is a SingularInputError
+    of ``operation``."""
+    try:
+        series = np.array([outer(c0) for c0 in _constant_terms(f)])
+    except OverflowError as err:
+        raise SingularInputError(operation, "Taylor coefficient beyond the float range") from err
     return series.reshape(f.coeffs.shape[:-1] + series.shape[-1:])
 
 
@@ -456,7 +460,7 @@ def reciprocal(f: Jet) -> Jet:
             raise SingularInputError("div", "division by a jet with zero constant term")
         return (-1.0) ** k / c0 ** (k + 1)
 
-    return _compose(f, _series(f, outer))
+    return _compose(f, _series(f, outer, "div"))
 
 
 def exp(f: Jet) -> Jet:
@@ -466,7 +470,7 @@ def exp(f: Jet) -> Jet:
         e0 = math.exp(c0)
         return [e0 / factorial for factorial in factorials]
 
-    return _compose(f, _series(f, outer))
+    return _compose(f, _series(f, outer, "exp"))
 
 
 def log(f: Jet) -> Jet:
@@ -476,7 +480,7 @@ def log(f: Jet) -> Jet:
         return [math.log(c0)] + [(-1.0) ** (k - 1) / (k * c0**k)
                                  for k in range(1, f.order + 1)]
 
-    return _compose(f, _series(f, outer))
+    return _compose(f, _series(f, outer, "ln"))
 
 
 def _shifted(func, f: Jet) -> Jet:
@@ -488,7 +492,7 @@ def _shifted(func, f: Jet) -> Jet:
     def outer(c0):
         return [func(c0 + shift) / factorial for shift, factorial in terms]
 
-    return _compose(f, _series(f, outer))
+    return _compose(f, _series(f, outer, func.__name__))
 
 
 def sin(f: Jet) -> Jet:
@@ -535,7 +539,7 @@ def power(f: Jet, exponent: float) -> Jet:
             coeff *= (e - k) / (k + 1)
         return series
 
-    return _compose(f, _series(f, outer))
+    return _compose(f, _series(f, outer, "pow"))
 
 
 def sqrt(f: Jet) -> Jet:

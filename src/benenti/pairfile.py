@@ -16,7 +16,6 @@ column whenever the offending spot in the file can be located.
 from __future__ import annotations
 
 import io
-import math
 import re
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import yaml
 from .errors import DegenerateMetricError, ExpressionError, PairFileError
 from .expr import FUNCTIONS, evaluate, parse
 from .geometry import MetricField
-from .projective import ProjectivePair
+from .projective import ProjectivePair, domain_interval
 
 _KEYS = {"dim", "coords", "g", "gbar", "domain", "name", "notes"}
 _REQUIRED = ("dim", "coords", "g", "gbar", "domain")
@@ -151,21 +150,6 @@ def _plain_number(src: _Source, path, value) -> bool:
     return False
 
 
-def _bound(src: _Source, c: str, k: int, value) -> float:
-    """Bound ``k`` of ``domain[c]`` as a float: a number, or a plain scalar
-    that YAML 1.2 reads as one; an integer too large for a float is
-    infinite."""
-    if _plain_number(src, ("domain", c, k), value):
-        return float(value)
-    if type(value) in (int, float):  # not bool, a subclass of int
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf
-    src.fail(f"domain[{c}] must be [lo, hi]: bound {value!r} is not a number",
-             ("domain", c))
-
-
 def _fail_expression(src: _Source, err: ExpressionError, path, where: str):
     """Report an expression error at its exact column within the file.
 
@@ -244,21 +228,16 @@ def parse_pair(text: str, label: str = "<pair>") -> ProjectivePair:
                  at_key=True)
     box = {}
     for c in coords:
-        iv = domain.get(c)
-        if iv is None:
+        entry = domain.get(c)
+        if entry is None:
             src.fail(f"domain missing coordinate {c!r}", ("domain",))
-        ok = isinstance(iv, list) and len(iv) == 2
-        if ok:
-            lo, hi = (_bound(src, c, k, v) for k, v in enumerate(iv))
-            for bound in (lo, hi):
-                if not math.isfinite(bound):
-                    src.fail(f"domain[{c}] bound {bound} is not finite", ("domain", c))
-            ok = lo < hi
-        if not ok:
-            src.fail(
-                f"domain[{c}] must be [lo, hi] with lo < hi", ("domain", c)
-            )
-        box[c] = (lo, hi)
+        if isinstance(entry, list):  # a plain 1e3 is a YAML 1.2 number
+            entry = [float(v) if _plain_number(src, ("domain", c, k), v) else v
+                     for k, v in enumerate(entry)]
+        try:
+            box[c] = domain_interval(c, entry)
+        except ValueError as err:
+            src.fail(str(err), ("domain", c))
 
     name = src.data.get("name")
     if name is not None and not isinstance(name, str):
@@ -290,22 +269,14 @@ def _probe_metrics(src: _Source, pair: ProjectivePair) -> None:
     and are left to the checks; a metric that fails at the center and at
     every probe is a broken file.
     """
-    center = tuple(
-        (lo + hi) / 2 for lo, hi in (pair.domain[c] for c in pair.coordinates)
-    )
-    rng = np.random.default_rng(0)
-    points = [center, *pair.sample_point(rng, rows=4)]
+    lo, hi = np.array([pair.domain[c] for c in pair.coordinates]).T
+    points = np.vstack([(lo + hi) / 2, pair.sample_point(np.random.default_rng(0), rows=4)])
     for key, metric in (("g", pair.g), ("gbar", pair.gbar)):
-        last = None
-        for p in points:
+        if not metric.nondegenerate(points).any():
             try:
-                metric.values(p)
-                break
+                metric.values(points[-1])  # raises the error the message gives
             except (DegenerateMetricError, ExpressionError) as err:
-                last = err
-        else:
-            src.fail(f"{key} cannot be evaluated anywhere in the domain: {last}",
-                     (key,))
+                src.fail(f"{key} cannot be evaluated anywhere in the domain: {err}", (key,))
 
 
 def load_pair(path) -> ProjectivePair:

@@ -42,6 +42,7 @@ test suite.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jets
+from .errors import BenentiError
 from .geometry import (
     JetTensor,
     MetricField,
@@ -69,6 +71,31 @@ from .geometry import (
 
 def _is_number(value) -> bool:  # a Python or numpy integer or float, not a bool
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def domain_interval(c: str, entry) -> tuple[float, float]:
+    """The domain entry of coordinate ``c`` as floats ``(lo, hi)``, or a
+    ValueError: a pair of numbers, an integer too large for a float being
+    infinite, both finite, with ``lo < hi``."""
+    listed = isinstance(entry, Iterable) and not isinstance(entry, str)
+    bounds = tuple(entry) if listed else ()
+    if len(bounds) != 2:
+        raise ValueError(f"domain[{c}] must be [lo, hi], got {entry!r}")
+    floats = []
+    for bound in bounds:
+        if not _is_number(bound):
+            raise ValueError(f"domain[{c}] must be [lo, hi]: bound {bound!r} is not a number")
+        try:
+            floats.append(float(bound))
+        except OverflowError:  # an integer too large for a float
+            floats.append(math.inf if bound > 0 else -math.inf)
+    lo, hi = floats
+    for bound in floats:
+        if not math.isfinite(bound):
+            raise ValueError(f"domain[{c}] bound {bound} is not finite")
+    if not lo < hi:
+        raise ValueError(f"domain[{c}] must be [lo, hi] with lo < hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 class ProjectivePair:
@@ -104,22 +131,7 @@ class ProjectivePair:
                     ("names coordinates not on the chart", set(domain) - set(self.coordinates))):
                 if names:
                     raise ValueError(f"domain {fault}: {sorted(names)}")
-            self.domain = {}
-            for c in self.coordinates:
-                entry = domain[c]
-                listed = isinstance(entry, Iterable) and not isinstance(entry, str)
-                bounds = tuple(entry) if listed else ()
-                if len(bounds) != 2:
-                    raise ValueError(f"domain entry of {c} must be a pair [lo, hi], got {entry!r}")
-                for bound in bounds:
-                    if not _is_number(bound):
-                        raise ValueError(f"domain bound of {c} is not a number: {bound!r}")
-                lo, hi = map(float, bounds)
-                if not np.isfinite((lo, hi)).all():
-                    raise ValueError(f"domain bound of {c} is not finite: [{lo}, {hi}]")
-                if not lo < hi:
-                    raise ValueError(f"empty domain interval for {c}: [{lo}, {hi}]")
-                self.domain[c] = (lo, hi)
+            self.domain = {c: domain_interval(c, domain[c]) for c in self.coordinates}
         self._frame = None
 
     def frame(self, points, order: int) -> "PointFrame":
@@ -333,7 +345,14 @@ class PointFrame:
         return _family_at(self.benenti.K_coeffs, t)
 
     def L_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.L.value())
+        """Eigenvalues of L's values; a BenentiError names the first point
+        where L is not finite."""
+        values = self.L.value()
+        finite = np.isfinite(values).all(axis=(-2, -1)).ravel()
+        if not finite.all():
+            at = np.reshape(self.points, (-1, self.dim))[np.argmin(finite)]
+            raise BenentiError(f"L is not finite at {tuple(at.tolist())}")
+        return np.linalg.eigvals(values)
 
 
 DEFAULT_T_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)

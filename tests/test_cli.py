@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,55 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "flat-file" in out
+
+
+# Pair files on the edge of what can be read, as (g, gbar, domain): each
+# once ended in a traceback or printed numpy warnings.
+CORPUS = {
+    # a well-conditioned gbar (|det| is 0.71 of Hadamard's bound) whose
+    # |det| and row norms overflow
+    "huge-corner": ("[['1'], ['0', '1']]", "[['1'], ['1e200', '1e200']]",
+                    "{x: [0, 1], y: [0, 1]}"),
+    # dini with a gbar_00 so small that L is not finite
+    "tiny-gbar": ("[['x - y'], ['0', 'x - y']]",
+                  "[['(1/y - 1/x) / -1e308'], ['0', '(1/y - 1/x) / y']]",
+                  "{x: [1.05, 2.95], y: [0.05, 0.95]}"),
+    # drift stages at points that are not finite
+    "fast-wiggle": ("[['1'], ['0', '2 + cos(1e20 * x)']]",
+                    "[['1'], ['0', '2 + cos(1e20 * x)']]", "{x: [1, 2], y: [0, 1]}"),
+    # a Taylor coefficient of |det|^(-1/3) beyond the float range
+    "scaled-flat": ("[['1e-50'], ['0', '1e-50']]", "[['1'], ['0', '1']]",
+                    "{x: [0, 1], y: [0, 1]}"),
+}
+
+
+class TestInputCorpus:
+    @pytest.mark.parametrize("command", [["verify", "--points", "2"],
+                                         ["describe", "--samples", "2"]],
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("name", [*CORPUS, "dini"])
+    def test_exits_with_a_code_and_no_traceback_or_warning(self, tmp_path, capsys,
+                                                           name, command):
+        spec = name
+        if name in CORPUS:
+            g, gbar, domain = CORPUS[name]
+            spec = tmp_path / f"{name}.yaml"
+            spec.write_text(f"dim: 2\ncoords: [x, y]\ng: {g}\ngbar: {gbar}\n"
+                            f"domain: {domain}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command[0], str(spec), *command[1:]])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert rc in (0, 1) and err == ""
+
+    def test_unknown_check_id_is_one_error_line(self, capsys):
+        rc = main(["verify", "dini", "--checks", "basic,frobnicate"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unknown checks ['frobnicate']") and err.count("\n") == 1
 
 
 class TestEntryPoint:

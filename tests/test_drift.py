@@ -308,6 +308,19 @@ def test_a_trajectory_into_a_degenerate_gbar_is_a_record():
         assert 1.5 - 1e-9 <= end < 1.9971
 
 
+def test_a_stage_at_a_point_that_is_not_finite_ends_the_trajectory():
+    # d/dx of cos(1e20 x) is 1e20: the first stages land at points that are
+    # not finite, where g cannot be read, and each row exits at its start
+    g = "[['1'], ['0', '2 + cos(1e20 * x)']]"
+    pair = parse_pair(f"dim: 2\ncoords: [x, y]\ng: {g}\ngbar: {g}\n"
+                      "domain: {x: [1, 2], y: [0, 1]}\n")
+    report = verify_pair(pair, VerifyConfig(points=2, checks=("drift",)))
+    assert len(report.records) == 2
+    for rec in report.records:
+        params = dict(rec.params)
+        assert params["exited"] and params["exit_time"] == 0.0 and params["steps"] == 0
+
+
 def test_lengths_must_agree():
     pair = catalog.get_entry("dini").pair
     with pytest.raises(ValueError):

@@ -85,12 +85,25 @@ class TestMetricField:
         assert m.values((1e-150, 1.0))[0, 0] == 1.0
 
     def test_values_keep_the_diagonal_as_evaluated(self):
-        # averaging 1e308 with itself would overflow; both routes see |det|
+        # averaging 1e308 with itself would overflow, and so would squaring
+        # it for a row norm: the diagonal comes back, and is nondegenerate
         m = MetricField(("x", "y"), [["1e308", "0"], ["0", "1"]])
-        for call in (lambda: m.values([0, 0]), lambda: m.evaluate([0, 0], 0)):
-            with pytest.raises(DegenerateMetricError, match=r"\|det\| = 1\.000e\+308"):
-                call()
-        assert not m.nondegenerate([[0.0, 0.0]]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.values([0, 0]).tolist() == [[1e308, 0.0], [0.0, 1.0]]
+            assert m.evaluate([0, 0], 0).value().tolist() == [[1e308, 0.0], [0.0, 1.0]]
+            assert m.nondegenerate([[0.0, 0.0]]).all()
+
+    def test_a_point_that_is_not_finite_cannot_be_read(self):
+        # the three calls agree, even where the components are constant
+        m = MetricField(("x", "y"), [["1", "0"], ["0", "2"]])
+        for point in ([math.inf, 0.0], [[0.0, 0.0], [math.inf, 0.0]]):
+            for call in (lambda: m.values(point), lambda: m.evaluate(point, 1)):
+                with pytest.raises(DegenerateMetricError,
+                                   match=r"\(inf, 0\.0\): a coordinate is not finite"):
+                    call()
+        assert m.nondegenerate([[0.0, 0.0], [math.inf, 0.0], [0.0, math.nan]]).tolist() == [
+            True, False, False]
 
     def test_nondegenerate_is_false_where_an_expression_cannot_be_evaluated(self):
         m = MetricField(("x", "y"), [["1 + ln(x + 0.5)^2", "0"], ["0", "1"]])
@@ -117,9 +130,11 @@ class TestMetricField:
             diagonal = [[repr(scale * entries[i]) if i == j else "0" for j in range(7)]
                         for i in range(7)]
             assert MetricField(coords, diagonal).nondegenerate(np.zeros(7))
+        # the ratio is |det| with unit rows, good to about 1e-4 relative
+        # here: the rows' difference is 1e-12 of their size
         m = MetricField(("x", "y"), [["1", "1"], ["1", "1 + 1e-12"]])
         with pytest.raises(DegenerateMetricError,
-                           match=r"\|det\| = 1\.000e-12, 5\.000e-13 of Hadamard's bound"):
+                           match=r"\|det\| = 1\.000e-12, 5\.001e-13 of Hadamard's bound"):
             m.values((0.0, 0.0))
 
     def test_shape_validation(self):

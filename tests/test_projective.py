@@ -616,11 +616,19 @@ class TestPairBehavior:
     def test_domain_bound_that_is_not_finite(self, bounds):
         # rejected where the pair is made, not in numpy when it samples
         a = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
-        with pytest.raises(ValueError, match=r"domain bound of y is not finite"):
+        with pytest.raises(ValueError, match=r"domain\[y\] bound [-a-z]+ is not finite"):
             ProjectivePair(a, a, domain={"x": (0, 1), "y": bounds})
         # finite bounds out of order keep their own message
-        with pytest.raises(ValueError, match=r"empty domain interval for y: \[2\.0, 1\.0\]"):
+        with pytest.raises(ValueError) as err:
             ProjectivePair(a, a, domain={"x": (0, 1), "y": (2, 1)})
+        assert str(err.value) == "domain[y] must be [lo, hi] with lo < hi, got [2.0, 1.0]"
+
+    def test_integer_bound_too_large_for_a_float_is_infinite(self):
+        pair = dini()
+        x, y = pair.coordinates
+        with pytest.raises(ValueError) as err:
+            ProjectivePair(pair.g, pair.gbar, domain={x: (1, 2), y: (0, 10**400)})
+        assert str(err.value) == f"domain[{y}] bound inf is not finite"
 
     def test_domain_off_the_chart(self):
         # named, not silently dropped
@@ -638,7 +646,7 @@ class TestPairBehavior:
         x, y = pair.coordinates
         with pytest.raises(ValueError) as err:
             ProjectivePair(pair.g, pair.gbar, domain={x: (1, 2), y: (0, bound)})
-        assert str(err.value) == f"domain bound of {y} is not a number: {bound!r}"
+        assert str(err.value) == f"domain[{y}] must be [lo, hi]: bound {bound!r} is not a number"
 
     @pytest.mark.parametrize("entry", [(1, 2, 3), 5, (1,), "ab", ()], ids=repr)
     def test_domain_entry_that_is_not_a_pair(self, entry):
@@ -646,7 +654,7 @@ class TestPairBehavior:
         x, y = pair.coordinates
         with pytest.raises(ValueError) as err:
             ProjectivePair(pair.g, pair.gbar, domain={x: entry, y: (0, 1)})
-        assert str(err.value) == f"domain entry of {x} must be a pair [lo, hi], got {entry!r}"
+        assert str(err.value) == f"domain[{x}] must be [lo, hi], got {entry!r}"
 
     def test_numpy_and_integer_bounds_are_numbers(self):
         pair = dini()
