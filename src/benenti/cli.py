@@ -104,15 +104,17 @@ def _signature_text(values: np.ndarray) -> str:
     return f"({pos}+,{neg}-) {label}"
 
 
-def _diagonalizability(L: np.ndarray) -> str:
+def _structure(L: np.ndarray) -> str:
+    """How L reads at a point: diagonalizable over the reals, diagonalizable
+    with complex-conjugate eigenvalues, or with a Jordan block."""
     w, V = np.linalg.eig(L)
-    if np.linalg.cond(V) > 1e8:
-        return "not diagonalizable within tolerance"
-    recon = V @ np.diag(w) @ np.linalg.inv(V)
-    err = np.max(np.abs(recon - L)) / max(1.0, np.max(np.abs(L)))
-    if err > 1e-8:
-        return "not diagonalizable within tolerance"
-    return "diagonalizable"
+    if np.linalg.cond(V) <= 1e8:
+        recon = V @ np.diag(w) @ np.linalg.inv(V)
+        if np.max(np.abs(recon - L)) / max(1.0, np.max(np.abs(L))) <= 1e-8:
+            if np.any(np.abs(w.imag) >= 1e-12):
+                return "diagonalizable, with complex-conjugate eigenvalues"
+            return "diagonalizable"
+    return "not diagonalizable within tolerance: it has a Jordan block"
 
 
 def cmd_describe(args) -> int:
@@ -130,23 +132,22 @@ def cmd_describe(args) -> int:
     if pair.notes:
         print(f"notes: {pair.notes}")
 
-    rng = np.random.default_rng(args.seed)
     print("sampled points:")
-    for _ in range(args.samples):
-        p = pair.sample_point(rng)
-        frame = pair.frame(p, 0)
-        eigs = np.sort_complex(frame.L_eigenvalues())
-        Lv = frame.L.value()
+    points = pair.sample_point(np.random.default_rng(args.seed), rows=args.samples)
+    frame = pair.frame(points, 0)
+    rows = zip(points, np.sort_complex(frame.L_eigenvalues()), frame.L.value(),
+               frame.g.value(), frame.gbar.value())
+    for p, eigs, Lv, gv, gbarv in rows:
         eig_text = ", ".join(
             f"{e.real:.6g}" if abs(e.imag) < 1e-12 else f"{e:.6g}"
             for e in eigs
         )
         coords = ", ".join(f"{c:.4f}" for c in p)
         print(f"  point ({coords}):")
-        print(f"    g signature: {_signature_text(frame.g.value())}")
-        print(f"    gbar signature: {_signature_text(frame.gbar.value())}")
+        print(f"    g signature: {_signature_text(gv)}")
+        print(f"    gbar signature: {_signature_text(gbarv)}")
         print(f"    L eigenvalues: {eig_text}")
-        print(f"    L is {_diagonalizability(Lv)}")
+        print(f"    L is {_structure(Lv)}")
     return 0
 
 

@@ -270,7 +270,8 @@ def _probe_metrics(src: _Source, pair: ProjectivePair) -> None:
     every probe is a broken file.
     """
     lo, hi = np.array([pair.domain[c] for c in pair.coordinates]).T
-    points = np.vstack([(lo + hi) / 2, pair.sample_point(np.random.default_rng(0), rows=4)])
+    # raw draws, not sample_point's: a probe must also see unreadable points
+    points = np.vstack([(lo + hi) / 2, np.random.default_rng(0).uniform(lo, hi, (4, pair.dim))])
     for key, metric in (("g", pair.g), ("gbar", pair.gbar)):
         if not metric.nondegenerate(points).any():
             try:

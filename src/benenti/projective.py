@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jets
-from .errors import BenentiError
+from .errors import BenentiError, DegenerateMetricError, SingularInputError
 from .geometry import (
     JetTensor,
     MetricField,
@@ -153,15 +153,27 @@ class ProjectivePair:
 
     def sample_point(self, rng: np.random.Generator, shrink: float = 0.0,
                      rows: int | None = None):
-        """Uniform point in the domain box, optionally shrunk toward center;
-        with ``rows``, a ``(rows, n)`` array with the bits of as many calls."""
+        """The first uniform draw in the domain box, shrunk toward its center
+        by ``shrink``, where both metrics are nondegenerate, as a tuple; with
+        ``rows``, the first ``rows`` such draws in draw order, a ``(rows, n)``
+        array with the bits of as many calls.  Draws come as many at a time
+        as points are missing; 100 rejected draws in a row raise."""
         if self.domain is None:
             raise ValueError("pair has no sampling domain")
         lo, hi = np.array([self.domain[c] for c in self.coordinates]).T
         pad = shrink * (hi - lo) / 2
-        if rows is None:
-            return tuple(rng.uniform(lo + pad, hi - pad).tolist())
-        return rng.uniform(lo + pad, hi - pad, size=(rows, self.dim))
+        wanted, points, misses = 1 if rows is None else rows, [], 0
+        while len(points) < wanted:
+            block = rng.uniform(lo + pad, hi - pad, size=(wanted - len(points), self.dim))
+            ok = self.g.nondegenerate(block) & self.gbar.nondegenerate(block)
+            for row, good in zip(block, ok.tolist()):
+                misses = 0 if good else misses + 1
+                if misses == 100:
+                    raise DegenerateMetricError(f"could not sample a non-degenerate point in "
+                                                f"{self.name or 'pair'} after 100 tries")
+                if good:
+                    points.append(row)
+        return tuple(points[0].tolist()) if rows is None else np.array(points)
 
     def contains(self, point) -> bool:
         if self.domain is None:
@@ -283,10 +295,22 @@ class PointFrame:
     def _pencil(self) -> tuple:
         """X = gbar^{-1} g, its adjugate_family and f = |c_0(X)|^(-1/(n+1)),
         so L = f X.  Scaling t by f gives L's family: adjugate(t Id - L) =
-        sum_l t^l f^(n-1-l) S_l(X), det(t Id - L) = sum_l t^l f^(n-l) c_l(X)."""
+        sum_l t^l f^(n-1-l) S_l(X), det(t Id - L) = sum_l t^l f^(n-l) c_l(X).
+        Where f cannot be formed, a BenentiError names the first such point."""
         X = matmul(self.gbar_inv, self.g)
         S_X, char_X = adjugate_family(X)
-        return X, S_X, char_X, jets.power(jets.absolute(char_X[0]), -1.0 / (self.dim + 1))
+        c0, e = char_X[0], -1.0 / (self.dim + 1)
+        try:
+            return X, S_X, char_X, jets.power(jets.absolute(c0), e)
+        except SingularInputError:  # f is formed row by row: find the first bad row
+            points = np.reshape(self.points, (-1, self.dim))
+            for point, row in zip(points, np.atleast_2d(c0.coeffs)):
+                try:
+                    jets.power(jets.absolute(jets.Jet._new(c0.space, row)), e)
+                except SingularInputError as err:
+                    raise BenentiError(f"L cannot be formed at {tuple(point.tolist())}: "
+                                       f"{err}") from err
+            raise
 
     @cached_property
     def L(self) -> JetTensor:

@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import jets, operators as ops, yamltext
-from .errors import DegenerateMetricError
 from .projective import (
     ProjectivePair,
     _is_number,
@@ -258,28 +257,6 @@ class VerificationReport:
         return yamltext.dump(self.to_mapping())
 
 
-def _sample_points(pair: ProjectivePair, cfg: VerifyConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The first cfg.points domain draws at which both metrics are
-    nondegenerate, in draw order, as a ``(P, n)`` array.  Draws come as many
-    at a time as points are missing (the stream is this function's own);
-    100 rejected draws in a row raise."""
-    points, misses = [], 0
-    while len(points) < cfg.points:
-        block = pair.sample_point(rng, rows=cfg.points - len(points))
-        ok = pair.g.nondegenerate(block) & pair.gbar.nondegenerate(block)
-        for row, good in zip(block, ok.tolist()):
-            misses = 0 if good else misses + 1
-            if misses == 100:
-                raise DegenerateMetricError(
-                    f"could not sample a non-degenerate point in "
-                    f"{pair.name or 'pair'} after 100 tries"
-                )
-            if good:
-                points.append(row)
-    return np.array(points)
-
-
 def _rank(residual):
     """Sort key of a residual: a NaN ranks above every number, so a check
     that produces one fails instead of being skipped.  ``max`` with this key
@@ -389,7 +366,7 @@ def verify_pair(
 
     ss = np.random.SeedSequence(cfg.seed)
     s_points, s_momenta, s_velocities = ss.spawn(3)
-    points = _sample_points(pair, cfg, np.random.default_rng(s_points))
+    points = pair.sample_point(np.random.default_rng(s_points), rows=cfg.points)
     momenta = np.random.default_rng(s_momenta).uniform(
         -2.0, 2.0, size=(cfg.points, pair.dim)
     )

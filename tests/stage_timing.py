@@ -92,7 +92,7 @@ def drift_inputs(side: dict, pair, seed: int):
     verify, operators = side["verify"], side["operators"]
     cfg = verify.VerifyConfig(points=ROWS, seed=seed, checks=("drift",))
     s_points, _, s_velocities = np.random.SeedSequence(seed).spawn(3)
-    points = verify._sample_points(pair, cfg, np.random.default_rng(s_points))
+    points = pair.sample_point(np.random.default_rng(s_points), rows=ROWS)
     velocities = np.random.default_rng(s_velocities).uniform(-0.7, 0.7, (ROWS, pair.dim))
     ts = [grid[0] for grid in side["projective"].t_grid(pair, points)]
     starts = [operators.PhaseSpacePoint(x0, tuple(gv @ v))

@@ -44,7 +44,7 @@ from benenti.projective import (
     check_ricci_commutation,
     t_grid,
 )
-from benenti.verify import VerifyConfig, _sample_points, function_suite
+from benenti.verify import function_suite
 
 QUANTUM_ENTRIES = ("dini", "beltrami", "lorentz_dini", "scaled", "trivial")
 SEED = 42
@@ -56,7 +56,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _points(pair, n=20, seed=SEED):
-    return _sample_points(pair, VerifyConfig(points=n), np.random.default_rng(seed))
+    return pair.sample_point(np.random.default_rng(seed), rows=n)
 
 
 def _grid_pairs(grid):

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from benenti.cli import build_parser, main
+from benenti.pairfile import load_pair
 from benenti.verify import VerifyConfig
 
 QUICK = ["--points", "3", "--checks", "basic,connection,killing"]
@@ -17,6 +18,17 @@ QUICK = ["--points", "3", "--checks", "basic,connection,killing"]
 
 def strip_timing(text: str) -> str:
     return re.sub(r"timing:\n(  .*\n)+", "", text)
+
+
+def assert_describes_sampled_points(path, capsys):
+    # describe at its defaults prints the points the sampler keeps, the
+    # ones verify would check
+    rc = main(["describe", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    kept = load_pair(path).sample_point(np.random.default_rng(42), rows=3)
+    assert re.findall(r"point \((.*)\):", out) == [
+        ", ".join(f"{c:.4f}" for c in row) for row in kept]
 
 
 def assert_unknown_name_error(rc, capsys):
@@ -338,7 +350,7 @@ class TestOtherCommands:
         assert rc == 0
         assert "dimension: 2" in out
         assert "riemannian" in out
-        assert "diagonalizable" in out
+        assert out.count("    L is diagonalizable\n") == 2
         # eigenvalues of the dini structure tensor are the coordinates
         pts = re.findall(r"point \(([-\d.]+), ([-\d.]+)\)", out)
         eigs = re.findall(r"L eigenvalues: ([-\d.]+), ([-\d.]+)", out)
@@ -363,6 +375,13 @@ class TestOtherCommands:
                 main(["describe", "dini", "--samples", samples])
             assert exc.value.code == 2
             assert "--samples" in capsys.readouterr().err
+
+    def test_describe_reads_only_points_where_the_metrics_can_be_read(self, tmp_path,
+                                                                      capsys):
+        # some draws fall where ln(x + 0.5) is undefined
+        path = tmp_path / "ln.yaml"
+        path.write_text(LN_FILE)
+        assert_describes_sampled_points(path, capsys)
 
     def test_describe_file_path(self, tmp_path, capsys):
         path = tmp_path / "flat.yaml"
@@ -393,27 +412,43 @@ CORPUS = {
 }
 
 
+COMMANDS = {"verify": ["--points", "2"], "describe": ["--samples", "2"]}
+
+
+def corpus_run(tmp_path, capsys, name, command):
+    """(exit code, stderr) of a COMMANDS entry on a CORPUS file or a
+    catalog name, with warnings raised as errors."""
+    spec = name
+    if name in CORPUS:
+        g, gbar, domain = CORPUS[name]
+        spec = tmp_path / f"{name}.yaml"
+        spec.write_text(f"dim: 2\ncoords: [x, y]\ng: {g}\ngbar: {gbar}\n"
+                        f"domain: {domain}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(spec), *COMMANDS[command]])
+    return rc, capsys.readouterr().err
+
+
 class TestInputCorpus:
-    @pytest.mark.parametrize("command", [["verify", "--points", "2"],
-                                         ["describe", "--samples", "2"]],
-                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("name", [*CORPUS, "dini"])
     def test_exits_with_a_code_and_no_traceback_or_warning(self, tmp_path, capsys,
                                                            name, command):
-        spec = name
-        if name in CORPUS:
-            g, gbar, domain = CORPUS[name]
-            spec = tmp_path / f"{name}.yaml"
-            spec.write_text(f"dim: 2\ncoords: [x, y]\ng: {g}\ngbar: {gbar}\n"
-                            f"domain: {domain}\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main([command[0], str(spec), *command[1:]])
-        err = capsys.readouterr().err
+        rc, err = corpus_run(tmp_path, capsys, name, command)
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
             assert rc in (0, 1) and err == ""
+
+    @pytest.mark.parametrize("name, command", [("huge-corner", "verify"),
+                                               ("huge-corner", "describe"),
+                                               ("scaled-flat", "verify")])
+    def test_an_L_that_cannot_be_formed_is_named_with_its_point(self, tmp_path, capsys,
+                                                                name, command):
+        rc, err = corpus_run(tmp_path, capsys, name, command)
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith("error: L cannot be formed at (")
 
     def test_unknown_check_id_is_one_error_line(self, capsys):
         rc = main(["verify", "dini", "--checks", "basic,frobnicate"])

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the library in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,14 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    # what its comments state
+    assert names["frame"].L.value().tolist() == [[2.0, 0.0], [0.0, 0.5]]
+    assert names["points"].shape == (4, 2)
+    assert names["report"].passed

@@ -18,6 +18,7 @@ from benenti.operators import PhaseSpacePoint
 from benenti.pairfile import parse_pair
 from benenti.projective import ProjectivePair
 from benenti.verify import VerifyConfig, verify_pair
+from test_cli import assert_describes_sampled_points
 
 TOL = 1e-10
 
@@ -306,6 +307,12 @@ def test_a_trajectory_into_a_degenerate_gbar_is_a_record():
         # the geodesics of the flat g are straight lines
         end = rec.point[0] + params["velocity"][0] * params["exit_time"]
         assert 1.5 - 1e-9 <= end < 1.9971
+
+
+def test_describe_samples_no_start_where_gbar_is_degenerate(tmp_path, capsys):
+    path = tmp_path / "gbar-edge.yaml"
+    path.write_text(GBAR_EDGE)
+    assert_describes_sampled_points(path, capsys)
 
 
 def test_a_stage_at_a_point_that_is_not_finite_ends_the_trajectory():

@@ -352,8 +352,7 @@ class TestStackedApplication:
 
     @staticmethod
     def sampled(pair):
-        cfg = verify.VerifyConfig(points=2, seed=11)
-        return verify._sample_points(pair, cfg, np.random.default_rng(11))
+        return pair.sample_point(np.random.default_rng(11), rows=2)
 
     @pytest.mark.parametrize("name", STACKED_PAIRS)
     def test_commutator_grids_match_per_function_loops(self, name):

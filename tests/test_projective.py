@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import jet_reference as ref
-from benenti import catalog, geometry, jets, pairfile, projective, verify
+from benenti import catalog, geometry, jets, pairfile, projective
+from benenti.errors import BenentiError
 from benenti.geometry import (
     JetTensor,
     MetricField,
@@ -56,8 +57,7 @@ def named_pair(name):
 
 def sampled_block(pair, rows=3):
     """A ``(rows, n)`` block of nondegenerate points, as verify samples them."""
-    cfg = verify.VerifyConfig(points=rows, seed=13)
-    return verify._sample_points(pair, cfg, np.random.default_rng(13))
+    return pair.sample_point(np.random.default_rng(13), rows=rows)
 
 
 def same_bits(a, b) -> bool:
@@ -145,6 +145,19 @@ class TestStructureTensor:
         roots = np.sort(np.roots(coeffs[::-1]))
         eigs = np.sort(pair.frame(p, 2).L_eigenvalues().real)
         assert np.allclose(roots, eigs, atol=1e-10)
+
+    def test_a_point_where_L_cannot_be_formed_is_named(self):
+        # det(gbar^-1 g) = x^2: at x = 1e-120 the order-1 coefficient of
+        # |det|^(-1/3) is beyond the float range, though g is not degenerate
+        g = MetricField(("x", "y"), [["x", "0"], ["0", "x"]])
+        gbar = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
+        pair = ProjectivePair(g, gbar)
+        for points, at in (([(0.5, 0.5), (1e-120, 0.25), (1e-120, 0.5)], "(1e-120, 0.25)"),
+                           ((1e-120, 0.75), "(1e-120, 0.75)")):
+            with pytest.raises(BenentiError) as raised:
+                PointFrame(pair, points, 1).L
+            assert str(raised.value) == (f"L cannot be formed at {at}: "
+                                         "pow: Taylor coefficient beyond the float range")
 
 
 class TestBenentiData:

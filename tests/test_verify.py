@@ -155,7 +155,7 @@ def record_frames(monkeypatch, points, checks, name="dini", t_grid=None):
     """(frames built as (order, rows), sampled points, the points of each
     t_grid call) of one run."""
     built, sampled, grid_points = [], [], []
-    build, grid, sample = PointFrame.__init__, verify.t_grid, verify._sample_points
+    build, grid, sample = PointFrame.__init__, verify.t_grid, ProjectivePair.sample_point
 
     def counting(frame, pair, point, order):
         build(frame, pair, point, order)
@@ -165,13 +165,13 @@ def record_frames(monkeypatch, points, checks, name="dini", t_grid=None):
         grid_points.append(points.tolist())
         return grid(pair, points)
 
-    def recording(*args):
-        sampled.append(sample(*args))
+    def recording(*args, **kwargs):
+        sampled.append(sample(*args, **kwargs))
         return sampled[-1]
 
     monkeypatch.setattr(PointFrame, "__init__", counting)
     monkeypatch.setattr(verify, "t_grid", counting_grid)
-    monkeypatch.setattr(verify, "_sample_points", recording)
+    monkeypatch.setattr(ProjectivePair, "sample_point", recording)
     shared = load(name)
     pair = ProjectivePair(shared.g, shared.gbar, shared.domain)
     verify.verify_pair(pair, verify.VerifyConfig(points=points, checks=checks,
@@ -596,8 +596,7 @@ def per_row_records(pair, check, points, grids, momenta):
 @pytest.mark.parametrize("check", ["killing", "carter", "poisson", "commutator"])
 def test_block_records_pick_each_rows_worst_candidate_on_its_grid(name, check):
     pair = load(name)
-    points = verify._sample_points(
-        pair, verify.VerifyConfig(points=3, seed=5), np.random.default_rng(5))
+    points = pair.sample_point(np.random.default_rng(5), rows=3)
     # unequal lengths, a repeated value and both zeros
     grids = [(0.0, 1.0, 2.0, -1.5), (0.5,), (-0.0, 3.0, 3.0)]
     momenta = np.array([[0.8, -0.3, 1.1, 0.2], [-1.5, 0.4, 0.9, -0.7],
@@ -626,8 +625,7 @@ def test_frame_order_of_each_check_is_the_highest_it_requests(monkeypatch, check
     # order each check asks of the pair's frame
     dini = catalog.get_entry("dini").pair
     pair = ProjectivePair(dini.g, dini.gbar, dini.domain)
-    points = verify._sample_points(
-        pair, verify.VerifyConfig(points=2), np.random.default_rng(3))
+    points = pair.sample_point(np.random.default_rng(3), rows=2)
     requested = []
     frame = pair.frame
 
@@ -656,8 +654,7 @@ def test_each_check_needs_its_frame_order_and_no_more(monkeypatch, name, check):
     # a frame pinned at the table's order serves the check whatever order it
     # asks for; one order lower, the check runs out of jet coefficients
     shared = catalog.get_entry(name).pair
-    points = verify._sample_points(
-        shared, verify.VerifyConfig(points=2), np.random.default_rng(3))
+    points = shared.sample_point(np.random.default_rng(3), rows=2)
     grids, momenta = [(0.5, 2.0), (1.5,)], np.full((2, shared.dim), 0.7)
     order = verify._CHECKS[check][1]
     for pinned, fails in ((order, False), (order - 1, True)):
@@ -694,13 +691,15 @@ def partly_non_finite():
 def same_sample(pair, config, seed):
     # the sampler returns the points alone; the reference's per-point grids
     # must be the ones the walk takes off a frame over the sampled block
-    points = verify._sample_points(pair, config, np.random.default_rng(seed))
+    points = pair.sample_point(np.random.default_rng(seed), rows=config.points)
     with np.errstate(over="ignore", invalid="ignore"):  # the jets of a NaN row
         want_points, want_grids = jet_reference.sample_points(
             pair, config, np.random.default_rng(seed))
     assert points.shape == (config.points, pair.dim)
     assert [[c.hex() for c in p] for p in points.tolist()] == [
         [c.hex() for c in p] for p in want_points]
+    # the single form keeps the first of the same draws
+    assert pair.sample_point(np.random.default_rng(seed)) == want_points[0]
     if config.t_grid is None:
         assert verify.t_grid(pair, points) == want_grids
 
